@@ -25,7 +25,8 @@ def _add_common_solver_flags(p):
     p.add_argument("--eps-hat", type=float, default=2e-16,
                    help="zero-block detection threshold (default 2e-16)")
     p.add_argument("--mode", choices=("as", "eas", "direct"), default="as")
-    p.add_argument("--sigma", type=float, default=1.0, help="ADMM penalty start value")
+    p.add_argument("--sigma", type=float, default=1.0,
+                   help="ADMM penalty of a cold start; warm starts keep the last one")
     p.add_argument("--admm-max-iter", type=int, default=50000)
     p.add_argument("--admm-tol", type=float, default=None,
                    help="override the subsolver tolerance (default: derived from eps)")

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from ._kernels import union_find_min_labels
+from ._kernels import column_norms, union_find_min_labels
 from .model import ProblemInstance
 
 
@@ -24,41 +24,43 @@ class IncidenceMap:
     """Edge-difference map B(X) = XJ with node-arc incidence matrix J.
 
     Columns of J follow the lexicographic edge order; column l(i, j) holds
-    +1 at row i and -1 at row j.
+    +1 at row i and -1 at row j. J is kept in row (CSR) form, which row
+    slicing by node sets and the adjoint product both want.
     """
 
     def __init__(self, N, edge_i, edge_j):
         self.N = N
         self.edge_i = np.asarray(edge_i, dtype=np.int64)
         self.edge_j = np.asarray(edge_j, dtype=np.int64)
-        m = len(self.edge_i)
-        data = np.empty(2 * m)
-        data[0::2] = 1.0
-        data[1::2] = -1.0
-        rows = np.empty(2 * m, dtype=np.int64)
-        rows[0::2] = self.edge_i
-        rows[1::2] = self.edge_j
-        cols = np.repeat(np.arange(m, dtype=np.int64), 2)
-        self.J = sp.csc_matrix((data, (rows, cols)), shape=(N, m))
-        self._B = None  # m x N row form, built on demand for submatrix slicing
+        self.J = _incidence_matrix(N, self.edge_i, self.edge_j)
 
     @property
     def m(self):
         return len(self.edge_i)
 
-    @property
-    def B(self):
-        if self._B is None:
-            self._B = self.J.T.tocsr()
-        return self._B
-
     def apply(self, X):
         """B(X) = XJ, column l of the result is X_{:i} - X_{:j}."""
-        return X[:, self.edge_i] - X[:, self.edge_j]
+        return edge_differences(X, self.edge_i, self.edge_j)
 
     def adjoint(self, Z):
         """B*(Z) = Z J^T."""
         return (self.J @ Z.T).T
+
+
+def _incidence_matrix(n, ei, ej):
+    """CSR (n, m) matrix whose column l holds +1 at row ei[l] and -1 at
+    row ej[l]; a column with ei[l] == ej[l] is left empty."""
+    m = len(ei)
+    keep = ei != ej
+    cols = np.flatnonzero(keep)
+    rows = np.concatenate([ei[keep], ej[keep]])
+    data = np.concatenate([np.ones(len(cols)), -np.ones(len(cols))])
+    return sp.csr_matrix((data, (rows, np.concatenate([cols, cols]))), shape=(n, m))
+
+
+def edge_differences(X, ei, ej):
+    """Column l of the result is X_{:ei[l]} - X_{:ej[l]}."""
+    return np.take(X, ei, axis=1) - np.take(X, ej, axis=1)
 
 
 def build_knn_graph(A, k=10):
@@ -194,12 +196,19 @@ class ReducedProblem:
         self.C = np.ascontiguousarray(np.hstack([C_alpha, A[:, beta]]))
         self.kappa = 0.5 * float(np.sum(A * A))
 
+        # reduced position of every node: alpha and beta in order, gamma at
+        # its component's representative
+        s = len(alpha)
+        pos = np.empty(inst.N, dtype=np.int64)
+        pos[alpha] = np.arange(s)
+        pos[beta] = s + np.arange(len(beta))
+        pos[gamma] = M.tocsc().indices  # one 1 per column of M
         I_c = partition.I_c
-        J = inst.incidence.J.tocsr()
-        J_a = J[alpha][:, I_c]
-        J_g = J[gamma][:, I_c]
-        J_b = J[beta][:, I_c]
-        self.Jr = sp.vstack([J_a + M @ J_g, J_b]).tocsc()
+        inc = inst.incidence
+        self.ri = pos[inc.edge_i[I_c]]
+        self.rj = pos[inc.edge_j[I_c]]
+        # column l of Jr is e_ri - e_rj, empty when both ends share a component
+        self.Jr = _incidence_matrix(len(self.h), self.ri, self.rj)
         self.weights = inst.weights[I_c]
         self._factor_cache = {}
 
@@ -222,14 +231,14 @@ class ReducedProblem:
         return X * self.h - self.C
 
     def apply(self, X):
-        return X @ self.Jr
+        """X Jr: column l is X_{:ri[l]} - X_{:rj[l]}."""
+        return edge_differences(X, self.ri, self.rj)
 
     def adjoint(self, Y):
+        """Y Jr^T."""
         return (self.Jr @ Y.T).T
 
     def primal_objective(self, X):
-        from ._kernels import column_norms
-
         BX = self.apply(X)
         return self.phi(X) + self.lam * float(np.dot(self.weights, column_norms(BX)))
 

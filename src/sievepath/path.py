@@ -2,7 +2,8 @@
 
 Each lambda is solved by the sieve (or plain ADMM in direct mode); the zero
 pattern of the certified solution seeds the next lambda's candidate set, and
-the full-space primal/dual pair warm-starts the next subsolver.
+the full-space primal/dual pair, with the ADMM penalty sigma it ended on,
+warm-starts the next subsolver.
 """
 
 import logging
@@ -160,9 +161,10 @@ def solve_path(inst, pcfg=None):
             if pcfg.mode == "direct":
                 warm_full = None
                 if carry is not None:
-                    x_prev, z_prev = carry
-                    warm_full = (x_prev, inst.incidence.apply(x_prev), z_prev)
+                    x_prev, z_prev, sigma_prev = carry
+                    warm_full = (x_prev, inst.incidence.apply(x_prev), z_prev, sigma_prev)
                 triple, sub = solve_full(inst, cfg.lam, 0.5 * cfg.eps, pcfg.admm, warm=warm_full)
+                sigma = sub.sigma
                 rounds, avg_n, avg_m = 1, float(inst.N), float(m)
                 if triple.residual_norm > cfg.eps:
                     error = f"direct solve residual {triple.residual_norm:.3e} > eps"
@@ -170,6 +172,7 @@ def solve_path(inst, pcfg=None):
                 solver = eas_solve if pcfg.mode == "eas" else as_solve
                 triple, state = solver(inst, cfg, I0=I0, warm=carry)
                 rounds = state.round
+                sigma = state.sub.sigma
                 avg_n = float(np.mean([r["n_reduced"] for r in state.records]))
                 avg_m = float(np.mean([r["m_reduced"] for r in state.records]))
                 certified_early = state.certified_early
@@ -186,6 +189,7 @@ def solve_path(inst, pcfg=None):
                 x_bar, y_bar = recover_primal(state.partition, state.sub.x_red, state.sub.y_red)
                 z = state.dual.u if state.dual is not None else np.zeros((inst.d, m))
                 triple = KktTriple.from_point(inst, cfg.lam, x_bar, y_bar, z)
+                sigma = state.sub.sigma
         seconds = time.perf_counter() - t0
 
         if triple is None:
@@ -223,5 +227,5 @@ def solve_path(inst, pcfg=None):
 
         I0 = np.flatnonzero(fused)
         if pcfg.warm_start:
-            carry = (triple.x, triple.z)
+            carry = (triple.x, triple.z, sigma)
     return result

@@ -88,8 +88,7 @@ class GammaSystem:
     """
 
     def __init__(self, inst, partition):
-        J = inst.incidence.J.tocsr()
-        self.Jg = J[partition.gamma][:, partition.I].tocsc()
+        self.Jg = inst.incidence.J[partition.gamma][:, partition.I].tocsc()
         gram = (self.Jg @ self.Jg.T).tocsc()
         self._factor = sp.linalg.splu(gram)
 
@@ -160,8 +159,7 @@ def recover_dual(inst, lam, partition, sub, apg_cfg=None, x_bar=None):
         return DualRecovery(u=u, w=w, apg_iters=0, apg_obj=0.0)
 
     gs = GammaSystem(inst, partition)
-    J = inst.incidence.J.tocsr()
-    Jc = J[partition.gamma][:, partition.I_c]
+    Jc = inst.incidence.J[partition.gamma][:, partition.I_c]
     grad_gamma = (x_bar - inst.A)[:, partition.gamma]
     R = grad_gamma + (Jc @ sub.xi.T).T
     u0 = gs.particular(R)
@@ -207,8 +205,7 @@ def eas_certify(inst, lam, x_bar, eps, eps_hat=2e-16, apg_cfg=None):
         y_t[:, I_t] = 0.0
         partition = build_partition(inst.incidence, I_t)
         gs = GammaSystem(inst, partition)
-        J = inst.incidence.J.tocsr()
-        Jc = J[partition.gamma][:, partition.I_c]
+        Jc = inst.incidence.J[partition.gamma][:, partition.I_c]
         grad_gamma = (x_bar - inst.A)[:, partition.gamma]
         R = grad_gamma + (Jc @ v[:, partition.I_c].T).T
         v0 = gs.particular(R)
@@ -220,11 +217,14 @@ def eas_certify(inst, lam, x_bar, eps, eps_hat=2e-16, apg_cfg=None):
     return None
 
 
-def _restricted_warm(x_full, z_full, partition, red):
-    """Project a full-space primal/dual pair onto a reduced problem."""
+def _restricted_warm(warm, partition, red):
+    """Project a full-space (x, z) or (x, z, sigma) warm start onto a
+    reduced problem; a carried ADMM sigma passes through unchanged."""
+    x_full, z_full = warm[:2]
     nodes = np.concatenate([partition.alpha, partition.beta])
     X = np.ascontiguousarray(x_full[:, nodes])
-    return X, red.apply(X), np.ascontiguousarray(z_full[:, partition.I_c])
+    Z = np.ascontiguousarray(z_full[:, partition.I_c])
+    return (X, red.apply(X), Z, *warm[2:])
 
 
 def _sieve_loop(inst, cfg, I0, enhanced, warm=None):
@@ -243,7 +243,7 @@ def _sieve_loop(inst, cfg, I0, enhanced, warm=None):
     apg_iter = apg_base.maxiter
 
     state = SieveState(round=0, I=I, partition=None, sub=None, dual=None)
-    carry = warm  # (x_full, z_full) from the caller or the previous round
+    carry = warm  # (x_full, z_full[, sigma]) from the caller or the last round
 
     for rnd in range(max_rounds):
         state.round = rnd + 1
@@ -253,7 +253,7 @@ def _sieve_loop(inst, cfg, I0, enhanced, warm=None):
         state.partition = partition
         warm_red = None
         if carry is not None:
-            warm_red = _restricted_warm(carry[0], carry[1], partition, red)
+            warm_red = _restricted_warm(carry, partition, red)
 
         tol_cur, apg_cur = sub_tol, apg_iter
         for attempt in range(4):
@@ -316,7 +316,7 @@ def _sieve_loop(inst, cfg, I0, enhanced, warm=None):
             rnd + 1, res, len(J), len(I),
         )
         I = np.setdiff1d(I, J, assume_unique=True)
-        carry = (x_bar, dual.u)
+        carry = (x_bar, dual.u, sub.sigma)
 
     raise SieveLimitError(f"sieve did not certify within {max_rounds} rounds", state)
 
@@ -341,7 +341,8 @@ def as_solve(inst, cfg, I0=None, warm=None):
     Starting from the candidate zero set I0 (all blocks when omitted), each
     round solves the reduced problem, recovers a dual candidate, and either
     certifies the point or strips I of its violating blocks; I shrinks
-    strictly, so at most len(I0) + 1 rounds ever run.
+    strictly, so at most len(I0) + 1 rounds ever run. warm is a full-space
+    (x, z) pair, optionally followed by the ADMM sigma to resume with.
     """
     return _sieve_loop(inst, cfg, I0, enhanced=False, warm=warm)
 

@@ -110,3 +110,22 @@ def test_sigma_refresh_flag(t1_inst):
     assert fixed.sigma == 100.0
     assert adaptive.sigma < 100.0  # balancing pulled sigma down
     assert adaptive.iterations <= fixed.iterations
+
+
+def test_warm_start_carries_sigma(t1_inst):
+    part = build_partition(t1_inst.incidence, [])
+    red = reduce_problem(t1_inst, part, 1.0)
+    cfg = AdmmConfig(sigma=100.0)
+    cold = solve_reduced_admm(red, tol=1e-9, config=cfg)
+    assert cold.converged and cold.sigma != cfg.sigma
+    # resuming a converged solve keeps its sigma and stops at the first check
+    warm = solve_reduced_admm(red, tol=1e-9, config=cfg, warm=cold.warm_start())
+    assert warm.converged
+    assert warm.iterations <= cfg.check_every
+    assert warm.sigma == cold.sigma
+    # without a carried sigma a warm start begins at the configured value
+    X, Y, Z, _ = cold.warm_start()
+    plain = solve_reduced_admm(
+        red, tol=1e-9, config=AdmmConfig(sigma=100.0, refresh=False), warm=(X, Y, Z)
+    )
+    assert plain.sigma == 100.0

@@ -44,6 +44,48 @@ def test_incidence_apply_adjoint():
     assert np.all(np.abs(J).sum(axis=0) == 2)
 
 
+def _reduced_incidence_reference(inst, part):
+    """[J_alpha + M J_gamma; J_beta] restricted to the columns I^c."""
+    J = inst.incidence.J
+    Jr = sp.vstack([J[part.alpha] + part.M @ J[part.gamma], J[part.beta]])
+    return Jr.tocsc()[:, part.I_c]
+
+
+def test_operators_match_sparse_products():
+    rng = np.random.default_rng(4)
+    zero_columns = 0
+    for _ in range(40):
+        inst = random_instance(rng)
+        m, d = inst.m_blocks, inst.d
+        I = rng.choice(m, size=int(rng.uniform(0.0, 1.0) * m), replace=False)
+        part = build_partition(inst.incidence, I)
+        red = reduce_problem(inst, part, 1.0)
+        Jr = _reduced_incidence_reference(inst, part)
+        # an edge outside I inside one component leaves a zero column
+        zero_columns += int(np.count_nonzero(abs(Jr).sum(axis=0) == 0))
+
+        X = rng.standard_normal((d, part.n_reduced))
+        Y = rng.standard_normal((d, red.m_red))
+        np.testing.assert_allclose(red.apply(X), X @ Jr, rtol=0, atol=1e-14)
+        np.testing.assert_allclose(red.adjoint(Y), (Jr @ Y.T).T, rtol=0, atol=1e-14)
+        ip = np.sum(red.apply(X) * Y)
+        assert abs(ip - np.sum(X * red.adjoint(Y))) <= 1e-13 * (1.0 + abs(ip))
+
+        x = rng.standard_normal((d, inst.N))
+        z = rng.standard_normal((d, m))
+        inc = inst.incidence
+        Jfull = sp.csc_matrix(
+            (np.r_[np.ones(m), -np.ones(m)],
+             (np.r_[inst.edge_i, inst.edge_j], np.r_[np.arange(m), np.arange(m)])),
+            shape=(inst.N, m),
+        )
+        np.testing.assert_allclose(inc.apply(x), x @ Jfull, rtol=0, atol=1e-14)
+        np.testing.assert_allclose(inc.adjoint(z), (Jfull @ z.T).T, rtol=0, atol=1e-14)
+        ip = np.sum(inc.apply(x) * z)
+        assert abs(ip - np.sum(x * inc.adjoint(z))) <= 1e-13 * (1.0 + abs(ip))
+    assert zero_columns > 0
+
+
 def test_knn_identical_points():
     A = np.zeros((2, 2))
     inst = build_knn_graph(A, k=1)

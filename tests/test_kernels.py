@@ -11,25 +11,33 @@ def test_column_norms_matches_numpy():
         assert np.allclose(got, np.linalg.norm(V, axis=0), atol=1e-14)
 
 
-def test_prox_columns_both_paths_agree():
+def test_prox_columns_matches_prox_block():
+    from sievepath.model import prox_block
+
     rng = np.random.default_rng(1)
     for _ in range(20):
         V = rng.standard_normal((3, 30))
-        tau = rng.random(30) * 2
-        a = K._prox_columns_np(V, tau)
-        b = K._prox_columns_nb(V, tau) if K.NUMBA_ENABLED else a
-        assert np.allclose(a, b, atol=1e-14)
+        tau = rng.random(30) * 2 + 1e-3
+        got = K.prox_columns(V, tau)
+        for l in range(V.shape[1]):
+            ref = prox_block(V[:, l], tau[l])
+            assert np.allclose(got[:, l], ref, rtol=1e-14, atol=1e-14)
 
 
-def test_project_columns_both_paths_agree():
+def test_project_columns_matches_project_subdiff_block():
+    from sievepath.model import project_subdiff_block
+
     rng = np.random.default_rng(2)
+    zero = np.zeros(2)
     for _ in range(20):
         V = rng.standard_normal((2, 25)) * 3
-        r = rng.random(25)
-        a = K._project_columns_np(V, r)
-        b = K._project_columns_nb(V, r) if K.NUMBA_ENABLED else a
-        assert np.allclose(a, b, atol=1e-14)
-        assert np.all(np.linalg.norm(a, axis=0) <= r + 1e-12)
+        r = rng.random(25) + 1e-3
+        got = K.project_columns(V, r)
+        for l in range(V.shape[1]):
+            # at a zero block the subdifferential is the whole ball
+            ref = project_subdiff_block(V[:, l], zero, r[l])
+            assert np.allclose(got[:, l], ref, rtol=1e-14, atol=1e-14)
+        assert np.all(np.linalg.norm(got, axis=0) <= r + 1e-12)
 
 
 def test_prox_zero_block_and_shrink():
@@ -39,6 +47,18 @@ def test_prox_zero_block_and_shrink():
     # norm 5 shrinks by 1/5 toward zero; norm 0.5 < 10 collapses exactly
     assert np.allclose(out[:, 0], [2.4, 3.2])
     assert np.all(out[:, 1] == 0.0)
+
+
+def test_prox_zero_columns_exact_without_warnings():
+    # a naive 1 - tau / ||v|| gives 0/0 = nan on a zero column when tau == 0
+    V = np.array([[0.0, 3.0, 0.0], [0.0, 4.0, 0.0]])
+    for tau in (np.array([0.5, 1.0, 0.0]), np.zeros(3)):
+        with np.errstate(all="raise"):
+            out = K.prox_columns(V, tau)
+        assert np.all(out[:, [0, 2]] == 0.0)
+        assert not np.any(np.isnan(out))
+    # tau == 0 is the identity
+    assert np.array_equal(out, V)
 
 
 def test_union_find_min_labels_matches_reference():
@@ -51,19 +71,6 @@ def test_union_find_min_labels_matches_reference():
         got = K.union_find_min_labels(n, ei, ej)
         ref = _reference_components(n, ei, ej)
         assert np.array_equal(got, ref)
-
-
-def test_union_find_paths_agree():
-    if not K.NUMBA_ENABLED:
-        return
-    rng = np.random.default_rng(4)
-    n = 200
-    ei = rng.integers(0, n, size=300).astype(np.int64)
-    ej = rng.integers(0, n, size=300).astype(np.int64)
-    assert np.array_equal(
-        K._union_find_min_labels_np(n, ei, ej),
-        K._union_find_min_labels_nb(n, ei, ej),
-    )
 
 
 def _reference_components(n, ei, ej):
