@@ -1,9 +1,12 @@
-"""Hot numeric kernels over block matrices, in numpy.
+"""Hot numeric kernels over block matrices, in numpy, and connected
+components of an edge list, from scipy's csgraph.
 
 Column l of a (d, m) block matrix is the l-th edge block.
 """
 
 import numpy as np
+import scipy.sparse as sp
+from scipy.sparse.csgraph import connected_components
 
 # numpy is the only kernel lane; the flag stays for tools that report the lane
 NUMBA_ENABLED = False
@@ -35,30 +38,12 @@ def project_columns(V, radii):
 def union_find_min_labels(n, ei, ej):
     """Label nodes 0..n-1 by the smallest member of their connected component.
 
-    Edges are given as parallel index arrays (ei, ej).
+    Edges are given as parallel index arrays (ei, ej); the components come
+    from scipy's csgraph.
     """
-    ei = np.ascontiguousarray(ei, dtype=np.int64)
-    ej = np.ascontiguousarray(ej, dtype=np.int64)
-    parent = np.arange(n, dtype=np.int64)
-
-    def find(a):
-        root = a
-        while parent[root] != root:
-            root = parent[root]
-        while parent[a] != root:
-            parent[a], a = root, parent[a]
-        return root
-
-    for k in range(len(ei)):
-        ra, rb = find(ei[k]), find(ej[k])
-        if ra == rb:
-            continue
-        # smaller root wins so the representative stays the min index
-        if ra < rb:
-            parent[rb] = ra
-        else:
-            parent[ra] = rb
-    labels = np.empty(n, dtype=np.int64)
-    for a in range(n):
-        labels[a] = find(a)
-    return labels
+    ei = np.asarray(ei, dtype=np.int64)
+    ej = np.asarray(ej, dtype=np.int64)
+    graph = sp.coo_matrix((np.ones(len(ei)), (ei, ej)), shape=(n, n))
+    _, comp = connected_components(graph, directed=False)
+    # the first node carrying each component id is that component's minimum
+    return np.unique(comp, return_index=True)[1][comp]

@@ -114,7 +114,6 @@ class IndexPartition:
     beta: np.ndarray
     gamma: np.ndarray
     M: sp.csr_matrix
-    components: list
     N: int
     m: int
 
@@ -135,18 +134,6 @@ def build_partition(inc, I):
     if len(I) and (I[0] < 0 or I[-1] >= inc.m):
         raise ValueError("edge indices out of range")
     N = inc.N
-    if len(I) == 0:
-        return IndexPartition(
-            I=I,
-            alpha=np.empty(0, dtype=np.int64),
-            beta=np.arange(N, dtype=np.int64),
-            gamma=np.empty(0, dtype=np.int64),
-            M=sp.csr_matrix((0, 0)),
-            components=[],
-            N=N,
-            m=inc.m,
-        )
-
     sei, sej = inc.edge_i[I], inc.edge_j[I]
     labels = union_find_min_labels(N, sei, sej)
     touched = np.zeros(N, dtype=bool)
@@ -159,18 +146,13 @@ def build_partition(inc, I):
     beta = np.flatnonzero(~touched)
     gamma = tnodes[roots != tnodes]  # touched nodes that are not their root
 
-    root_pos = {r: idx for idx, r in enumerate(alpha)}
-    grows = np.array([root_pos[labels[g]] for g in gamma], dtype=np.int64)
+    grows = np.searchsorted(alpha, labels[gamma])
     M = sp.csr_matrix(
         (np.ones(len(gamma)), (grows, np.arange(len(gamma)))),
         shape=(len(alpha), len(gamma)),
     )
-    components = [
-        np.sort(tnodes[roots == r]) for r in alpha
-    ]
     return IndexPartition(
-        I=I, alpha=alpha, beta=beta, gamma=gamma, M=M,
-        components=components, N=N, m=inc.m,
+        I=I, alpha=alpha, beta=beta, gamma=gamma, M=M, N=N, m=inc.m,
     )
 
 
@@ -189,7 +171,8 @@ class ReducedProblem:
 
         alpha, beta, gamma = partition.alpha, partition.beta, partition.gamma
         M = partition.M
-        sizes = np.array([len(c) for c in partition.components], dtype=np.float64)
+        # a component's size is its root plus the gamma nodes in its row of M
+        sizes = 1.0 + np.diff(M.indptr)
         self.h = np.concatenate([sizes, np.ones(len(beta))])
         A = inst.A
         C_alpha = A[:, alpha] + (M @ A[:, gamma].T).T if len(alpha) else A[:, alpha]

@@ -1,4 +1,4 @@
-"""Problem data model, block regularizer calculus, objectives and KKT residual.
+"""Problem data model, block-norm calculus, objectives and KKT residual.
 
 The problem solved throughout is
 
@@ -9,7 +9,7 @@ are Frobenius; residuals of stacked blocks use the Euclidean norm of the
 concatenation.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -33,7 +33,6 @@ class ProblemInstance:
     edge_i: np.ndarray
     edge_j: np.ndarray
     weights: np.ndarray
-    norm_exponent: float = 2.0
 
     def __post_init__(self):
         self.A = np.ascontiguousarray(self.A, dtype=np.float64)
@@ -44,8 +43,6 @@ class ProblemInstance:
         self.weights = np.asarray(self.weights, dtype=np.float64)
         if not (len(self.edge_i) == len(self.edge_j) == len(self.weights)):
             raise ValueError("edge arrays must have equal length")
-        if self.norm_exponent < 1.0:
-            raise ValueError("norm_exponent must be >= 1 for convexity")
         if np.any(self.weights <= 0.0):
             raise ValueError("edge weights must be positive")
         if np.any(self.edge_i >= self.edge_j):
@@ -63,13 +60,13 @@ class ProblemInstance:
         self._incidence = None
 
     @classmethod
-    def from_edges(cls, A, edges, norm_exponent=2.0):
+    def from_edges(cls, A, edges):
         """Build from an iterable of (i, j, w) triples or (i, j) pairs."""
         edges = list(edges)
         ei = [e[0] for e in edges]
         ej = [e[1] for e in edges]
         w = [e[2] if len(e) > 2 else 1.0 for e in edges]
-        return cls(np.asarray(A, dtype=np.float64), ei, ej, w, norm_exponent)
+        return cls(np.asarray(A, dtype=np.float64), ei, ej, w)
 
     @property
     def d(self):
@@ -78,10 +75,6 @@ class ProblemInstance:
     @property
     def N(self):
         return self.A.shape[1]
-
-    @property
-    def block_dim(self):
-        return self.A.shape[0]
 
     @property
     def m_blocks(self):
@@ -95,48 +88,6 @@ class ProblemInstance:
 
             self._incidence = IncidenceMap(self.N, self.edge_i, self.edge_j)
         return self._incidence
-
-    @property
-    def regularizer(self):
-        return BlockRegularizer(self.weights, self.block_dim, self.norm_exponent)
-
-
-class BlockRegularizer:
-    """Weighted sum of block 2-norms, p(Y) = sum_l w_l ||Y_{:l}||_2.
-
-    The shipped regularizer is the p = 2 block norm; the class is the
-    pluggable surface for other exponents.
-    """
-
-    def __init__(self, weights, block_dim, norm_exponent=2.0):
-        if norm_exponent < 1.0:
-            raise ValueError("norm_exponent must be >= 1")
-        if norm_exponent != 2.0:
-            raise NotImplementedError("only the 2-norm block regularizer ships")
-        self.weights = np.asarray(weights, dtype=np.float64)
-        self.block_dim = block_dim
-        self.norm_exponent = norm_exponent
-
-    @property
-    def m_blocks(self):
-        return len(self.weights)
-
-    def value(self, Y):
-        return float(np.dot(self.weights, column_norms(Y)))
-
-    def prox(self, V, scale):
-        """Prox of scale * p at V, blockwise soft-thresholding."""
-        return prox_columns(np.ascontiguousarray(V), scale * self.weights)
-
-    def project_dual(self, Z, lam):
-        """Project Z blockwise onto the product of balls of radius lam * w_l."""
-        return project_columns(np.ascontiguousarray(Z), lam * self.weights)
-
-    def dual_infeasibility(self, Z, lam):
-        """Max blockwise excess of ||Z_l|| over lam * w_l (<= 0 when feasible)."""
-        if Z.shape[1] == 0:
-            return 0.0
-        return float(np.max(column_norms(Z) - lam * self.weights))
 
 
 def prox_block(v, tau):
@@ -191,9 +142,8 @@ def kkt_residual(inst, lam, x, y, z):
     z = np.asarray(z, dtype=np.float64)
     _check_shapes(inst, x, y, z)
     inc = inst.incidence
-    reg = inst.regularizer
     grad = (x - inst.A) + inc.adjoint(z)
-    prox_gap = y - reg.prox(y + z, lam)
+    prox_gap = y - prox_columns(y + z, lam * inst.weights)
     feas = inc.apply(x) - y
     sq = (
         float(np.sum(grad * grad))
@@ -207,9 +157,8 @@ def primal_objective(inst, lam, x):
     """F_lam(x) = 0.5||x - A||_F^2 + lam * p(Bx)."""
     x = np.asarray(x, dtype=np.float64)
     diff = x - inst.A
-    return 0.5 * float(np.sum(diff * diff)) + lam * inst.regularizer.value(
-        inst.incidence.apply(x)
-    )
+    norms = column_norms(inst.incidence.apply(x))
+    return 0.5 * float(np.sum(diff * diff)) + lam * float(np.dot(inst.weights, norms))
 
 
 def dual_objective(inst, lam, z):
@@ -219,8 +168,8 @@ def dual_objective(inst, lam, z):
     holding slightly infeasible duals should project first (duality_gap does).
     """
     z = np.asarray(z, dtype=np.float64)
-    reg = inst.regularizer
-    excess = reg.dual_infeasibility(z, lam)
+    # max blockwise excess of ||z_l|| over lam * w_l (<= 0 when feasible)
+    excess = float(np.max(column_norms(z) - lam * inst.weights)) if z.shape[1] else 0.0
     if excess > 1e-9 * (1.0 + lam):
         raise InfeasibleDualError(
             f"dual point violates a block ball constraint by {excess:.3e}"
@@ -235,8 +184,7 @@ def duality_gap(inst, lam, x, z):
     z is first projected blockwise onto the feasible balls so that inexact
     duals from inner solvers yield a finite, meaningful gap.
     """
-    z = np.asarray(z, dtype=np.float64)
-    zf = inst.regularizer.project_dual(z, lam)
+    zf = project_columns(np.ascontiguousarray(z, dtype=np.float64), lam * inst.weights)
     F = primal_objective(inst, lam, x)
     D = dual_objective(inst, lam, zf)
     return (F - D) / (1.0 + abs(F) + abs(D))

@@ -72,8 +72,6 @@ class SieveState:
     partition: object
     sub: object
     dual: object
-    F_history: list = field(default_factory=list)
-    J: np.ndarray = None
     certified_early: bool = False
     records: list = field(default_factory=list)
 
@@ -158,17 +156,28 @@ def recover_dual(inst, lam, partition, sub, apg_cfg=None, x_bar=None):
     if len(I) == 0 or len(partition.gamma) == 0:
         return DualRecovery(u=u, w=w, apg_iters=0, apg_obj=0.0)
 
-    gs = GammaSystem(inst, partition)
-    Jc = inst.incidence.J[partition.gamma][:, partition.I_c]
-    grad_gamma = (x_bar - inst.A)[:, partition.gamma]
-    R = grad_gamma + (Jc @ sub.xi.T).T
-    u0 = gs.particular(R)
-    radii = lam * inst.weights[I]
-    apg = apg_minimize(u0, radii, gs.null_project, apg_cfg)
-    uI = u0 + apg.d
-    u[:, I] = uI
-    w[:, I] = uI - project_columns(uI, radii)
+    apg = _complete_dual(inst, lam, partition, x_bar, u, apg_cfg)
+    uI = u[:, I]
+    w[:, I] = uI - project_columns(uI, lam * inst.weights[I])
     return DualRecovery(u=u, w=w, apg_iters=apg.iterations, apg_obj=apg.objective)
+
+
+def _complete_dual(inst, lam, partition, x_bar, v, apg_cfg):
+    """Fill the I blocks of the dual v, whose I^c blocks are already set.
+
+    The fill is the min-norm solution of stationarity on the gamma rows plus
+    its APG refinement on the null space of B_{I gamma}^T; returns the
+    ApgResult.
+    """
+    gs = GammaSystem(inst, partition)
+    I_c = partition.I_c
+    Jc = inst.incidence.J[partition.gamma][:, I_c]
+    grad_gamma = (x_bar - inst.A)[:, partition.gamma]
+    v0 = gs.particular(grad_gamma + (Jc @ v[:, I_c].T).T)
+    radii = lam * inst.weights[partition.I]
+    apg = apg_minimize(v0, radii, gs.null_project, apg_cfg)
+    v[:, partition.I] = v0 + apg.d
+    return apg
 
 
 def violation_set(partition, lam, inst, dual, y_bar, slack=VIOLATION_SLACK):
@@ -204,14 +213,7 @@ def eas_certify(inst, lam, x_bar, eps, eps_hat=2e-16, apg_cfg=None):
     if len(I_t):
         y_t[:, I_t] = 0.0
         partition = build_partition(inst.incidence, I_t)
-        gs = GammaSystem(inst, partition)
-        Jc = inst.incidence.J[partition.gamma][:, partition.I_c]
-        grad_gamma = (x_bar - inst.A)[:, partition.gamma]
-        R = grad_gamma + (Jc @ v[:, partition.I_c].T).T
-        v0 = gs.particular(R)
-        radii = lam * inst.weights[I_t]
-        apg = apg_minimize(v0, radii, gs.null_project, apg_cfg)
-        v[:, I_t] = v0 + apg.d
+        _complete_dual(inst, lam, partition, x_bar, v, apg_cfg)
     if kkt_residual(inst, lam, x_bar, y_t, v) <= eps:
         return KktTriple.from_point(inst, lam, x_bar, y_t, v)
     return None
@@ -244,6 +246,7 @@ def _sieve_loop(inst, cfg, I0, enhanced, warm=None):
 
     state = SieveState(round=0, I=I, partition=None, sub=None, dual=None)
     carry = warm  # (x_full, z_full[, sigma]) from the caller or the last round
+    F_prev = None  # objective at the end of the previous round
 
     for rnd in range(max_rounds):
         state.round = rnd + 1
@@ -262,15 +265,13 @@ def _sieve_loop(inst, cfg, I0, enhanced, warm=None):
             F_val = primal_objective(inst, lam, x_bar)
             state.sub = sub
 
-            if enhanced and state.F_history and abs(F_val - state.F_history[-1]) <= cfg.eps:
+            if enhanced and F_prev is not None and abs(F_val - F_prev) <= cfg.eps:
                 cert = eas_certify(
                     inst, lam, x_bar, cfg.eps, cfg.eps_hat,
                     ApgConfig(eps=apg_eps, maxiter=apg_cur),
                 )
                 if cert is not None:
-                    state.F_history.append(F_val)
                     state.certified_early = True
-                    state.J = np.empty(0, dtype=np.int64)
                     state.records.append(_record(rnd, partition, sub, cert.residual_norm, F_val, 0, tol_cur, True))
                     log.info("round %d: certified early, residual %.3e", rnd + 1, cert.residual_norm)
                     return cert, state
@@ -282,8 +283,6 @@ def _sieve_loop(inst, cfg, I0, enhanced, warm=None):
             state.dual = dual
             res = kkt_residual(inst, lam, x_bar, y_bar, dual.u)
             if res <= cfg.eps:
-                state.F_history.append(F_val)
-                state.J = np.empty(0, dtype=np.int64)
                 state.records.append(_record(rnd, partition, sub, res, F_val, 0, tol_cur, False))
                 log.info("round %d: residual %.3e <= eps", rnd + 1, res)
                 return KktTriple.from_point(inst, lam, x_bar, y_bar, dual.u), state
@@ -301,15 +300,11 @@ def _sieve_loop(inst, cfg, I0, enhanced, warm=None):
                 rnd + 1, res, tol_cur,
             )
         else:
-            state.F_history.append(F_val)
-            state.J = np.empty(0, dtype=np.int64)
             state.records.append(_record(rnd, partition, sub, res, F_val, 0, tol_cur, False))
             raise SieveLimitError(
                 f"no violations but residual {res:.3e} > eps after retightening", state
             )
 
-        state.F_history.append(F_val)
-        state.J = J
         state.records.append(_record(rnd, partition, sub, res, F_val, len(J), tol_cur, False))
         log.info(
             "round %d: residual %.3e, removing %d of %d candidate blocks",
@@ -317,6 +312,7 @@ def _sieve_loop(inst, cfg, I0, enhanced, warm=None):
         )
         I = np.setdiff1d(I, J, assume_unique=True)
         carry = (x_bar, dual.u, sub.sigma)
+        F_prev = F_val
 
     raise SieveLimitError(f"sieve did not certify within {max_rounds} rounds", state)
 

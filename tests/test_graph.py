@@ -13,6 +13,7 @@ from sievepath import (
 from sievepath.model import primal_objective
 
 from conftest import random_instance
+from test_kernels import _reference_components
 
 
 def partition_invariants(inst, part):
@@ -25,9 +26,10 @@ def partition_invariants(inst, part):
     # every column of M carries exactly one 1
     if part.M.shape[1]:
         assert np.all(np.asarray(part.M.sum(axis=0)).ravel() == 1.0)
-    # alpha nodes are their component's minimum
-    for a, comp in zip(part.alpha, part.components):
-        assert a == comp.min()
+    # alpha nodes are their component's minimum: each root is smaller than
+    # every gamma node that M maps to it
+    Mc = part.M.tocoo()
+    assert np.all(part.alpha[Mc.row] < part.gamma[Mc.col])
 
 
 def test_incidence_apply_adjoint():
@@ -163,6 +165,22 @@ def test_partition_invariants_random():
         if len(part.gamma):
             Bg = inst.incidence.J.T.tocsr()[part.I][:, part.gamma].toarray()
             assert np.linalg.matrix_rank(Bg) == len(part.gamma)
+
+
+def test_reduced_hessian_is_component_sizes():
+    rng = np.random.default_rng(5)
+    for trial in range(30):
+        inst = random_instance(rng)
+        m = inst.m_blocks
+        size = 0 if trial == 0 else int(rng.integers(0, m + 1))
+        I = rng.choice(m, size=size, replace=False)
+        part = build_partition(inst.incidence, I)
+        red = reduce_problem(inst, part, 1.0)
+        ref = _reference_components(inst.N, inst.edge_i[I], inst.edge_j[I])
+        s = len(part.alpha)
+        assert list(red.h[:s]) == [np.count_nonzero(ref == a) for a in part.alpha]
+        assert np.all(red.h[s:] == 1.0)
+        assert len(red.h) == inst.N - len(part.gamma)
 
 
 def test_reduce_problem_t1_hessian(t1_inst):
