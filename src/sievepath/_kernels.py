@@ -11,6 +11,8 @@ from scipy.sparse.csgraph import connected_components
 # numpy is the only kernel lane; the flag stays for tools that report the lane
 NUMBA_ENABLED = False
 
+_TINY = np.finfo(np.float64).tiny
+
 
 def column_norms(V):
     return np.sqrt(np.einsum("ij,ij->j", V, V))
@@ -19,20 +21,23 @@ def column_norms(V):
 def prox_columns(V, tau):
     """Columnwise argmin_u 0.5||u - v||^2 + tau_l ||u||, i.e. scale column l
     by max(0, ||v|| - tau_l) / ||v||. Zero columns map to exact zeros."""
-    norms = column_norms(V)
-    scale = np.maximum(norms - tau, 0.0)
-    # where the norm is 0 the shrunk length is 0 as well, so skip the 0/0
-    np.divide(scale, norms, out=scale, where=norms > 0.0)
-    return V * scale
+    # (s - tau) / s with s = max(||v||, tau) is that factor; flooring s at
+    # the smallest normal double guards the 0/0 of a zero column with
+    # tau = 0, which then scales an exact zero by 1
+    scale = np.maximum(column_norms(V), tau)
+    np.maximum(scale, _TINY, out=scale)
+    shrunk = scale - tau
+    shrunk /= scale
+    return V * shrunk
 
 
 def project_columns(V, radii):
     """Columnwise Euclidean projection onto the ball of radius radii_l."""
-    norms = column_norms(V)
-    scale = np.ones_like(norms)
-    over = norms > radii
-    scale[over] = radii[over] / norms[over]
-    return V * scale
+    # radii / max(||v||, radii) is 1 inside the ball and radii / ||v||
+    # outside; the floor only guards 0/0 when a zero column has radius 0
+    scale = np.maximum(column_norms(V), radii)
+    np.maximum(scale, _TINY, out=scale)
+    return V * (radii / scale)
 
 
 def union_find_min_labels(n, ei, ej):

@@ -12,9 +12,9 @@ from .data_io import DataError, RunManifest, gen_two_half_moons, load_matrix, sa
 from .graph import GraphError, build_knn_graph
 from .labels import extract_labels
 from .model import SolveConfig
-from .path import PathConfig, parse_lambda_spec, solve_path
+from .path import SOLVER_ERRORS, PathConfig, parse_lambda_spec, solve_path
 from .report import emit_report, load_path_state, save_path_state
-from .sieve import ApgConfig, SieveLimitError, as_solve, eas_solve
+from .sieve import ApgConfig, as_solve, eas_solve
 
 log = logging.getLogger(__name__)
 
@@ -26,8 +26,9 @@ def _add_common_solver_flags(p):
                    help="zero-block detection threshold (default 2e-16)")
     p.add_argument("--mode", choices=("as", "eas", "direct"), default="as")
     p.add_argument("--sigma", type=float, default=1.0,
-                   help="ADMM penalty of a cold start; warm starts keep the last one")
-    p.add_argument("--admm-max-iter", type=int, default=50000)
+                   help="subsolver penalty of a cold start; warm starts keep the last one")
+    p.add_argument("--admm-max-iter", type=int, default=50000,
+                   help="cap on the subsolver's Newton steps per solve (default 50000)")
     p.add_argument("--admm-tol", type=float, default=None,
                    help="override the subsolver tolerance (default: derived from eps)")
     p.add_argument("--apg-maxiter", type=int, default=10)
@@ -95,8 +96,8 @@ def cmd_solve(args):
             solver = eas_solve if args.mode == "eas" else as_solve
             triple, state = solver(inst, cfg)
             rounds = state.round
-    except SieveLimitError as exc:
-        print(f"FAILED: {exc}", file=sys.stderr)
+    except SOLVER_ERRORS as exc:
+        print(f"FAILED: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
     labels = extract_labels(inst, triple.y, args.eps_hat)
     certified = triple.residual_norm <= args.eps

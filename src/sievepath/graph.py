@@ -193,7 +193,6 @@ class ReducedProblem:
         # column l of Jr is e_ri - e_rj, empty when both ends share a component
         self.Jr = _incidence_matrix(len(self.h), self.ri, self.rj)
         self.weights = inst.weights[I_c]
-        self._factor_cache = {}
 
     @property
     def n_red(self):
@@ -229,15 +228,6 @@ class ReducedProblem:
         """Value at a block-feasible multiplier (project first if inexact)."""
         W = self.C - self.adjoint(xi)
         return self.kappa - 0.5 * float(np.sum(W * W / self.h))
-
-    def solver_matrix_factor(self, sigma):
-        """Cached factorization of diag(h) + sigma * Jr Jr^T (SPD, sparse)."""
-        factor = self._factor_cache.get(sigma)
-        if factor is None:
-            S = sp.diags(self.h) + sigma * (self.Jr @ self.Jr.T)
-            factor = sp.linalg.splu(S.tocsc())
-            self._factor_cache[sigma] = factor
-        return factor
 
 
 def reduce_problem(inst, partition, lam):

@@ -1,9 +1,9 @@
 """Solution-path driver: sweep a decreasing lambda grid with warm starts.
 
-Each lambda is solved by the sieve (or plain ADMM in direct mode); the zero
-pattern of the certified solution seeds the next lambda's candidate set, and
-the full-space primal/dual pair, with the ADMM penalty sigma it ended on,
-warm-starts the next subsolver.
+Each lambda is solved by the sieve (or the plain subsolver in direct mode);
+the zero pattern of the certified solution seeds the next lambda's candidate
+set, and the full-space primal/dual pair, with the subsolver penalty sigma it
+ended on, warm-starts the next subsolver.
 """
 
 import logging
@@ -14,13 +14,18 @@ import numpy as np
 
 from ._kernels import column_norms
 from .admm import solve_full
-from .model import SolveConfig
+from .model import InfeasibleDualError, SolveConfig
 from .sieve import SieveLimitError, as_solve, eas_solve
 from .graph import recover_primal
 
 log = logging.getLogger(__name__)
 
 MODES = ("as", "eas", "direct")
+
+# what a subsolve or a certificate may raise on a numerical failure (a
+# singular Newton system raises RuntimeError); the path records it on that
+# lambda and goes on, and the CLI reports it as a failed solve
+SOLVER_ERRORS = (RuntimeError, ArithmeticError, np.linalg.LinAlgError, InfeasibleDualError)
 
 
 def default_lambda_grid():
@@ -142,7 +147,12 @@ def _objective(inst, lam, triple):
 
 
 def solve_path(inst, pcfg=None):
-    """Run the lambda sweep; per-lambda failures are recorded, not raised."""
+    """Run the lambda sweep; per-lambda failures are recorded, not raised.
+
+    A lambda whose solve raises one of SOLVER_ERRORS gets a record with
+    triple None and the error; the next lambda starts from the warm start
+    the failed one was given.
+    """
     pcfg = pcfg or PathConfig()
     result = PathResult(inst=inst, config=pcfg)
     m = inst.m_blocks
@@ -190,6 +200,10 @@ def solve_path(inst, pcfg=None):
                 z = state.dual.u if state.dual is not None else np.zeros((inst.d, m))
                 triple = KktTriple.from_point(inst, cfg.lam, x_bar, y_bar, z)
                 sigma = state.sub.sigma
+        except SOLVER_ERRORS as exc:
+            log.warning("lambda %.4g: solver raised", lam, exc_info=True)
+            error = f"{type(exc).__name__}: {exc}"
+            triple, rounds, avg_n, avg_m = None, 0, float(inst.N), float(m)
         seconds = time.perf_counter() - t0
 
         if triple is None:

@@ -87,19 +87,20 @@ class GammaSystem:
 
     def __init__(self, inst, partition):
         self.Jg = inst.incidence.J[partition.gamma][:, partition.I].tocsc()
-        gram = (self.Jg @ self.Jg.T).tocsc()
+        self._JgT = self.Jg.T  # a CSR view, built once for the APG loop
+        gram = (self.Jg @ self._JgT).tocsc()
         self._factor = sp.linalg.splu(gram)
 
     def particular(self, R):
         """Min-norm solution U of U Jg^T = -R (stationarity on gamma rows)."""
         S = self._factor.solve(np.ascontiguousarray(R.T))
-        return -(self.Jg.T @ S).T
+        return -(self._JgT @ S).T
 
     def null_project(self, D):
         """Project block matrix D onto {D : D Jg^T = 0}."""
         T = np.asarray((self.Jg @ D.T).T)  # D Jg^T
         S = self._factor.solve(np.ascontiguousarray(T.T))
-        return D - (self.Jg.T @ S).T
+        return D - (self._JgT @ S).T
 
 
 def apg_minimize(u0, radii, null_project, cfg=None, track_history=False):
@@ -221,7 +222,7 @@ def eas_certify(inst, lam, x_bar, eps, eps_hat=2e-16, apg_cfg=None):
 
 def _restricted_warm(warm, partition, red):
     """Project a full-space (x, z) or (x, z, sigma) warm start onto a
-    reduced problem; a carried ADMM sigma passes through unchanged."""
+    reduced problem; a carried subsolver sigma passes through unchanged."""
     x_full, z_full = warm[:2]
     nodes = np.concatenate([partition.alpha, partition.beta])
     X = np.ascontiguousarray(x_full[:, nodes])
@@ -338,7 +339,7 @@ def as_solve(inst, cfg, I0=None, warm=None):
     round solves the reduced problem, recovers a dual candidate, and either
     certifies the point or strips I of its violating blocks; I shrinks
     strictly, so at most len(I0) + 1 rounds ever run. warm is a full-space
-    (x, z) pair, optionally followed by the ADMM sigma to resume with.
+    (x, z) pair, optionally followed by the subsolver sigma to resume with.
     """
     return _sieve_loop(inst, cfg, I0, enhanced=False, warm=warm)
 

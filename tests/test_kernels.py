@@ -22,6 +22,9 @@ def test_prox_columns_matches_prox_block():
         for l in range(V.shape[1]):
             ref = prox_block(V[:, l], tau[l])
             assert np.allclose(got[:, l], ref, rtol=1e-14, atol=1e-14)
+        # the same rounding as the plain max(0, ||v|| - tau) / ||v|| factor
+        norms = K.column_norms(V)
+        assert np.array_equal(got, V * (np.maximum(norms - tau, 0.0) / norms))
 
 
 def test_project_columns_matches_project_subdiff_block():
@@ -38,6 +41,12 @@ def test_project_columns_matches_project_subdiff_block():
             ref = project_subdiff_block(V[:, l], zero, r[l])
             assert np.allclose(got[:, l], ref, rtol=1e-14, atol=1e-14)
         assert np.all(np.linalg.norm(got, axis=0) <= r + 1e-12)
+        # the same rounding as scaling only the columns outside their ball
+        norms = K.column_norms(V)
+        over = norms > r
+        scale = np.ones_like(norms)
+        scale[over] = r[over] / norms[over]
+        assert np.array_equal(got, V * scale)
 
 
 def test_prox_zero_block_and_shrink():

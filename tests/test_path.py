@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from sievepath import (
+    InfeasibleDualError,
     PathConfig,
     default_lambda_grid,
     parse_lambda_spec,
@@ -105,3 +106,30 @@ def test_warm_start_reuses_pattern(t1_inst):
     assert [r.num_fused for r in res.records] == [3, 3, 3]
     assert res.records[1].rounds == 1
     assert res.records[2].rounds == 1
+
+@pytest.mark.parametrize("mode, exc", [
+    ("as", RuntimeError("Factor is exactly singular")),
+    ("eas", InfeasibleDualError("dual point violates a block ball constraint")),
+    ("direct", RuntimeError("Factor is exactly singular")),
+])
+def test_solver_error_stays_with_its_lambda(t1_inst, monkeypatch, mode, exc):
+    """A subsolver that raises at one lambda fails only that lambda; the
+    next one starts from the last certified solution and certifies."""
+    from sievepath import admm, sieve
+
+    real = admm.solve_reduced_admm
+
+    def flaky(red, *args, **kwargs):
+        if red.lam == 2.0:
+            raise exc
+        return real(red, *args, **kwargs)
+
+    monkeypatch.setattr(admm, "solve_reduced_admm", flaky)
+    monkeypatch.setattr(sieve, "solve_reduced_admm", flaky)
+    res = solve_path(t1_inst, PathConfig(lambdas=[5.0, 2.0, 0.5], eps=1e-7, mode=mode))
+    assert [r.converged for r in res.records] == [True, False, True]
+    failed = res.records[1]
+    assert failed.triple is None
+    assert failed.error.startswith(type(exc).__name__)
+    assert res.records[2].residual <= 1e-7
+    assert res.summary()["failed_lambdas"] == [2.0]
