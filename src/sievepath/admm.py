@@ -22,7 +22,6 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.sparse.csgraph import reverse_cuthill_mckee
 
 from ._kernels import column_norms, prox_columns, project_columns
 from .graph import build_partition, recover_primal, reduce_problem
@@ -83,10 +82,11 @@ class _NewtonSystem:
     """Psi, its gradient and its generalised Hessian on one reduced problem.
 
     The Hessian diag(h) (x) I_d + sigma sum_l (e_ri - e_rj)(e_ri - e_rj)^T (x) Q_l
-    is laid out node-major (entry i * d + k is coordinate k of node i) and
-    then symmetrically permuted by reverse Cuthill-McKee. Its pattern does
-    not depend on the point, so the ordering is found once and SuperLU only
-    factors; the entries are summed into that one CSC pattern by bincount.
+    is laid out node-major (entry i * d + k is coordinate k of node i); its
+    pattern does not depend on the point, so the entries are summed into one
+    CSC pattern by bincount. The first factorization lets SuperLU pick a
+    minimum-degree order; later ones reuse that order on the permuted
+    matrix and skip the ordering step.
     """
 
     def __init__(self, red):
@@ -104,19 +104,11 @@ class _NewtonSystem:
         br, bc = np.broadcast_arrays(br, bc)
         rows = np.concatenate([np.arange(nd), br.ravel()])
         cols = np.concatenate([np.arange(nd), bc.ravel()])
-        pattern = sp.csr_matrix((np.ones(len(rows)), (rows, cols)), shape=(nd, nd))
-        self.perm = reverse_cuthill_mckee(pattern, symmetric_mode=True)
-        rank = np.empty(nd, dtype=np.int64)
-        rank[self.perm] = np.arange(nd)
-        key, self._slot = np.unique(rank[cols] * nd + rank[rows], return_inverse=True)
-        # one matrix whose values each Newton step overwrites; SuperLU wants
-        # 32-bit indices, so it need not cast them on every factorization
-        self._H = sp.csc_matrix(
-            (np.zeros(len(key)), (key % nd).astype(np.intc),
-             np.searchsorted(key // nd, np.arange(nd + 1)).astype(np.intc)),
-            shape=(nd, nd),
-        )
+        key, self._slot = np.unique(cols * nd + rows, return_inverse=True)
+        self.H = _csc(np.zeros(len(key)), key % nd,
+                      np.searchsorted(key // nd, np.arange(nd + 1)), nd)
         self._hdiag = np.repeat(red.h, d)
+        self.perm = None  # the reused order, once the first factorization ran
 
     def psi_grad(self, X, V, tau, sigma):
         """Psi up to a constant, phi(X) + sigma * e_tau(V), and its gradient."""
@@ -127,7 +119,7 @@ class _NewtonSystem:
         return red.phi(X) + sigma * env, red.grad_phi(X) + sigma * red.adjoint(Pi)
 
     def matrix(self, V, tau, sigma):
-        """The permuted generalised Hessian of Psi at V = X Jr + Z / sigma."""
+        """The generalised Hessian of Psi at V = X Jr + Z / sigma, in self.H."""
         d = self.d
         Vk, tk = V[:, self.keep], tau[self.keep]
         norms = column_norms(Vk)
@@ -137,21 +129,45 @@ class _NewtonSystem:
         U = np.divide(Vk, norms, out=np.zeros_like(Vk), where=outside).T
         sQ = (sigma * c)[:, None, None] * (np.eye(d) - U[:, :, None] * U[:, None, :])
         sQ = sQ.ravel()
-        self._H.data = np.bincount(
+        self.H.data = np.bincount(
             self._slot, weights=np.concatenate([self._hdiag, sQ, sQ, -sQ, -sQ]),
-            minlength=self._H.nnz,
+            minlength=self.H.nnz,
         )
-        return self._H
+        return self.H
 
     def direction(self, V, tau, sigma, grad):
-        """Newton direction: solve H dX = -grad; SPD, so no pivoting."""
-        lu = sp.linalg.splu(
-            self.matrix(V, tau, sigma), permc_spec="NATURAL",
-            diag_pivot_thresh=0.0, options={"SymmetricMode": True},
-        )
-        dx = np.empty(len(self.perm))
-        dx[self.perm] = lu.solve(-grad.T.ravel()[self.perm])
+        """Newton direction: solve H dX = -grad; H is SPD, so no pivoting."""
+        H = self.matrix(V, tau, sigma)
+        rhs = -grad.T.ravel()
+        opts = {"diag_pivot_thresh": 0.0, "options": {"SymmetricMode": True}}
+        if self.perm is None:
+            lu = sp.linalg.splu(H, permc_spec="MMD_AT_PLUS_A", **opts)
+            self._permute_like(np.argsort(lu.perm_c))
+            return lu.solve(rhs).reshape(-1, self.d).T
+        self._Hp.data = H.data[self._gather]
+        lu = sp.linalg.splu(self._Hp, permc_spec="NATURAL", **opts)
+        dx = np.empty(len(rhs))
+        dx[self.perm] = lu.solve(rhs[self.perm])
         return dx.reshape(-1, self.d).T
+
+    def _permute_like(self, perm):
+        """Fix the symmetric permutation H[perm][:, perm] and where each of
+        its stored entries comes from in H."""
+        H = self.H
+        where = _csc(np.arange(1.0, H.nnz + 1), H.indices, H.indptr, H.shape[0])
+        where = where[perm][:, perm].tocsc()
+        where.sort_indices()
+        self._gather = where.data.astype(np.intp) - 1
+        self._Hp = _csc(np.zeros(H.nnz), where.indices, where.indptr, H.shape[0])
+        self.perm = perm
+
+
+def _csc(data, indices, indptr, n):
+    """An n x n CSC matrix with 32-bit indices, which SuperLU takes as is."""
+    return sp.csc_matrix(
+        (data, np.asarray(indices, dtype=np.intc), np.asarray(indptr, dtype=np.intc)),
+        shape=(n, n),
+    )
 
 
 def _newton(ns, X, Z, sigma, gtol, max_steps):

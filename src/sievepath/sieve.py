@@ -89,7 +89,11 @@ class GammaSystem:
         self.Jg = inst.incidence.J[partition.gamma][:, partition.I].tocsc()
         self._JgT = self.Jg.T  # a CSR view, built once for the APG loop
         gram = (self.Jg @ self._JgT).tocsc()
-        self._factor = sp.linalg.splu(gram)
+        # SPD, so a symmetric minimum-degree order and no pivoting suffice
+        self._factor = sp.linalg.splu(
+            gram, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
+            options={"SymmetricMode": True},
+        )
 
     def particular(self, R):
         """Min-norm solution U of U Jg^T = -R (stationarity on gamma rows)."""
