@@ -26,7 +26,14 @@ from .graph import (
     recover_primal,
     reduce_problem,
 )
-from .admm import AdmmConfig, SubSolution, reduced_kkt_residual, solve_full, solve_reduced_admm
+from .admm import (
+    AdmmConfig,
+    SingularSystemError,
+    SubSolution,
+    reduced_kkt_residual,
+    solve_full,
+    solve_reduced_admm,
+)
 from .sieve import (
     ApgConfig,
     DualRecovery,
@@ -62,6 +69,7 @@ __all__ = [
     "ProblemInstance",
     "RunManifest",
     "SieveLimitError",
+    "SingularSystemError",
     "SieveState",
     "SolveConfig",
     "SubSolution",

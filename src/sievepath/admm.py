@@ -4,13 +4,17 @@ The reduced problem min phi(X) + lam * q(Y) s.t. X Jr = Y is solved by an
 augmented Lagrangian loop with multiplier Z and penalty sigma. Each inner
 step minimises Psi(X) = phi(X) + sigma * e_tau(X Jr + Z / sigma), with e_tau
 the Moreau envelope of the block norms scaled by tau = lam * w / sigma, by a
-semismooth Newton method: its generalised Hessian keeps the sparsity of the
-graph and is factorized by SuperLU at every Newton step. The multiplier step
-Z = sigma * Pi_tau(V) keeps Z inside the dual balls, so Y = prox(Y + Z)
-holds exactly and the reduced KKT residual is the inner gradient plus the
-primal infeasibility. Warm starts carry sigma over from the solve they
-resume. Convergence is declared on the reduced KKT residual, which matches
-the full-space residual contribution of the retained blocks after recovery.
+semismooth Newton method. Its generalised Hessian has the sparsity of the
+graph with a d x d block per edge: a small one is assembled and factorized
+by SuperLU at every Newton step; a large one is only applied, and conjugate
+gradients preconditioned by a factorized n x n graph matrix solve the
+Newton system, so that memory and work per step grow linearly in d. The
+multiplier step Z = sigma * Pi_tau(V) keeps Z inside the dual balls, so
+Y = prox(Y + Z) holds exactly and the reduced KKT residual is the inner
+gradient plus the primal infeasibility. Warm starts carry sigma over from
+the solve they resume. Convergence is declared on the reduced KKT residual,
+which matches the full-space residual contribution of the retained blocks
+after recovery.
 
 The module, AdmmConfig, solve_reduced_admm and the --admm-* flags keep the
 names of the ADMM subsolver this replaced, because the benchmark's layer
@@ -36,6 +40,18 @@ ARMIJO = 1e-4  # sufficient-decrease fraction of the Newton line search
 # below this fraction of |Psi| a decrease of Psi is lost in round-off, so
 # the line search judges a step by the gradient norm instead
 PSI_ROUNDOFF = 1e-15
+# Newton matrices with at most this many stored entries are assembled and
+# factorized; larger ones are applied as an operator and solved by PCG. On
+# the d = 2 moons paths the sieved subproblems (up to about 2e4 entries) are
+# faster assembled and the full N = 1000 problem (1e5) faster by PCG; the
+# budget also bounds the assembly's index arrays whatever d is.
+EXACT_ENTRIES = 50_000
+MAX_CG = 500  # conjugate-gradient steps per Newton direction
+
+
+class SingularSystemError(RuntimeError):
+    """SuperLU found a Newton system singular (only non-finite data can
+    make the SPD Newton matrix so)."""
 
 
 @dataclass
@@ -79,36 +95,51 @@ def _relative_gap(red, X, Z):
 
 
 class _NewtonSystem:
-    """Psi, its gradient and its generalised Hessian on one reduced problem.
+    """Psi, its gradient and Newton directions on one reduced problem.
 
-    The Hessian diag(h) (x) I_d + sigma sum_l (e_ri - e_rj)(e_ri - e_rj)^T (x) Q_l
-    is laid out node-major (entry i * d + k is coordinate k of node i); its
-    pattern does not depend on the point, so the entries are summed into one
-    CSC pattern by bincount. The first factorization lets SuperLU pick a
-    minimum-degree order; later ones reuse that order on the permuted
-    matrix and skip the ordering step.
+    The generalised Hessian is H = diag(h) (x) I_d + sigma sum_l a_l a_l^T
+    (x) Q_l with a_l = e_ri - e_rj, laid out node-major (entry i * d + k is
+    coordinate k of node i). With Q_l = c_l (I - u_l u_l^T) it splits as
+    H = L (x) I_d - G^T diag(sigma c) G, where L = diag(h) + sigma Jr diag(c)
+    Jr^T is an n x n graph matrix and row l of G is a_l (x) u_l.
+
+    Stored, H has a dense d x d block per edge, about 4 m d^2 entries. Up to
+    EXACT_ENTRIES of them it is assembled on a fixed CSC pattern (entries
+    summed by bincount) and factorized by SuperLU. Above that it is never
+    formed: three sparse products apply it in O(m d), and conjugate
+    gradients solve the Newton system preconditioned by L (x) I_d, whose
+    factorization keeps the graph's sparsity and serves all d columns; H <=
+    L (x) I_d, and the two differ by one rank-one term per edge.
     """
 
     def __init__(self, red):
         self.red = red
         d, n = red.C.shape
-        nd = n * d
-        self.d = d
         self.keep = red.ri != red.rj  # an edge inside one component adds nothing
         ri, rj = red.ri[self.keep], red.rj[self.keep]
+        self.exact = n * d + 4 * len(ri) * d * d <= EXACT_ENTRIES
         k = np.arange(d)
-        # every entry's coordinates: the diagonal, then the d x d blocks
-        # (ri, ri), (rj, rj), (ri, rj), (rj, ri) of each edge
-        br = np.concatenate([ri, rj, ri, rj])[:, None, None] * d + k[:, None]
-        bc = np.concatenate([ri, rj, rj, ri])[:, None, None] * d + k
-        br, bc = np.broadcast_arrays(br, bc)
-        rows = np.concatenate([np.arange(nd), br.ravel()])
-        cols = np.concatenate([np.arange(nd), bc.ravel()])
-        key, self._slot = np.unique(cols * nd + rows, return_inverse=True)
-        self.H = _csc(np.zeros(len(key)), key % nd,
-                      np.searchsorted(key // nd, np.arange(nd + 1)), nd)
-        self._hdiag = np.repeat(red.h, d)
-        self.perm = None  # the reused order, once the first factorization ran
+        if self.exact:
+            # the diagonal, then the blocks (ri, ri), (rj, rj), (ri, rj), (rj, ri)
+            br = np.concatenate([ri, rj, ri, rj])[:, None, None] * d + k[:, None]
+            bc = np.concatenate([ri, rj, rj, ri])[:, None, None] * d + k
+            br, bc = np.broadcast_arrays(br, bc)
+            self.H, self._slot = _pattern(np.concatenate([np.arange(n * d), br.ravel()]),
+                                          np.concatenate([np.arange(n * d), bc.ravel()]),
+                                          n * d)
+            self._hdiag = np.repeat(red.h, d)
+        else:
+            self.L, self._slot = _pattern(np.concatenate([np.arange(n), ri, rj, ri, rj]),
+                                          np.concatenate([np.arange(n), ri, rj, rj, ri]), n)
+            # column l of G^T holds u_l at rows ri*d + k and -u_l at rj*d + k;
+            # G is a CSR view of the same arrays
+            rows = np.hstack([ri[:, None] * d + k, rj[:, None] * d + k])
+            self.GT = sp.csc_matrix(
+                (np.zeros(rows.size), rows.ravel().astype(np.intc),
+                 np.arange(0, rows.size + 1, 2 * d, dtype=np.intc)),
+                shape=(n * d, len(ri)),
+            )
+            self.G = self.GT.T
 
     def psi_grad(self, X, V, tau, sigma):
         """Psi up to a constant, phi(X) + sigma * e_tau(V), and its gradient."""
@@ -118,16 +149,22 @@ class _NewtonSystem:
         env = float(np.dot(tau, column_norms(P))) + 0.5 * float(np.sum(Pi * Pi))
         return red.phi(X) + sigma * env, red.grad_phi(X) + sigma * red.adjoint(Pi)
 
-    def matrix(self, V, tau, sigma):
-        """The generalised Hessian of Psi at V = X Jr + Z / sigma, in self.H."""
-        d = self.d
+    def curvature(self, V, tau, sigma):
+        """sigma c_l and u_l (columns of U) of every kept edge at V = X Jr +
+        Z / sigma: Q_l = I inside the ball, c_l (I - u_l u_l^T) with c_l =
+        tau_l / ||v_l|| outside it, where u_l = 0 stands for c_l = 1."""
         Vk, tk = V[:, self.keep], tau[self.keep]
         norms = column_norms(Vk)
         outside = norms > tk
-        # Q_l = I inside the ball, (tau / |v|)(I - u u^T) outside it
-        c = np.divide(tk, norms, out=np.ones_like(norms), where=outside)
-        U = np.divide(Vk, norms, out=np.zeros_like(Vk), where=outside).T
-        sQ = (sigma * c)[:, None, None] * (np.eye(d) - U[:, :, None] * U[:, None, :])
+        sc = sigma * np.divide(tk, norms, out=np.ones_like(norms), where=outside)
+        U = np.divide(Vk, norms, out=np.zeros_like(Vk), where=outside)
+        return sc, U
+
+    def matrix(self, V, tau, sigma):
+        """H at V, assembled (exact mode only)."""
+        sc, U = self.curvature(V, tau, sigma)
+        d = U.shape[0]
+        sQ = sc[:, None, None] * (np.eye(d) - U.T[:, :, None] * U.T[:, None, :])
         sQ = sQ.ravel()
         self.H.data = np.bincount(
             self._slot, weights=np.concatenate([self._hdiag, sQ, sQ, -sQ, -sQ]),
@@ -135,39 +172,71 @@ class _NewtonSystem:
         )
         return self.H
 
-    def direction(self, V, tau, sigma, grad):
-        """Newton direction: solve H dX = -grad; H is SPD, so no pivoting."""
-        H = self.matrix(V, tau, sigma)
-        rhs = -grad.T.ravel()
-        opts = {"diag_pivot_thresh": 0.0, "options": {"SymmetricMode": True}}
-        if self.perm is None:
-            lu = sp.linalg.splu(H, permc_spec="MMD_AT_PLUS_A", **opts)
-            self._permute_like(np.argsort(lu.perm_c))
-            return lu.solve(rhs).reshape(-1, self.d).T
-        self._Hp.data = H.data[self._gather]
-        lu = sp.linalg.splu(self._Hp, permc_spec="NATURAL", **opts)
-        dx = np.empty(len(rhs))
-        dx[self.perm] = lu.solve(rhs[self.perm])
-        return dx.reshape(-1, self.d).T
+    def operator(self, V, tau, sigma):
+        """H at V as a function of a node-major n x d direction, and the
+        preconditioner L, assembled (operator mode only)."""
+        sc, U = self.curvature(V, tau, sigma)
+        L, G, GT = self.L, self.G, self.GT
+        L.data = np.bincount(
+            self._slot, weights=np.concatenate([self.red.h, sc, sc, -sc, -sc]),
+            minlength=L.nnz,
+        )
+        GT.data[:] = np.hstack([U.T, -U.T]).ravel()
 
-    def _permute_like(self, perm):
-        """Fix the symmetric permutation H[perm][:, perm] and where each of
-        its stored entries comes from in H."""
-        H = self.H
-        where = _csc(np.arange(1.0, H.nnz + 1), H.indices, H.indptr, H.shape[0])
-        where = where[perm][:, perm].tocsc()
-        where.sort_indices()
-        self._gather = where.data.astype(np.intp) - 1
-        self._Hp = _csc(np.zeros(H.nnz), where.indices, where.indptr, H.shape[0])
-        self.perm = perm
+        def apply(P):
+            return L @ P - (GT @ (sc * (G @ P.ravel()))).reshape(P.shape)
+
+        return apply, L
+
+    def direction(self, V, tau, sigma, grad, rtol):
+        """Newton direction, H dX = -grad: exact, or by PCG until the
+        residual is at most rtol * ||grad||; any CG iterate is a descent
+        direction."""
+        r = -grad.T
+        if self.exact:
+            lu = _factor(self.matrix(V, tau, sigma))
+            return lu.solve(r.ravel()).reshape(r.shape).T
+        hess, L = self.operator(V, tau, sigma)
+        lu = _factor(L)
+        x = np.zeros_like(r)
+        z = lu.solve(r)
+        p = z.copy()
+        rz = float(np.vdot(r, z))
+        stop = rtol * float(np.linalg.norm(r))
+        for _ in range(MAX_CG):
+            if float(np.linalg.norm(r)) <= stop:
+                break
+            Hp = hess(p)
+            step = rz / float(np.vdot(p, Hp))
+            x += step * p
+            r -= step * Hp
+            z = lu.solve(r)
+            rz, rz_prev = float(np.vdot(r, z)), rz
+            p *= rz / rz_prev
+            p += z
+        return x.T
 
 
-def _csc(data, indices, indptr, n):
-    """An n x n CSC matrix with 32-bit indices, which SuperLU takes as is."""
-    return sp.csc_matrix(
-        (data, np.asarray(indices, dtype=np.intc), np.asarray(indptr, dtype=np.intc)),
+def _pattern(rows, cols, n):
+    """The n x n CSC pattern of the entries (rows, cols), with 32-bit
+    indices and zero values, and each entry's slot in it."""
+    key, slot = np.unique(cols * n + rows, return_inverse=True)
+    A = sp.csc_matrix(
+        (np.zeros(len(key)), (key % n).astype(np.intc),
+         np.searchsorted(key // n, np.arange(n + 1)).astype(np.intc)),
         shape=(n, n),
     )
+    return A, slot
+
+
+def _factor(A):
+    """SuperLU factors of an SPD matrix: a symmetric minimum-degree order
+    and no pivoting suffice."""
+    try:
+        return sp.linalg.splu(A, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
+                              options={"SymmetricMode": True})
+    except RuntimeError as exc:  # SuperLU's "Factor is exactly singular"
+        raise SingularSystemError(str(exc)) from exc
 
 
 def _newton(ns, X, Z, sigma, gtol, max_steps):
@@ -183,7 +252,8 @@ def _newton(ns, X, Z, sigma, gtol, max_steps):
     gnorm = float(np.linalg.norm(grad))
     steps = 0
     while gnorm > gtol and steps < max_steps:
-        dX = ns.direction(V, tau, sigma, grad)
+        # forcing term min(0.1, ||grad||^0.5): superlinear once ||grad|| is small
+        dX = ns.direction(V, tau, sigma, grad, min(0.1, np.sqrt(gnorm)))
         dV = red.apply(dX)
         slope = float(np.dot(grad.ravel(), dX.ravel()))
         alpha = 1.0

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ._kernels import column_norms
-from .admm import solve_full
+from .admm import SingularSystemError, solve_full
 from .model import InfeasibleDualError, SolveConfig
 from .sieve import SieveLimitError, as_solve, eas_solve
 from .graph import recover_primal
@@ -22,10 +22,10 @@ log = logging.getLogger(__name__)
 
 MODES = ("as", "eas", "direct")
 
-# what a subsolve or a certificate may raise on a numerical failure (a
-# singular Newton system raises RuntimeError); the path records it on that
-# lambda and goes on, and the CLI reports it as a failed solve
-SOLVER_ERRORS = (RuntimeError, ArithmeticError, np.linalg.LinAlgError, InfeasibleDualError)
+# what a solve may raise on a numerical failure; the path records it on that
+# lambda and goes on, and the CLI reports it as a failed solve. Anything else
+# is a defect and propagates.
+SOLVER_ERRORS = (SieveLimitError, SingularSystemError, InfeasibleDualError)
 
 
 def default_lambda_grid():

@@ -63,13 +63,15 @@ def criterion(capsys, num, name):
 @pytest.fixture(scope="module")
 def oracle_batch():
     """50 random small instances, each solved at three lambdas by the direct
-    solver (tight tolerance), plain sieving, and certified sieving."""
+    solver (tight tolerance, which every reference solve must reach), plain
+    sieving, and certified sieving."""
     rng = np.random.default_rng(2024)
     batch = []
     for _ in range(50):
         inst = random_instance(rng)
         for lam in (0.05, 0.5, 5.0):
-            ref, _ = solve_full(inst, lam, tol=1e-10)
+            ref, sub = solve_full(inst, lam, tol=1e-10)
+            assert sub.converged and sub.kkt_red <= 1e-10, (inst.N, lam, sub.kkt_red)
             cfg = SolveConfig(lam=lam, eps=1e-6)
             t_as, s_as = as_solve(inst, cfg)
             t_eas, s_eas = eas_solve(inst, cfg)

@@ -114,13 +114,13 @@ def test_path_failure_exit_one(small_csv, tmp_path, capsys):
 
 def test_solver_error_exit_one(small_csv, monkeypatch, capsys):
     """A subsolver failure is a failed solve (exit 1), not bad input (2)."""
-    from sievepath import sieve
+    from sievepath import SingularSystemError, sieve
 
     real = sieve.solve_reduced_admm
 
     def flaky(red, *args, **kwargs):
         if red.lam == 2.0:
-            raise RuntimeError("Factor is exactly singular")
+            raise SingularSystemError("Factor is exactly singular")
         return real(red, *args, **kwargs)
 
     monkeypatch.setattr(sieve, "solve_reduced_admm", flaky)
@@ -129,4 +129,4 @@ def test_solver_error_exit_one(small_csv, monkeypatch, capsys):
     assert "failed at   : [2.0]" in capsys.readouterr().err
     rc = main(["solve", "--input", str(small_csv), "--lam", "2.0", "--k", "5"])
     assert rc == 1
-    assert "FAILED: RuntimeError" in capsys.readouterr().err
+    assert "FAILED: SingularSystemError" in capsys.readouterr().err

@@ -4,6 +4,7 @@ import pytest
 from sievepath import (
     InfeasibleDualError,
     PathConfig,
+    SingularSystemError,
     default_lambda_grid,
     parse_lambda_spec,
     solve_path,
@@ -108,9 +109,9 @@ def test_warm_start_reuses_pattern(t1_inst):
     assert res.records[2].rounds == 1
 
 @pytest.mark.parametrize("mode, exc", [
-    ("as", RuntimeError("Factor is exactly singular")),
+    ("as", SingularSystemError("Factor is exactly singular")),
     ("eas", InfeasibleDualError("dual point violates a block ball constraint")),
-    ("direct", RuntimeError("Factor is exactly singular")),
+    ("direct", SingularSystemError("Factor is exactly singular")),
 ])
 def test_solver_error_stays_with_its_lambda(t1_inst, monkeypatch, mode, exc):
     """A subsolver that raises at one lambda fails only that lambda; the
@@ -133,3 +134,16 @@ def test_solver_error_stays_with_its_lambda(t1_inst, monkeypatch, mode, exc):
     assert failed.error.startswith(type(exc).__name__)
     assert res.records[2].residual <= 1e-7
     assert res.summary()["failed_lambdas"] == [2.0]
+
+
+def test_defect_in_a_solve_propagates(t1_inst, monkeypatch):
+    """An error that is not a numerical failure of the solve is a defect:
+    the path does not record it and go on."""
+    from sievepath import admm
+
+    def broken(*args, **kwargs):
+        raise ZeroDivisionError("float division by zero")
+
+    monkeypatch.setattr(admm, "solve_reduced_admm", broken)
+    with pytest.raises(ZeroDivisionError):
+        solve_path(t1_inst, PathConfig(lambdas=[5.0, 2.0], mode="direct"))
