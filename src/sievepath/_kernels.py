@@ -18,6 +18,14 @@ def column_norms(V):
     return np.sqrt(np.einsum("ij,ij->j", V, V))
 
 
+def frobenius_norm(X):
+    """sqrt(sum(X**2)) of a 2-d array. np.linalg.norm would call BLAS ddot,
+    which OpenBLAS splits across threads above 10,000 entries; on a 2-vCPU
+    machine that took 40 us a call instead of 12 us single-threaded, and
+    milliseconds on its first calls in a process, against 14 us here."""
+    return float(np.sqrt(np.einsum("ij,ij->", X, X)))
+
+
 def prox_columns(V, tau):
     """Columnwise argmin_u 0.5||u - v||^2 + tau_l ||u||, i.e. scale column l
     by max(0, ||v|| - tau_l) / ||v||. Zero columns map to exact zeros."""

@@ -5,11 +5,11 @@ augmented Lagrangian loop with multiplier Z and penalty sigma. Each inner
 step minimises Psi(X) = phi(X) + sigma * e_tau(X Jr + Z / sigma), with e_tau
 the Moreau envelope of the block norms scaled by tau = lam * w / sigma, by a
 semismooth Newton method. Its generalised Hessian has the sparsity of the
-graph with a d x d block per edge: a small one is assembled and factorized
-by SuperLU at every Newton step; a large one is only applied, and conjugate
-gradients preconditioned by a factorized n x n graph matrix solve the
-Newton system, so that memory and work per step grow linearly in d. The
-multiplier step Z = sigma * Pi_tau(V) keeps Z inside the dual balls, so
+graph with a d x d block per pair of adjacent nodes: a small one is
+assembled and factorized by SuperLU at every Newton step; a large one is
+only applied, and conjugate gradients preconditioned by a factorized n x n
+graph matrix solve the Newton system, so that memory and work per step grow
+linearly in d. The multiplier step Z = sigma * Pi_tau(V) keeps Z inside the dual balls, so
 Y = prox(Y + Z) holds exactly and the reduced KKT residual is the inner
 gradient plus the primal infeasibility. Warm starts carry sigma over from
 the solve they resume. Convergence is declared on the reduced KKT residual,
@@ -40,12 +40,15 @@ ARMIJO = 1e-4  # sufficient-decrease fraction of the Newton line search
 # below this fraction of |Psi| a decrease of Psi is lost in round-off, so
 # the line search judges a step by the gradient norm instead
 PSI_ROUNDOFF = 1e-15
-# Newton matrices with at most this many stored entries are assembled and
-# factorized; larger ones are applied as an operator and solved by PCG. On
-# the d = 2 moons paths the sieved subproblems (up to about 2e4 entries) are
-# faster assembled and the full N = 1000 problem (1e5) faster by PCG; the
-# budget also bounds the assembly's index arrays whatever d is.
+# Newton matrices with at most EXACT_ENTRIES stored entries (parallel edges
+# merged) are assembled and factorized; larger ones are applied as an
+# operator and solved by PCG. On the d = 2 moons paths the sieved
+# subproblems (up to about 4.2e4 entries at N = 5000) are faster assembled
+# and the full N = 1000 problem (5.3e4) faster by PCG. ASSEMBLY_ENTRIES caps
+# the per-edge index arrays of the assembly (4 m d^2 entries), which many
+# parallel edges can make much longer than the matrix.
 EXACT_ENTRIES = 50_000
+ASSEMBLY_ENTRIES = 1_000_000
 MAX_CG = 500  # conjugate-gradient steps per Newton direction
 
 
@@ -103,13 +106,14 @@ class _NewtonSystem:
     H = L (x) I_d - G^T diag(sigma c) G, where L = diag(h) + sigma Jr diag(c)
     Jr^T is an n x n graph matrix and row l of G is a_l (x) u_l.
 
-    Stored, H has a dense d x d block per edge, about 4 m d^2 entries. Up to
-    EXACT_ENTRIES of them it is assembled on a fixed CSC pattern (entries
-    summed by bincount) and factorized by SuperLU. Above that it is never
-    formed: three sparse products apply it in O(m d), and conjugate
-    gradients solve the Newton system preconditioned by L (x) I_d, whose
-    factorization keeps the graph's sparsity and serves all d columns; H <=
-    L (x) I_d, and the two differ by one rank-one term per edge.
+    Stored, H has a dense d x d block per node and per pair of adjacent
+    nodes. Up to EXACT_ENTRIES of them it is assembled on a fixed CSC
+    pattern (the 4 d^2 entries of every edge summed by bincount) and
+    factorized by SuperLU. Above that it is never formed: three sparse
+    products apply it in O(m d), and conjugate gradients solve the Newton
+    system preconditioned by L (x) I_d, whose factorization keeps the
+    graph's sparsity and serves all d columns; H <= L (x) I_d, and the two
+    differ by one rank-one term per edge.
     """
 
     def __init__(self, red):
@@ -117,7 +121,9 @@ class _NewtonSystem:
         d, n = red.C.shape
         self.keep = red.ri != red.rj  # an edge inside one component adds nothing
         ri, rj = red.ri[self.keep], red.rj[self.keep]
-        self.exact = n * d + 4 * len(ri) * d * d <= EXACT_ENTRIES
+        pairs = len(np.unique(np.minimum(ri, rj) * n + np.maximum(ri, rj)))
+        self.exact = ((n + 2 * pairs) * d * d <= EXACT_ENTRIES
+                      and 4 * len(ri) * d * d <= ASSEMBLY_ENTRIES)
         k = np.arange(d)
         if self.exact:
             # the diagonal, then the blocks (ri, ri), (rj, rj), (ri, rj), (rj, ri)

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.sparse as sp
 
-from ._kernels import column_norms, project_columns
+from ._kernels import column_norms, frobenius_norm, project_columns
 from .admm import AdmmConfig, solve_reduced_admm
 from .graph import build_partition, recover_primal, reduce_problem
 from .model import KktTriple, kkt_residual, primal_objective
@@ -133,11 +133,11 @@ def apg_minimize(u0, radii, null_project, cfg=None, track_history=False):
         d = null_project(d_hat - grad)
         resid = u0 + d
         resid = resid - project_columns(resid, radii)
-        dist = float(np.linalg.norm(resid))
+        dist = frobenius_norm(resid)
         h_val = 0.5 * dist * dist
         if track_history:
             history.append(h_val)
-        if max(float(np.linalg.norm(d - d_prev)), dist) <= eps:
+        if max(frobenius_norm(d - d_prev), dist) <= eps:
             converged = True
             break
         # plateauing above the certifiable level cannot recover; bail out

@@ -9,6 +9,7 @@ def test_column_norms_matches_numpy():
         V = rng.standard_normal((int(rng.integers(1, 6)), int(rng.integers(0, 40))))
         got = K.column_norms(np.ascontiguousarray(V))
         assert np.allclose(got, np.linalg.norm(V, axis=0), atol=1e-14)
+        assert np.isclose(K.frobenius_norm(V), np.linalg.norm(V), rtol=1e-14, atol=0)
 
 
 def test_prox_columns_matches_prox_block():
