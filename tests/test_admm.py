@@ -232,6 +232,24 @@ def test_high_dimension_solves_without_forming_the_hessian(monkeypatch):
     assert abs(F - F_ref) <= 1e-9 * abs(F_ref)
 
 
+def test_parallel_edges_share_a_block_but_not_an_assembly_slot(monkeypatch):
+    """Two points joined by one edge and a third point fused to each: the
+    three reduced edges are parallel, so H has 4 d^2 entries, while the
+    assembly handles 4 d^2 per edge and obeys its own cap."""
+    from sievepath import ProblemInstance
+
+    edges = [(0, 2), (1, 3), (0, 1), (0, 3), (1, 2)]
+    inst = ProblemInstance.from_edges(np.array([[0.0, 1.0, 0.1, 0.9]]), edges)
+    fused = [l for l, e in enumerate(zip(inst.edge_i, inst.edge_j)) if e in edges[:2]]
+    red = reduce_problem(inst, build_partition(inst.incidence, fused), 0.1)
+    assert red.n_red == 2 and red.m_red == 3
+    monkeypatch.setattr(admm, "EXACT_ENTRIES", 4)
+    monkeypatch.setattr(admm, "ASSEMBLY_ENTRIES", 12)
+    assert admm._NewtonSystem(red).exact
+    monkeypatch.setattr(admm, "ASSEMBLY_ENTRIES", 11)
+    assert not admm._NewtonSystem(red).exact
+
+
 def test_singular_factorization_is_a_solver_error():
     import scipy.sparse as sp
 
