@@ -9,9 +9,11 @@ graph with a d x d block per pair of adjacent nodes: a small one is
 assembled and factorized by SuperLU at every Newton step; a large one is
 only applied, and conjugate gradients preconditioned by a factorized n x n
 graph matrix solve the Newton system, so that memory and work per step grow
-linearly in d. The multiplier step Z = sigma * Pi_tau(V) keeps Z inside the dual balls, so
-Y = prox(Y + Z) holds exactly and the reduced KKT residual is the inner
-gradient plus the primal infeasibility. Warm starts carry sigma over from
+linearly in d. The pattern is fixed within a subsolve, so one fill-reducing
+node order is computed when the subsolve starts and every factorization of
+it reuses that order. The multiplier step Z = sigma * Pi_tau(V) keeps Z
+inside the dual balls, so Y = prox(Y + Z) holds exactly and the reduced KKT
+residual is the inner gradient plus the primal infeasibility. Warm starts carry sigma over from
 the solve they resume. Convergence is declared on the reduced KKT residual,
 which matches the full-space residual contribution of the retained blocks
 after recovery.
@@ -114,6 +116,10 @@ class _NewtonSystem:
     system preconditioned by L (x) I_d, whose factorization keeps the
     graph's sparsity and serves all d columns; H <= L (x) I_d, and the two
     differ by one rank-one term per edge.
+
+    Both are built once, in one fill-reducing order of the n nodes
+    (_node_order), node order[p] in place p, so SuperLU factors them as
+    they are; direction permutes only its right-hand side and its result.
     """
 
     def __init__(self, red):
@@ -124,6 +130,10 @@ class _NewtonSystem:
         pairs = len(np.unique(np.minimum(ri, rj) * n + np.maximum(ri, rj)))
         self.exact = ((n + 2 * pairs) * d * d <= EXACT_ENTRIES
                       and 4 * len(ri) * d * d <= ASSEMBLY_ENTRIES)
+        # every matrix below is built with node order[p] in place p, so that
+        # SuperLU factors it in the given order instead of finding one again
+        self.order, rank = _node_order(n, ri, rj)
+        ri, rj, h = rank[ri], rank[rj], red.h[self.order]
         k = np.arange(d)
         if self.exact:
             # the diagonal, then the blocks (ri, ri), (rj, rj), (ri, rj), (rj, ri)
@@ -133,8 +143,9 @@ class _NewtonSystem:
             self.H, self._slot = _pattern(np.concatenate([np.arange(n * d), br.ravel()]),
                                           np.concatenate([np.arange(n * d), bc.ravel()]),
                                           n * d)
-            self._hdiag = np.repeat(red.h, d)
+            self._hdiag = np.repeat(h, d)
         else:
+            self._h = h
             self.L, self._slot = _pattern(np.concatenate([np.arange(n), ri, rj, ri, rj]),
                                           np.concatenate([np.arange(n), ri, rj, rj, ri]), n)
             # column l of G^T holds u_l at rows ri*d + k and -u_l at rj*d + k;
@@ -167,7 +178,7 @@ class _NewtonSystem:
         return sc, U
 
     def matrix(self, V, tau, sigma):
-        """H at V, assembled (exact mode only)."""
+        """H at V, assembled in the node order (exact mode only)."""
         sc, U = self.curvature(V, tau, sigma)
         d = U.shape[0]
         sQ = sc[:, None, None] * (np.eye(d) - U.T[:, :, None] * U.T[:, None, :])
@@ -180,11 +191,12 @@ class _NewtonSystem:
 
     def operator(self, V, tau, sigma):
         """H at V as a function of a node-major n x d direction, and the
-        preconditioner L, assembled (operator mode only)."""
+        preconditioner L, assembled, both in the node order (operator mode
+        only)."""
         sc, U = self.curvature(V, tau, sigma)
         L, G, GT = self.L, self.G, self.GT
         L.data = np.bincount(
-            self._slot, weights=np.concatenate([self.red.h, sc, sc, -sc, -sc]),
+            self._slot, weights=np.concatenate([self._h, sc, sc, -sc, -sc]),
             minlength=L.nnz,
         )
         GT.data[:] = np.hstack([U.T, -U.T]).ravel()
@@ -197,30 +209,33 @@ class _NewtonSystem:
     def direction(self, V, tau, sigma, grad, rtol):
         """Newton direction, H dX = -grad: exact, or by PCG until the
         residual is at most rtol * ||grad||; any CG iterate is a descent
-        direction."""
-        r = -grad.T
+        direction. Only the right-hand side and the result are permuted."""
+        r = -grad.T[self.order]
         if self.exact:
             lu = _factor(self.matrix(V, tau, sigma))
-            return lu.solve(r.ravel()).reshape(r.shape).T
-        hess, L = self.operator(V, tau, sigma)
-        lu = _factor(L)
-        x = np.zeros_like(r)
-        z = lu.solve(r)
-        p = z.copy()
-        rz = float(np.vdot(r, z))
-        stop = rtol * float(np.linalg.norm(r))
-        for _ in range(MAX_CG):
-            if float(np.linalg.norm(r)) <= stop:
-                break
-            Hp = hess(p)
-            step = rz / float(np.vdot(p, Hp))
-            x += step * p
-            r -= step * Hp
+            x = lu.solve(r.ravel()).reshape(r.shape)
+        else:
+            hess, L = self.operator(V, tau, sigma)
+            lu = _factor(L)
+            x = np.zeros_like(r)
             z = lu.solve(r)
-            rz, rz_prev = float(np.vdot(r, z)), rz
-            p *= rz / rz_prev
-            p += z
-        return x.T
+            p = z.copy()
+            rz = float(np.vdot(r, z))
+            stop = rtol * float(np.linalg.norm(r))
+            for _ in range(MAX_CG):
+                if float(np.linalg.norm(r)) <= stop:
+                    break
+                Hp = hess(p)
+                step = rz / float(np.vdot(p, Hp))
+                x += step * p
+                r -= step * Hp
+                z = lu.solve(r)
+                rz, rz_prev = float(np.vdot(r, z)), rz
+                p *= rz / rz_prev
+                p += z
+        dX = np.empty_like(grad)
+        dX[:, self.order] = x.T
+        return dX
 
 
 def _pattern(rows, cols, n):
@@ -235,11 +250,31 @@ def _pattern(rows, cols, n):
     return A, slot
 
 
+def _node_order(n, ri, rj):
+    """A fill-reducing order of the n-node graph with edges (ri, rj), as
+    (order, rank): node order[p] goes to place p, node i to place rank[i].
+
+    It is SuperLU's symmetric minimum-degree order of a diagonally dominant
+    matrix with the graph's pattern, so it depends on the pattern only.
+    """
+    m = len(ri)
+    probe = sp.csc_matrix(
+        (np.concatenate([np.full(n, 2.0 * m + 1.0), -np.ones(2 * m)]),
+         (np.concatenate([np.arange(n), ri, rj]), np.concatenate([np.arange(n), rj, ri]))),
+        shape=(n, n),
+    )
+    lu = sp.linalg.splu(probe, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
+                        options={"SymmetricMode": True})
+    # a copy: perm_c is a view that would keep the probe's factors alive
+    rank = np.array(lu.perm_c, dtype=np.int64)
+    return np.argsort(rank), rank
+
+
 def _factor(A):
-    """SuperLU factors of an SPD matrix: a symmetric minimum-degree order
-    and no pivoting suffice."""
+    """SuperLU factors of an SPD matrix already in a fill-reducing order:
+    no reordering and no pivoting."""
     try:
-        return sp.linalg.splu(A, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
+        return sp.linalg.splu(A, permc_spec="NATURAL", diag_pivot_thresh=0.0,
                               options={"SymmetricMode": True})
     except RuntimeError as exc:  # SuperLU's "Factor is exactly singular"
         raise SingularSystemError(str(exc)) from exc

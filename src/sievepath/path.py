@@ -93,6 +93,7 @@ class LambdaRecord:
     num_fused: int
     certified_early: bool = False
     error: str = None
+    newton_steps: int = 0  # of every subsolve of this lambda
 
 
 @dataclass
@@ -113,6 +114,10 @@ class PathResult:
     def total_rounds(self):
         return sum(r.rounds for r in self.records)
 
+    @property
+    def total_newton_steps(self):
+        return sum(r.newton_steps for r in self.records)
+
     def summary(self):
         n = len(self.records)
         return {
@@ -124,6 +129,7 @@ class PathResult:
             "eps": self.config.eps,
             "eps_hat": self.config.eps_hat,
             "total_rounds": self.total_rounds,
+            "total_newton_steps": self.total_newton_steps,
             "average_rounds": self.total_rounds / n if n else 0.0,
             "average_reduced_n": (
                 float(np.mean([r.avg_reduced_n for r in self.records])) if n else 0.0
@@ -167,6 +173,7 @@ def solve_path(inst, pcfg=None):
         t0 = time.perf_counter()
         error = None
         certified_early = False
+        steps = 0
         try:
             if pcfg.mode == "direct":
                 warm_full = None
@@ -174,14 +181,14 @@ def solve_path(inst, pcfg=None):
                     x_prev, z_prev, sigma_prev = carry
                     warm_full = (x_prev, inst.incidence.apply(x_prev), z_prev, sigma_prev)
                 triple, sub = solve_full(inst, cfg.lam, 0.5 * cfg.eps, pcfg.admm, warm=warm_full)
-                sigma = sub.sigma
+                sigma, steps = sub.sigma, sub.iterations
                 rounds, avg_n, avg_m = 1, float(inst.N), float(m)
                 if triple.residual_norm > cfg.eps:
                     error = f"direct solve residual {triple.residual_norm:.3e} > eps"
             else:
                 solver = eas_solve if pcfg.mode == "eas" else as_solve
                 triple, state = solver(inst, cfg, I0=I0, warm=carry)
-                rounds = state.round
+                rounds, steps = state.round, state.newton_steps
                 sigma = state.sub.sigma
                 avg_n = float(np.mean([r["n_reduced"] for r in state.records]))
                 avg_m = float(np.mean([r["m_reduced"] for r in state.records]))
@@ -189,7 +196,7 @@ def solve_path(inst, pcfg=None):
         except SieveLimitError as exc:
             state = exc.state
             error = str(exc)
-            rounds = state.round
+            rounds, steps = state.round, state.newton_steps
             avg_n = float(np.mean([r["n_reduced"] for r in state.records])) if state.records else float(inst.N)
             avg_m = float(np.mean([r["m_reduced"] for r in state.records])) if state.records else float(m)
             triple = None
@@ -211,7 +218,7 @@ def solve_path(inst, pcfg=None):
                 lam=float(lam), triple=None, converged=False, rounds=rounds,
                 avg_reduced_n=avg_n, avg_reduced_m=avg_m, residual=np.inf,
                 gap=np.inf, objective=np.inf, seconds=seconds, num_fused=0,
-                error=error,
+                error=error, newton_steps=steps,
             )
             result.records.append(record)
             log.warning("lambda %.4g failed: %s", lam, error)
@@ -232,6 +239,7 @@ def solve_path(inst, pcfg=None):
             num_fused=int(np.count_nonzero(fused)),
             certified_early=certified_early,
             error=error,
+            newton_steps=steps,
         )
         result.records.append(record)
         log.info(

@@ -8,7 +8,7 @@ from pathlib import Path
 from .labels import extract_labels
 
 PATH_COLUMNS = (
-    "lambda", "rounds", "reduced_n", "reduced_m",
+    "lambda", "rounds", "newton_steps", "reduced_n", "reduced_m",
     "residual", "gap", "seconds", "num_clusters",
 )
 
@@ -51,9 +51,10 @@ def _emit(result, outdir):
         writer.writerow(PATH_COLUMNS)
         for rec, n_clusters in zip(result.records, cluster_counts):
             writer.writerow([
-                f"{rec.lam:.10g}", rec.rounds, f"{rec.avg_reduced_n:.6g}",
-                f"{rec.avg_reduced_m:.6g}", f"{rec.residual:.6e}",
-                f"{rec.gap:.6e}", f"{rec.seconds:.6f}", n_clusters,
+                f"{rec.lam:.10g}", rec.rounds, rec.newton_steps,
+                f"{rec.avg_reduced_n:.6g}", f"{rec.avg_reduced_m:.6g}",
+                f"{rec.residual:.6e}", f"{rec.gap:.6e}", f"{rec.seconds:.6f}",
+                n_clusters,
             ])
     written.append(path_csv)
 

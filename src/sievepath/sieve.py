@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.sparse as sp
 
-from ._kernels import column_norms, frobenius_norm, project_columns
+from ._kernels import column_norms, frobenius_norm, project_columns, union_find_min_labels
 from .admm import AdmmConfig, solve_reduced_admm
 from .graph import build_partition, recover_primal, reduce_problem
 from .model import KktTriple, kkt_residual, primal_objective
@@ -74,6 +74,7 @@ class SieveState:
     dual: object
     certified_early: bool = False
     records: list = field(default_factory=list)
+    newton_steps: int = 0  # of every subsolve, retightenings included
 
 
 class GammaSystem:
@@ -161,24 +162,24 @@ def recover_dual(inst, lam, partition, sub, apg_cfg=None, x_bar=None):
     if len(I) == 0 or len(partition.gamma) == 0:
         return DualRecovery(u=u, w=w, apg_iters=0, apg_obj=0.0)
 
-    apg = _complete_dual(inst, lam, partition, x_bar, u, apg_cfg)
+    g = (x_bar - inst.A) + inst.incidence.adjoint(u)
+    apg = _complete_dual(inst, lam, partition, g, u, apg_cfg)
     uI = u[:, I]
     w[:, I] = uI - project_columns(uI, lam * inst.weights[I])
     return DualRecovery(u=u, w=w, apg_iters=apg.iterations, apg_obj=apg.objective)
 
 
-def _complete_dual(inst, lam, partition, x_bar, v, apg_cfg):
-    """Fill the I blocks of the dual v, whose I^c blocks are already set.
+def _complete_dual(inst, lam, partition, g, v, apg_cfg):
+    """Fill the I blocks of the dual v, whose I^c blocks are already set and
+    whose I blocks are zero; g = (x - A) + B*(v) is the stationarity
+    residual of that v.
 
     The fill is the min-norm solution of stationarity on the gamma rows plus
     its APG refinement on the null space of B_{I gamma}^T; returns the
     ApgResult.
     """
     gs = GammaSystem(inst, partition)
-    I_c = partition.I_c
-    Jc = inst.incidence.J[partition.gamma][:, I_c]
-    grad_gamma = (x_bar - inst.A)[:, partition.gamma]
-    v0 = gs.particular(grad_gamma + (Jc @ v[:, I_c].T).T)
+    v0 = gs.particular(g[:, partition.gamma])
     radii = lam * inst.weights[partition.I]
     apg = apg_minimize(v0, radii, gs.null_project, apg_cfg)
     v[:, partition.I] = v0 + apg.d
@@ -198,14 +199,34 @@ def violation_set(partition, lam, inst, dual, y_bar, slack=VIOLATION_SLACK):
     return I[norms > lam * inst.weights[I] * (1.0 + slack)]
 
 
+def _fill_bound(inst, I, g):
+    """A lower bound on ||(x - A) + B*(v + f)||^2 over every fill f that is
+    zero off I, given g = (x - A) + B*(v).
+
+    A fill block moves weight between the two ends of its edge, so the sum
+    S_C of g over a connected component C of the I-subgraph (singletons
+    included) is the same for every fill, and by Cauchy-Schwarz the
+    residual on C is at least ||S_C||^2 / |C|.
+    """
+    inc = inst.incidence
+    labels = union_find_min_labels(inc.N, inc.edge_i[I], inc.edge_j[I])
+    members = sp.csr_matrix((np.ones(inc.N), (labels, np.arange(inc.N))),
+                            shape=(inc.N, inc.N))
+    S = members @ g.T
+    sizes = np.maximum(np.diff(members.indptr), 1)  # a row with no member has S = 0
+    return float(np.sum(np.einsum("ij,ij->i", S, S) / sizes))
+
+
 def eas_certify(inst, lam, x_bar, eps, eps_hat=2e-16, apg_cfg=None):
     """Try to certify x_bar as optimal via its own zero pattern.
 
     Rebuilds the index machinery on the enlarged set of near-zero blocks of
     B x_bar, pins the dual to the singleton subgradient on the nonzero
     blocks, recovers the free dual blocks by the same particular-plus-APG
-    construction, and accepts iff the full KKT residual meets eps. Returns
-    None when certification fails, in which case sieving continues on the
+    construction, and accepts iff the full KKT residual meets eps. When no
+    fill can bring the residual of the pinned dual down to eps
+    (_fill_bound), it rejects before building any of that. Returns None
+    when certification fails, in which case sieving continues on the
     violation test.
     """
     y_t = inst.incidence.apply(x_bar)
@@ -215,10 +236,13 @@ def eas_certify(inst, lam, x_bar, eps, eps_hat=2e-16, apg_cfg=None):
     mask = norms > eps_hat
     if np.any(mask):
         v[:, mask] = y_t[:, mask] * (lam * inst.weights[mask] / norms[mask])
+    g = (x_bar - inst.A) + inst.incidence.adjoint(v)
+    if _fill_bound(inst, I_t, g) > eps * eps:
+        return None
     if len(I_t):
         y_t[:, I_t] = 0.0
         partition = build_partition(inst.incidence, I_t)
-        _complete_dual(inst, lam, partition, x_bar, v, apg_cfg)
+        _complete_dual(inst, lam, partition, g, v, apg_cfg)
     if kkt_residual(inst, lam, x_bar, y_t, v) <= eps:
         return KktTriple.from_point(inst, lam, x_bar, y_t, v)
     return None
@@ -266,6 +290,7 @@ def _sieve_loop(inst, cfg, I0, enhanced, warm=None):
         tol_cur, apg_cur = sub_tol, apg_iter
         for attempt in range(4):
             sub = solve_reduced_admm(red, tol_cur, admm_cfg, warm=warm_red)
+            state.newton_steps += sub.iterations
             x_bar, y_bar = recover_primal(partition, sub.x_red, sub.y_red)
             F_val = primal_objective(inst, lam, x_bar)
             state.sub = sub

@@ -256,7 +256,13 @@ def test_criterion_6_sieving_speedup(
         assert path1000_as.all_converged and path1000_direct.all_converged
         assert r500 <= 0.7
         assert r1000 <= 0.7
-        info["detail"] = f"time ratios: n=500 {r500:.2f}, n=1000 {r1000:.2f} (<= 0.70)"
+        steps = ", ".join(
+            f"n={n} {as_.total_newton_steps}/{direct.total_newton_steps}"
+            for n, as_, direct in ((500, path500_as, path500_direct),
+                                   (1000, path1000_as, path1000_direct))
+        )
+        info["detail"] = (f"time ratios: n=500 {r500:.2f}, n=1000 {r1000:.2f} (<= 0.70); "
+                          f"Newton steps as/direct: {steps}")
 
 
 def test_criterion_7_reduction_magnitude(path1000_as, moons1000, tmp_path, capsys):

@@ -108,6 +108,31 @@ def test_warm_start_reuses_pattern(t1_inst):
     assert res.records[1].rounds == 1
     assert res.records[2].rounds == 1
 
+
+@pytest.mark.parametrize("mode", ["as", "eas", "direct"])
+def test_lambda_records_count_every_newton_step(monkeypatch, mode):
+    """newton_steps sums the Newton steps of every subsolve of its lambda,
+    over all sieve rounds and retightenings."""
+    from sievepath import admm, build_knn_graph, sieve
+
+    real = admm.solve_reduced_admm
+    steps = {}
+
+    def counting(red, *args, **kwargs):
+        sub = real(red, *args, **kwargs)
+        steps[red.lam] = steps.get(red.lam, 0) + sub.iterations
+        return sub
+
+    monkeypatch.setattr(admm, "solve_reduced_admm", counting)
+    monkeypatch.setattr(sieve, "solve_reduced_admm", counting)
+    A = np.random.default_rng(2).standard_normal((2, 30))
+    res = solve_path(build_knn_graph(A, k=4),
+                     PathConfig(lambdas=[0.5, 0.2, 0.05], eps=1e-7, mode=mode))
+    assert res.all_converged
+    assert [r.newton_steps for r in res.records] == [steps[lam] for lam in (0.5, 0.2, 0.05)]
+    assert res.summary()["total_newton_steps"] == sum(steps.values()) > 0
+
+
 @pytest.mark.parametrize("mode, exc", [
     ("as", SingularSystemError("Factor is exactly singular")),
     ("eas", InfeasibleDualError("dual point violates a block ball constraint")),

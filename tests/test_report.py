@@ -40,6 +40,8 @@ def test_path_csv_layout(t1_result, tmp_path):
     # fully fused at the top, fully split at the bottom
     assert int(rows[1][-1]) == 1
     assert int(rows[3][-1]) == 3
+    col = PATH_COLUMNS.index("newton_steps")
+    assert [int(r[col]) for r in rows[1:]] == [rec.newton_steps for rec in t1_result.records]
 
 
 def test_summary_json_cluster_counts(t1_result, tmp_path):

@@ -21,6 +21,8 @@ from sievepath import (
     solve_reduced_admm,
     violation_set,
 )
+from sievepath import sieve
+from sievepath._kernels import column_norms
 
 from conftest import random_instance
 
@@ -241,6 +243,44 @@ def test_eas_certify_no_zero_blocks(t1_inst):
     assert cert is not None
     # certification used only the singleton subgradient: y untouched
     assert np.allclose(cert.y, t1_inst.incidence.apply(triple.x))
+
+
+def test_fill_bound_never_exceeds_the_residual():
+    """For any x, any dual v that is zero on I and any fill on I, the
+    stationarity part of the KKT residual, hence the residual, is at least
+    the bound computed from v alone."""
+    rng = np.random.default_rng(31)
+    for _ in range(40):
+        inst = random_instance(rng)
+        lam = float(rng.uniform(0.01, 2.0))
+        I = rng.choice(inst.m_blocks, size=int(rng.integers(0, inst.m_blocks + 1)),
+                       replace=False)
+        x = rng.standard_normal(inst.A.shape)
+        y = inst.incidence.apply(x)
+        v = rng.standard_normal(y.shape)
+        v[:, I] = 0.0
+        g = (x - inst.A) + inst.incidence.adjoint(v)
+        bound = sieve._fill_bound(inst, I, g)
+        assert bound <= np.sum(g * g) * (1.0 + 1e-12)
+        for _ in range(5):
+            z = v.copy()
+            z[:, I] = rng.standard_normal((inst.d, len(I))) * rng.uniform(0.0, 5.0)
+            res = kkt_residual(inst, lam, x, y, z)
+            assert bound <= res * res * (1.0 + 1e-12) + 1e-12
+
+
+def test_eas_certify_rejects_by_the_bound_before_building_the_fill(t1_inst, monkeypatch):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("built the fill although the bound rejects")
+
+    # points 0 and 1 fused away from their mean: the component {0, 1} sums
+    # to a residual that no fill of its edge can cancel
+    x_bad = np.array([[2.5, 2.5, 1.0]])
+    zero = np.flatnonzero(column_norms(t1_inst.incidence.apply(x_bad)) == 0.0)
+    assert len(zero) == 1
+    monkeypatch.setattr(sieve, "build_partition", forbidden)
+    monkeypatch.setattr(sieve, "GammaSystem", forbidden)
+    assert eas_certify(t1_inst, 0.01, x_bad, eps=1e-6) is None
 
 
 # ------------------------------------------------------------------- eas_solve
