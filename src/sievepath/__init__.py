@@ -36,7 +36,6 @@ from .admm import (
 )
 from .sieve import (
     ApgConfig,
-    DualRecovery,
     SieveLimitError,
     SieveState,
     apg_minimize,
@@ -58,7 +57,6 @@ __all__ = [
     "ApgConfig",
     "ClusterLabels",
     "DataError",
-    "DualRecovery",
     "GraphError",
     "IncidenceMap",
     "IndexPartition",

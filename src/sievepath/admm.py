@@ -63,7 +63,12 @@ class SingularSystemError(RuntimeError):
 class AdmmConfig:
     sigma: float = 1.0  # cold-start penalty; warm starts carry their own
     max_iter: int = 50000  # cap on Newton steps per solve
-    tol: float = None  # falls back to the caller's outer tolerance
+    tol: float = None  # first subsolve tolerance; None: half the outer eps
+
+    def start_tol(self, eps):
+        """Tolerance of the first subsolve of a solve to eps; the sieve
+        tightens it from there when a round finds no violation."""
+        return 0.5 * eps if self.tol is None else float(self.tol)
 
 
 @dataclass
@@ -325,7 +330,7 @@ def solve_reduced_admm(red, tol, config=None, warm=None):
     steps of the whole solve.
     """
     cfg = config or AdmmConfig()
-    tol = float(tol if cfg.tol is None else cfg.tol)
+    tol = float(tol)
     d = red.C.shape[0]
     sigma = float(cfg.sigma if warm is None or len(warm) < 4 else warm[3])
 

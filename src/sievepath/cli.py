@@ -5,18 +5,13 @@ import logging
 import os
 import sys
 
-import numpy as np
-
 from .admm import AdmmConfig
 from .data_io import DataError, RunManifest, gen_two_half_moons, load_matrix, save_matrix
 from .graph import GraphError, build_knn_graph
 from .labels import extract_labels
-from .model import SolveConfig
-from .path import SOLVER_ERRORS, PathConfig, parse_lambda_spec, solve_path
+from .path import PathConfig, parse_lambda_spec, solve_path
 from .report import emit_report, load_path_state, save_path_state
-from .sieve import ApgConfig, as_solve, eas_solve
-
-log = logging.getLogger(__name__)
+from .sieve import ApgConfig
 
 
 def _add_common_solver_flags(p):
@@ -68,10 +63,14 @@ def build_parser():
     return parser
 
 
-def _solver_configs(args):
-    admm = AdmmConfig(sigma=args.sigma, max_iter=args.admm_max_iter, tol=args.admm_tol)
-    apg = ApgConfig(maxiter=args.apg_maxiter)
-    return admm, apg
+def _path_config(opts, lambdas):
+    """PathConfig from the common solver flags of parsed args or a manifest,
+    which name them alike."""
+    return PathConfig(
+        lambdas=lambdas, eps=opts.eps, eps_hat=opts.eps_hat, mode=opts.mode,
+        admm=AdmmConfig(sigma=opts.sigma, max_iter=opts.admm_max_iter, tol=opts.admm_tol),
+        apg=ApgConfig(maxiter=opts.apg_maxiter),
+    )
 
 
 def cmd_gen(args):
@@ -82,32 +81,21 @@ def cmd_gen(args):
 
 
 def cmd_solve(args):
+    """Solve the one-lambda path [lam]."""
     A = load_matrix(args.input)
     inst = build_knn_graph(A, k=args.k)
-    admm, apg = _solver_configs(args)
-    cfg = SolveConfig(lam=args.lam, eps=args.eps, eps_hat=args.eps_hat, admm=admm, apg=apg)
-    try:
-        if args.mode == "direct":
-            from .admm import solve_full
-
-            triple, _ = solve_full(inst, cfg.lam, 0.5 * cfg.eps, admm)
-            rounds = 1
-        else:
-            solver = eas_solve if args.mode == "eas" else as_solve
-            triple, state = solver(inst, cfg)
-            rounds = state.round
-    except SOLVER_ERRORS as exc:
-        print(f"FAILED: {type(exc).__name__}: {exc}", file=sys.stderr)
+    rec = solve_path(inst, _path_config(args, [args.lam])).records[0]
+    if rec.triple is None:
+        print(f"FAILED: {rec.error}", file=sys.stderr)
         return 1
-    labels = extract_labels(inst, triple.y, args.eps_hat)
-    certified = triple.residual_norm <= args.eps
+    labels = extract_labels(inst, rec.triple.y, args.eps_hat)
     print(f"lambda      : {args.lam:.6g}")
-    print(f"rounds      : {rounds}")
-    print(f"residual    : {triple.residual_norm:.3e}")
-    print(f"duality gap : {triple.gap:.3e}")
+    print(f"rounds      : {rec.rounds}")
+    print(f"residual    : {rec.residual:.3e}")
+    print(f"duality gap : {rec.gap:.3e}")
     print(f"clusters    : {labels.num_clusters}")
-    print(f"certified   : {certified}")
-    return 0 if certified else 1
+    print(f"certified   : {rec.converged}")
+    return 0
 
 
 def cmd_path(args):
@@ -127,13 +115,7 @@ def cmd_path(args):
 
     A = load_matrix(manifest.input)
     inst = build_knn_graph(A, k=manifest.k)
-    admm = AdmmConfig(sigma=manifest.sigma, max_iter=manifest.admm_max_iter, tol=manifest.admm_tol)
-    apg = ApgConfig(maxiter=manifest.apg_maxiter)
-    pcfg = PathConfig(
-        lambdas=parse_lambda_spec(manifest.grid), eps=manifest.eps,
-        eps_hat=manifest.eps_hat, mode=manifest.mode, admm=admm, apg=apg,
-    )
-    result = solve_path(inst, pcfg)
+    result = solve_path(inst, _path_config(manifest, parse_lambda_spec(manifest.grid)))
     if args.state:
         save_path_state(result, args.state)
     if manifest.outdir:

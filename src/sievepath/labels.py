@@ -4,14 +4,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._kernels import column_norms, union_find_min_labels
+from ._kernels import union_find_min_labels
+from .model import fused_blocks
 
 
 @dataclass
 class ClusterLabels:
     labels: np.ndarray
     num_clusters: int
-    lam: float = None
 
 
 def extract_labels(inst, y, eps_hat=2e-16):
@@ -24,7 +24,7 @@ def extract_labels(inst, y, eps_hat=2e-16):
     y = np.asarray(y)
     if y.shape != (inst.d, inst.m_blocks):
         raise ValueError("y does not match the instance's edge blocks")
-    zero = column_norms(np.ascontiguousarray(y)) <= eps_hat
+    zero = fused_blocks(np.ascontiguousarray(y), eps_hat)
     roots = union_find_min_labels(inst.N, inst.edge_i[zero], inst.edge_j[zero])
     uniq, labels = np.unique(roots, return_inverse=True)
     return ClusterLabels(labels=labels.astype(np.int64), num_clusters=len(uniq))

@@ -120,6 +120,11 @@ def project_subdiff_block(u, y_block, lam_w):
     return (lam_w / ny) * y_block
 
 
+def fused_blocks(Y, eps_hat):
+    """Mask of the edge blocks counted as fused: column norm <= eps_hat."""
+    return column_norms(Y) <= eps_hat
+
+
 def _check_shapes(inst, x, y, z):
     d, N, m = inst.d, inst.N, inst.m_blocks
     if x.shape != (d, N):

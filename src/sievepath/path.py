@@ -1,9 +1,12 @@
 """Solution-path driver: sweep a decreasing lambda grid with warm starts.
 
-Each lambda is solved by the sieve (or the plain subsolver in direct mode);
-the zero pattern of the certified solution seeds the next lambda's candidate
-set, and the full-space primal/dual pair, with the subsolver penalty sigma it
-ended on, warm-starts the next subsolver.
+Each lambda is solved by the sieve (or the plain subsolver in direct mode)
+and ends in one of two ways. It certifies: its triple has a recomputed KKT
+residual <= eps. Its fused blocks then seed the next lambda's candidate set,
+and the full-space primal/dual pair, with the subsolver penalty sigma it
+ended on, warm-starts the next subsolver. Or it fails: its record has no
+triple, an error "<Type>: <message>" and inf residual, gap and objective,
+and the next lambda starts from the last certified one.
 """
 
 import logging
@@ -12,20 +15,23 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._kernels import column_norms
-from .admm import SingularSystemError, solve_full
-from .model import InfeasibleDualError, SolveConfig
+from .admm import AdmmConfig, SingularSystemError, solve_full
+from .model import InfeasibleDualError, SolveConfig, fused_blocks, primal_objective
 from .sieve import SieveLimitError, as_solve, eas_solve
-from .graph import recover_primal
 
 log = logging.getLogger(__name__)
 
 MODES = ("as", "eas", "direct")
 
+
+class UncertifiedError(RuntimeError):
+    """A solve returned a point whose recomputed KKT residual exceeds eps."""
+
+
 # what a solve may raise on a numerical failure; the path records it on that
 # lambda and goes on, and the CLI reports it as a failed solve. Anything else
 # is a defect and propagates.
-SOLVER_ERRORS = (SieveLimitError, SingularSystemError, InfeasibleDualError)
+SOLVER_ERRORS = (SieveLimitError, SingularSystemError, InfeasibleDualError, UncertifiedError)
 
 
 def default_lambda_grid():
@@ -58,8 +64,6 @@ class PathConfig:
     eps: float = 1e-6
     eps_hat: float = 2e-16
     mode: str = "as"
-    init_all_blocks: bool = True  # I0(lambda_1) = all blocks vs empty
-    warm_start: bool = True
     max_sieve_rounds: int = None
     admm: object = None
     apg: object = None
@@ -81,8 +85,8 @@ class LambdaRecord:
     """Outcome and diagnostics of one grid point."""
 
     lam: float
-    triple: object  # KktTriple; None only when the solve failed outright
-    converged: bool
+    triple: object  # KktTriple; None when the lambda failed
+    converged: bool  # triple is not None
     rounds: int
     avg_reduced_n: float
     avg_reduced_m: float
@@ -91,7 +95,6 @@ class LambdaRecord:
     objective: float
     seconds: float
     num_fused: int
-    certified_early: bool = False
     error: str = None
     newton_steps: int = 0  # of every subsolve of this lambda
 
@@ -146,23 +149,18 @@ class PathResult:
         }
 
 
-def _objective(inst, lam, triple):
-    from .model import primal_objective
-
-    return primal_objective(inst, lam, triple.x)
-
-
 def solve_path(inst, pcfg=None):
     """Run the lambda sweep; per-lambda failures are recorded, not raised.
 
-    A lambda whose solve raises one of SOLVER_ERRORS gets a record with
-    triple None and the error; the next lambda starts from the warm start
-    the failed one was given.
+    A lambda whose solve raises one of SOLVER_ERRORS, or whose point misses
+    eps, gets a record with triple None and the error; the next lambda
+    starts from the candidate set and warm start of the last certified one.
     """
     pcfg = pcfg or PathConfig()
     result = PathResult(inst=inst, config=pcfg)
     m = inst.m_blocks
-    I0 = np.arange(m, dtype=np.int64) if pcfg.init_all_blocks else np.empty(0, np.int64)
+    sub_tol = (pcfg.admm or AdmmConfig()).start_tol(pcfg.eps)
+    I0 = np.arange(m, dtype=np.int64)
     carry = None
 
     for lam in pcfg.lambdas:
@@ -171,83 +169,53 @@ def solve_path(inst, pcfg=None):
             max_sieve_rounds=pcfg.max_sieve_rounds, admm=pcfg.admm, apg=pcfg.apg,
         )
         t0 = time.perf_counter()
-        error = None
-        certified_early = False
-        steps = 0
+        triple = sub = state = error = None
         try:
             if pcfg.mode == "direct":
                 warm_full = None
                 if carry is not None:
                     x_prev, z_prev, sigma_prev = carry
                     warm_full = (x_prev, inst.incidence.apply(x_prev), z_prev, sigma_prev)
-                triple, sub = solve_full(inst, cfg.lam, 0.5 * cfg.eps, pcfg.admm, warm=warm_full)
-                sigma, steps = sub.sigma, sub.iterations
-                rounds, avg_n, avg_m = 1, float(inst.N), float(m)
-                if triple.residual_norm > cfg.eps:
-                    error = f"direct solve residual {triple.residual_norm:.3e} > eps"
+                triple, sub = solve_full(inst, cfg.lam, sub_tol, pcfg.admm, warm=warm_full)
             else:
                 solver = eas_solve if pcfg.mode == "eas" else as_solve
                 triple, state = solver(inst, cfg, I0=I0, warm=carry)
-                rounds, steps = state.round, state.newton_steps
-                sigma = state.sub.sigma
-                avg_n = float(np.mean([r["n_reduced"] for r in state.records]))
-                avg_m = float(np.mean([r["m_reduced"] for r in state.records]))
-                certified_early = state.certified_early
-        except SieveLimitError as exc:
-            state = exc.state
-            error = str(exc)
-            rounds, steps = state.round, state.newton_steps
-            avg_n = float(np.mean([r["n_reduced"] for r in state.records])) if state.records else float(inst.N)
-            avg_m = float(np.mean([r["m_reduced"] for r in state.records])) if state.records else float(m)
-            triple = None
-            if state.partition is not None and state.sub is not None:
-                from .model import KktTriple
-
-                x_bar, y_bar = recover_primal(state.partition, state.sub.x_red, state.sub.y_red)
-                z = state.dual.u if state.dual is not None else np.zeros((inst.d, m))
-                triple = KktTriple.from_point(inst, cfg.lam, x_bar, y_bar, z)
-                sigma = state.sub.sigma
+                sub = state.sub
+            if triple.residual_norm > cfg.eps:
+                raise UncertifiedError(f"residual {triple.residual_norm:.3e} > eps {cfg.eps:.1e}")
         except SOLVER_ERRORS as exc:
-            log.warning("lambda %.4g: solver raised", lam, exc_info=True)
             error = f"{type(exc).__name__}: {exc}"
-            triple, rounds, avg_n, avg_m = None, 0, float(inst.N), float(m)
+            triple, state = None, getattr(exc, "state", state)
         seconds = time.perf_counter() - t0
 
+        # a sieve run, certified or out of rounds, reports its own rounds; a
+        # direct solve is one full-size round; a solve that raised has none
+        if state is not None and state.records:
+            rounds, steps = state.round, state.newton_steps
+            avg_n = float(np.mean([r["n_reduced"] for r in state.records]))
+            avg_m = float(np.mean([r["m_reduced"] for r in state.records]))
+        else:
+            rounds, steps = (1, sub.iterations) if sub is not None else (0, 0)
+            avg_n, avg_m = float(inst.N), float(m)
+
+        residual = gap = objective = np.inf
+        num_fused = 0
         if triple is None:
-            record = LambdaRecord(
-                lam=float(lam), triple=None, converged=False, rounds=rounds,
-                avg_reduced_n=avg_n, avg_reduced_m=avg_m, residual=np.inf,
-                gap=np.inf, objective=np.inf, seconds=seconds, num_fused=0,
-                error=error, newton_steps=steps,
-            )
-            result.records.append(record)
             log.warning("lambda %.4g failed: %s", lam, error)
-            continue
-
-        fused = column_norms(inst.incidence.apply(triple.x)) < pcfg.eps_hat
-        record = LambdaRecord(
-            lam=float(lam),
-            triple=triple,
-            converged=error is None and triple.residual_norm <= cfg.eps,
-            rounds=rounds,
-            avg_reduced_n=avg_n,
-            avg_reduced_m=avg_m,
-            residual=triple.residual_norm,
-            gap=triple.gap,
-            objective=_objective(inst, cfg.lam, triple),
-            seconds=seconds,
-            num_fused=int(np.count_nonzero(fused)),
-            certified_early=certified_early,
-            error=error,
-            newton_steps=steps,
-        )
-        result.records.append(record)
-        log.info(
-            "lambda %.4g: rounds=%d reduced_n=%.1f residual=%.2e fused=%d (%.2fs)",
-            lam, rounds, avg_n, record.residual, record.num_fused, seconds,
-        )
-
-        I0 = np.flatnonzero(fused)
-        if pcfg.warm_start:
-            carry = (triple.x, triple.z, sigma)
+        else:
+            fused = fused_blocks(inst.incidence.apply(triple.x), pcfg.eps_hat)
+            residual, gap = triple.residual_norm, triple.gap
+            objective = primal_objective(inst, cfg.lam, triple.x)
+            num_fused = int(np.count_nonzero(fused))
+            I0, carry = np.flatnonzero(fused), (triple.x, triple.z, sub.sigma)
+            log.info(
+                "lambda %.4g: rounds=%d reduced_n=%.1f residual=%.2e fused=%d (%.2fs)",
+                lam, rounds, avg_n, residual, num_fused, seconds,
+            )
+        result.records.append(LambdaRecord(
+            lam=cfg.lam, triple=triple, converged=triple is not None, rounds=rounds,
+            avg_reduced_n=avg_n, avg_reduced_m=avg_m, residual=residual, gap=gap,
+            objective=objective, seconds=seconds, num_fused=num_fused,
+            error=error, newton_steps=steps,
+        ))
     return result

@@ -39,7 +39,6 @@ def _emit(result, outdir):
     for rec in result.records:
         if rec.triple is not None:
             lab = extract_labels(inst, rec.triple.y, eps_hat)
-            lab.lam = rec.lam
         else:
             lab = None
         all_labels.append(lab)

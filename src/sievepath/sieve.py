@@ -7,6 +7,11 @@ and removes the blocks whose dual certificate lands outside its subdifferential
 ball. The enhanced variant additionally tries to certify optimality on the
 enlarged zero set of the current iterate once the objective stalls, which can
 stop the loop before the plain violation test would.
+
+A round that finds no violation yet misses eps solves again with a subsolver
+tolerance 100x tighter, starting from AdmmConfig.start_tol. A sieve run
+either returns a triple whose recomputed KKT residual is <= eps or raises
+SieveLimitError; it never returns an uncertified point.
 """
 
 import logging
@@ -18,7 +23,7 @@ import scipy.sparse as sp
 from ._kernels import column_norms, frobenius_norm, project_columns, union_find_min_labels
 from .admm import AdmmConfig, solve_reduced_admm
 from .graph import build_partition, recover_primal, reduce_problem
-from .model import KktTriple, kkt_residual, primal_objective
+from .model import KktTriple, fused_blocks, kkt_residual, primal_objective
 
 log = logging.getLogger(__name__)
 
@@ -26,7 +31,8 @@ VIOLATION_SLACK = 1e-8  # relative slack of the ball-membership test
 
 
 class SieveLimitError(RuntimeError):
-    """Round budget exhausted; carries the last SieveState for diagnosis."""
+    """The sieve ran out of rounds or retightenings; state is its SieveState,
+    whose rounds, Newton steps and round records the path reports."""
 
     def __init__(self, message, state):
         super().__init__(message)
@@ -49,29 +55,11 @@ class ApgResult:
 
 
 @dataclass
-class DualRecovery:
-    """Full-space dual candidate u and its subdifferential violation w.
-
-    u restricted to I^c is the subsolver multiplier bit-for-bit; on I it is
-    the particular stationarity solution plus the APG null-space refinement.
-    w is u minus its blockwise projection onto the dual balls (zero off I).
-    """
-
-    u: np.ndarray
-    w: np.ndarray
-    apg_iters: int
-    apg_obj: float
-
-
-@dataclass
 class SieveState:
-    """Bookkeeping for one sieve run (last round wins for solution fields)."""
+    """Bookkeeping for one sieve run; sub is the last round's subsolve."""
 
     round: int
-    I: np.ndarray
-    partition: object
-    sub: object
-    dual: object
+    sub: object = None
     certified_early: bool = False
     records: list = field(default_factory=list)
     newton_steps: int = 0  # of every subsolve, retightenings included
@@ -151,22 +139,20 @@ def apg_minimize(u0, radii, null_project, cfg=None, track_history=False):
 
 
 def recover_dual(inst, lam, partition, sub, apg_cfg=None, x_bar=None):
-    """Build the full-space dual candidate (u, w) from a reduced solution."""
-    d, m = inst.d, inst.m_blocks
+    """Build the full-space dual candidate u, a (d, m) array, from a reduced
+    solution.
+
+    On I^c, u is the subsolver multiplier bit for bit; on I it is the
+    particular stationarity solution plus its APG null-space refinement.
+    """
     if x_bar is None:
         x_bar, _ = recover_primal(partition, sub.x_red, sub.y_red)
-    u = np.zeros((d, m))
-    w = np.zeros((d, m))
-    I = partition.I
+    u = np.zeros((inst.d, inst.m_blocks))
     u[:, partition.I_c] = sub.xi
-    if len(I) == 0 or len(partition.gamma) == 0:
-        return DualRecovery(u=u, w=w, apg_iters=0, apg_obj=0.0)
-
-    g = (x_bar - inst.A) + inst.incidence.adjoint(u)
-    apg = _complete_dual(inst, lam, partition, g, u, apg_cfg)
-    uI = u[:, I]
-    w[:, I] = uI - project_columns(uI, lam * inst.weights[I])
-    return DualRecovery(u=u, w=w, apg_iters=apg.iterations, apg_obj=apg.objective)
+    if len(partition.I) and len(partition.gamma):
+        g = (x_bar - inst.A) + inst.incidence.adjoint(u)
+        _complete_dual(inst, lam, partition, g, u, apg_cfg)
+    return u
 
 
 def _complete_dual(inst, lam, partition, g, v, apg_cfg):
@@ -175,27 +161,27 @@ def _complete_dual(inst, lam, partition, g, v, apg_cfg):
     residual of that v.
 
     The fill is the min-norm solution of stationarity on the gamma rows plus
-    its APG refinement on the null space of B_{I gamma}^T; returns the
-    ApgResult.
+    its APG refinement on the null space of B_{I gamma}^T.
     """
     gs = GammaSystem(inst, partition)
     v0 = gs.particular(g[:, partition.gamma])
     radii = lam * inst.weights[partition.I]
     apg = apg_minimize(v0, radii, gs.null_project, apg_cfg)
     v[:, partition.I] = v0 + apg.d
-    return apg
 
 
-def violation_set(partition, lam, inst, dual, y_bar, slack=VIOLATION_SLACK):
-    """Edges of I whose dual candidate falls outside its subdifferential ball.
+def violation_set(partition, lam, inst, u, slack=VIOLATION_SLACK):
+    """Edges of I whose dual candidate u falls outside its subdifferential
+    ball.
 
-    y_bar is zero on I by construction, so each ball has radius lam * w_j;
-    the relative slack keeps boundary blocks from thrashing in and out.
+    The recovered primal is zero on I by construction, so each ball has
+    radius lam * w_j; the relative slack keeps boundary blocks from
+    thrashing in and out.
     """
     I = partition.I
     if len(I) == 0:
         return np.empty(0, dtype=np.int64)
-    norms = column_norms(np.ascontiguousarray(dual.u[:, I]))
+    norms = column_norms(np.ascontiguousarray(u[:, I]))
     return I[norms > lam * inst.weights[I] * (1.0 + slack)]
 
 
@@ -230,12 +216,12 @@ def eas_certify(inst, lam, x_bar, eps, eps_hat=2e-16, apg_cfg=None):
     violation test.
     """
     y_t = inst.incidence.apply(x_bar)
-    norms = column_norms(y_t)
-    I_t = np.flatnonzero(norms <= eps_hat)
+    fused = fused_blocks(y_t, eps_hat)
+    I_t = np.flatnonzero(fused)
     v = np.zeros_like(y_t)
-    mask = norms > eps_hat
-    if np.any(mask):
-        v[:, mask] = y_t[:, mask] * (lam * inst.weights[mask] / norms[mask])
+    free = ~fused
+    if np.any(free):
+        v[:, free] = y_t[:, free] * (lam * inst.weights[free] / column_norms(y_t[:, free]))
     g = (x_bar - inst.A) + inst.incidence.adjoint(v)
     if _fill_bound(inst, I_t, g) > eps * eps:
         return None
@@ -269,20 +255,18 @@ def _sieve_loop(inst, cfg, I0, enhanced, warm=None):
         max_rounds = len(I) + 1
     admm_cfg = cfg.admm or AdmmConfig()
     apg_base = cfg.apg or ApgConfig()
-    sub_tol = admm_cfg.tol if admm_cfg.tol is not None else 0.5 * cfg.eps
+    sub_tol = admm_cfg.start_tol(cfg.eps)
     apg_eps = apg_base.eps if apg_base.eps is not None else 0.5 * cfg.eps
     apg_iter = apg_base.maxiter
 
-    state = SieveState(round=0, I=I, partition=None, sub=None, dual=None)
+    state = SieveState(round=0)
     carry = warm  # (x_full, z_full[, sigma]) from the caller or the last round
     F_prev = None  # objective at the end of the previous round
 
     for rnd in range(max_rounds):
         state.round = rnd + 1
-        state.I = I
         partition = build_partition(inst.incidence, I)
         red = reduce_problem(inst, partition, lam)
-        state.partition = partition
         warm_red = None
         if carry is not None:
             warm_red = _restricted_warm(carry, partition, red)
@@ -306,18 +290,17 @@ def _sieve_loop(inst, cfg, I0, enhanced, warm=None):
                     log.info("round %d: certified early, residual %.3e", rnd + 1, cert.residual_norm)
                     return cert, state
 
-            dual = recover_dual(
+            u = recover_dual(
                 inst, lam, partition, sub,
                 ApgConfig(eps=apg_eps, maxiter=apg_cur), x_bar=x_bar,
             )
-            state.dual = dual
-            res = kkt_residual(inst, lam, x_bar, y_bar, dual.u)
+            res = kkt_residual(inst, lam, x_bar, y_bar, u)
             if res <= cfg.eps:
                 state.records.append(_record(rnd, partition, sub, res, F_val, 0, tol_cur, False))
                 log.info("round %d: residual %.3e <= eps", rnd + 1, res)
-                return KktTriple.from_point(inst, lam, x_bar, y_bar, dual.u), state
+                return KktTriple.from_point(inst, lam, x_bar, y_bar, u), state
 
-            J = violation_set(partition, lam, inst, dual, y_bar)
+            J = violation_set(partition, lam, inst, u)
             if len(J):
                 break
             # no violations yet residual too large: the subsolve was too
@@ -341,7 +324,7 @@ def _sieve_loop(inst, cfg, I0, enhanced, warm=None):
             rnd + 1, res, len(J), len(I),
         )
         I = np.setdiff1d(I, J, assume_unique=True)
-        carry = (x_bar, dual.u, sub.sigma)
+        carry = (x_bar, u, sub.sigma)
         F_prev = F_val
 
     raise SieveLimitError(f"sieve did not certify within {max_rounds} rounds", state)

@@ -28,13 +28,18 @@ def test_solve_certified_exit_zero(small_csv, capsys):
     assert "clusters" in out
 
 
-def test_solve_modes_available(small_csv, capsys):
+def test_solve_modes_available(small_csv, tmp_path, capsys):
+    """solve --lam L is the path --grid L: same residual and rounds."""
+    state = tmp_path / "s.pkl"
     for mode in ("as", "eas", "direct"):
-        rc = main(
-            ["solve", "--input", str(small_csv), "--lam", "1.0", "--k", "5",
-             "--mode", mode]
-        )
+        flags = ["--input", str(small_csv), "--k", "5", "--mode", mode]
+        rc = main(["solve", "--lam", "1.0", *flags])
         assert rc == 0, mode
+        out = capsys.readouterr().out
+        assert main(["path", "--grid", "1.0", "--state", str(state), *flags]) == 0
+        rec = load_path_state(state).records[0]
+        assert f"rounds      : {rec.rounds}\n" in out, mode
+        assert f"residual    : {rec.residual:.3e}\n" in out, mode
 
 
 def test_solve_bad_input_exit_two(tmp_path, capsys):

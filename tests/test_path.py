@@ -1,10 +1,15 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 from sievepath import (
+    AdmmConfig,
     InfeasibleDualError,
     PathConfig,
+    SieveLimitError,
     SingularSystemError,
+    build_knn_graph,
     default_lambda_grid,
     parse_lambda_spec,
     solve_path,
@@ -137,28 +142,58 @@ def test_lambda_records_count_every_newton_step(monkeypatch, mode):
     ("as", SingularSystemError("Factor is exactly singular")),
     ("eas", InfeasibleDualError("dual point violates a block ball constraint")),
     ("direct", SingularSystemError("Factor is exactly singular")),
+    ("as", SieveLimitError),
+    ("eas", SieveLimitError),
 ])
 def test_solver_error_stays_with_its_lambda(t1_inst, monkeypatch, mode, exc):
-    """A subsolver that raises at one lambda fails only that lambda; the
-    next one starts from the last certified solution and certifies."""
+    """A solve that fails at one lambda fails only that lambda; the next one
+    starts from the last certified solution and certifies. The failure is a
+    subsolver that raises, or a one-round sieve budget at a lambda that
+    needs two rounds."""
     from sievepath import admm, sieve
 
     real = admm.solve_reduced_admm
+    real_loop = sieve._sieve_loop
 
     def flaky(red, *args, **kwargs):
-        if red.lam == 2.0:
+        if red.lam == 0.5:
             raise exc
         return real(red, *args, **kwargs)
 
-    monkeypatch.setattr(admm, "solve_reduced_admm", flaky)
-    monkeypatch.setattr(sieve, "solve_reduced_admm", flaky)
-    res = solve_path(t1_inst, PathConfig(lambdas=[5.0, 2.0, 0.5], eps=1e-7, mode=mode))
+    def starved(inst, cfg, *args, **kwargs):
+        if cfg.lam == 0.5:
+            cfg = dataclasses.replace(cfg, max_sieve_rounds=1)
+        return real_loop(inst, cfg, *args, **kwargs)
+
+    if exc is SieveLimitError:
+        monkeypatch.setattr(sieve, "_sieve_loop", starved)
+    else:
+        monkeypatch.setattr(admm, "solve_reduced_admm", flaky)
+        monkeypatch.setattr(sieve, "solve_reduced_admm", flaky)
+    res = solve_path(t1_inst, PathConfig(lambdas=[5.0, 0.5, 0.1], eps=1e-7, mode=mode))
     assert [r.converged for r in res.records] == [True, False, True]
     failed = res.records[1]
     assert failed.triple is None
-    assert failed.error.startswith(type(exc).__name__)
+    name = exc.__name__ if exc is SieveLimitError else type(exc).__name__
+    assert failed.error.startswith(name + ": ")
+    assert failed.residual == failed.gap == failed.objective == np.inf
+    if exc is SieveLimitError:  # its state reports the one fully fused round
+        assert failed.rounds == 1 and failed.avg_reduced_n == 1.0
     assert res.records[2].residual <= 1e-7
-    assert res.summary()["failed_lambdas"] == [2.0]
+    assert res.summary()["failed_lambdas"] == [0.5]
+
+
+def test_direct_mode_honours_admm_tol_and_fails_above_eps():
+    """Direct mode solves once, to --admm-tol; a point above eps fails its
+    lambda like any other failure."""
+    inst = build_knn_graph(np.random.default_rng(2).standard_normal((2, 40)), k=4)
+    res = solve_path(inst, PathConfig(lambdas=[0.2], eps=1e-8, mode="direct",
+                                      admm=AdmmConfig(tol=1e-3)))
+    failed = res.records[0]
+    assert failed.triple is None and not failed.converged
+    assert failed.error.startswith("UncertifiedError: ")
+    assert failed.residual == np.inf
+    assert failed.rounds == 1 and failed.newton_steps > 0
 
 
 def test_defect_in_a_solve_propagates(t1_inst, monkeypatch):

@@ -2,13 +2,14 @@ import numpy as np
 import pytest
 
 from sievepath import (
+    AdmmConfig,
     ApgConfig,
-    DualRecovery,
     ProblemInstance,
     SieveLimitError,
     SolveConfig,
     apg_minimize,
     as_solve,
+    build_knn_graph,
     build_partition,
     eas_certify,
     eas_solve,
@@ -36,31 +37,32 @@ def two_point():
 
 def test_recover_dual_fused_pair_boundary():
     """Distance-4 pair fuses exactly when lam*w = 2; the recovered multiplier
-    sits on the ball boundary so the subdifferential violation is zero."""
+    sits on the ball boundary, so it does not leave its ball."""
     inst = two_point()
     part = build_partition(inst.incidence, [0])
     red = reduce_problem(inst, part, 2.0)
     sub = solve_reduced_admm(red, tol=1e-12)
-    dual = recover_dual(inst, 2.0, part, sub)
-    assert abs(dual.u[0, 0]) == pytest.approx(2.0, abs=1e-10)
-    assert np.linalg.norm(dual.w) <= 1e-10
+    u = recover_dual(inst, 2.0, part, sub)
+    assert u.shape == (inst.d, inst.m_blocks)
+    assert abs(u[0, 0]) == pytest.approx(2.0, abs=1e-10)
+    I = part.I
+    assert np.all(column_norms(u[:, I]) <= 2.0 * inst.weights[I] * (1 + 1e-10))
     x_bar, y_bar = recover_primal(part, sub.x_red, sub.y_red)
-    assert violation_set(part, 2.0, inst, dual, y_bar).size == 0
-    assert kkt_residual(inst, 2.0, x_bar, y_bar, dual.u) <= 1e-9
+    assert violation_set(part, 2.0, inst, u).size == 0
+    assert kkt_residual(inst, 2.0, x_bar, y_bar, u) <= 1e-9
 
 
 def test_recover_dual_flags_wrong_fusion():
     """Same pair forced fused at lam*w = 1: the multiplier lands outside the
-    ball, w is nonzero, and the block is reported as a violation."""
+    ball, 1 beyond its radius, and the block is reported as a violation."""
     inst = two_point()
     part = build_partition(inst.incidence, [0])
     red = reduce_problem(inst, part, 1.0)
     sub = solve_reduced_admm(red, tol=1e-12)
-    dual = recover_dual(inst, 1.0, part, sub)
-    assert abs(dual.u[0, 0]) == pytest.approx(2.0, abs=1e-10)
-    assert abs(dual.w[0, 0]) == pytest.approx(1.0, abs=1e-10)
-    x_bar, y_bar = recover_primal(part, sub.x_red, sub.y_red)
-    assert violation_set(part, 1.0, inst, dual, y_bar).tolist() == [0]
+    u = recover_dual(inst, 1.0, part, sub)
+    assert abs(u[0, 0]) == pytest.approx(2.0, abs=1e-10)
+    assert abs(u[0, 0]) - 1.0 * inst.weights[0] == pytest.approx(1.0, abs=1e-10)
+    assert violation_set(part, 1.0, inst, u).tolist() == [0]
 
 
 def test_recover_dual_keeps_subsolver_multiplier_bitwise():
@@ -70,10 +72,13 @@ def test_recover_dual_keeps_subsolver_multiplier_bitwise():
     part = build_partition(inst.incidence, I)
     red = reduce_problem(inst, part, 0.3)
     sub = solve_reduced_admm(red, tol=1e-9)
-    dual = recover_dual(inst, 0.3, part, sub)
-    assert np.array_equal(dual.u[:, part.I_c], sub.xi)
-    # off-I blocks never contribute to the violation field
-    assert np.all(dual.w[:, part.I_c] == 0.0)
+    u = recover_dual(inst, 0.3, part, sub)
+    assert np.array_equal(u[:, part.I_c], sub.xi)
+    # off-I blocks never count as violations, even far outside their balls
+    far = u.copy()
+    far[:, part.I_c] = 1e6
+    assert np.array_equal(violation_set(part, 0.3, inst, far),
+                          violation_set(part, 0.3, inst, u))
 
 
 def test_recover_dual_gamma_stationarity():
@@ -88,9 +93,9 @@ def test_recover_dual_gamma_stationarity():
             continue
         red = reduce_problem(inst, part, 0.4)
         sub = solve_reduced_admm(red, tol=1e-11)
-        dual = recover_dual(inst, 0.4, part, sub)
+        u = recover_dual(inst, 0.4, part, sub)
         x_bar, _ = recover_primal(part, sub.x_red, sub.y_red)
-        stat = (x_bar - inst.A) + inst.incidence.adjoint(dual.u)
+        stat = (x_bar - inst.A) + inst.incidence.adjoint(u)
         assert np.linalg.norm(stat[:, part.gamma]) <= 1e-8
 
 
@@ -155,18 +160,12 @@ def test_violation_set_respects_boundary_slack(t1_inst):
     u = np.zeros((1, 3))
     u[0, 0] = lam * t1_inst.weights[0]  # exactly on the boundary
     u[0, 1] = lam * t1_inst.weights[1] * 1.1  # clearly outside
-    dual = DualRecovery(u=u, w=np.zeros_like(u), apg_iters=0, apg_obj=0.0)
-    y = np.zeros((1, 3))
-    J = violation_set(part, lam, t1_inst, dual, y)
-    assert J.tolist() == [1]
+    assert violation_set(part, lam, t1_inst, u).tolist() == [1]
 
 
 def test_violation_set_empty_candidate(t1_inst):
     part = build_partition(t1_inst.incidence, [])
-    dual = DualRecovery(
-        u=np.ones((1, 3)), w=np.zeros((1, 3)), apg_iters=0, apg_obj=0.0
-    )
-    assert violation_set(part, 1.0, t1_inst, dual, np.zeros((1, 3))).size == 0
+    assert violation_set(part, 1.0, t1_inst, np.ones((1, 3))).size == 0
 
 
 # -------------------------------------------------------------------- as_solve
@@ -204,6 +203,17 @@ def test_as_solve_respects_round_budget(t1_inst):
     state = exc.value.state
     assert state.round == 1
     assert state.records
+
+
+def test_admm_tol_is_the_first_tolerance_and_retightening_goes_on():
+    """An --admm-tol looser than eps only starts the sieve's subsolves: a
+    round that finds no violation above eps retightens below it."""
+    inst = build_knn_graph(np.random.default_rng(2).standard_normal((2, 40)), k=4)
+    cfg = SolveConfig(lam=0.2, eps=1e-8, admm=AdmmConfig(tol=1e-3))
+    triple, state = as_solve(inst, cfg)
+    assert triple.residual_norm <= 1e-8
+    assert state.records[0]["subsolver_tol"] == 1e-3
+    assert state.records[-1]["subsolver_tol"] < 1e-3
 
 
 def test_as_solve_random_agrees_with_direct():
