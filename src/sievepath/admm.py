@@ -1,22 +1,23 @@
 """Semismooth-Newton augmented Lagrangian (SSNAL) for the reduced subproblems.
 
-The reduced problem min phi(X) + lam * q(Y) s.t. X Jr = Y is solved by an
-augmented Lagrangian loop with multiplier Z and penalty sigma. Each inner
-step minimises Psi(X) = phi(X) + sigma * e_tau(X Jr + Z / sigma), with e_tau
-the Moreau envelope of the block norms scaled by tau = lam * w / sigma, by a
-semismooth Newton method. Its generalised Hessian has the sparsity of the
-graph with a d x d block per pair of adjacent nodes: a small one is
-assembled and factorized by SuperLU at every Newton step; a large one is
-only applied, and conjugate gradients preconditioned by a factorized n x n
-graph matrix solve the Newton system, so that memory and work per step grow
-linearly in d. The pattern is fixed within a subsolve, so one fill-reducing
-node order is computed when the subsolve starts and every factorization of
-it reuses that order. The multiplier step Z = sigma * Pi_tau(V) keeps Z
-inside the dual balls, so Y = prox(Y + Z) holds exactly and the reduced KKT
-residual is the inner gradient plus the primal infeasibility. Warm starts carry sigma over from
-the solve they resume. Convergence is declared on the reduced KKT residual,
-which matches the full-space residual contribution of the retained blocks
-after recovery.
+The reduced problem min phi(X) + lam * q(Y) s.t. X Jr = Y, with Jr the
+matrix of red.inc, is solved by an augmented Lagrangian loop with multiplier
+Z and penalty sigma. Each inner step minimises Psi(X) = phi(X) + sigma *
+e_tau(X Jr + Z / sigma), with e_tau the Moreau envelope of the block norms
+scaled by tau = lam * w / sigma, by a semismooth Newton method. Its
+generalised Hessian has the sparsity of the graph with a d x d block per
+pair of adjacent nodes: a small one is assembled and factorized by SuperLU
+at every Newton step; a large one is only applied, and scipy's conjugate
+gradients, preconditioned by a factorized n x n graph matrix, solve the
+Newton system, so that memory and work per step grow linearly in d. The
+pattern is fixed within a subsolve, so one fill-reducing node order is
+computed when the subsolve starts and every factorization of it reuses that
+order. The multiplier step Z = sigma * Pi_tau(V) keeps Z inside the dual
+balls, so Y = prox(Y + Z) holds exactly and the reduced KKT residual is the
+inner gradient plus the primal infeasibility. Warm starts carry sigma over
+from the solve they resume. Convergence is declared on the reduced KKT
+residual, which matches the full-space residual contribution of the
+retained blocks after recovery.
 
 The module, AdmmConfig, solve_reduced_admm and the --admm-* flags keep the
 names of the ADMM subsolver this replaced, because the benchmark's layer
@@ -92,9 +93,9 @@ class SubSolution:
 
 def reduced_kkt_residual(red, X, Y, Z):
     """Euclidean norm of the stacked reduced optimality residuals."""
-    g1 = red.grad_phi(X) + red.adjoint(Z)
+    g1 = red.grad_phi(X) + red.inc.adjoint(Z)
     g2 = Y - prox_columns(Y + Z, red.lam * red.weights)
-    g3 = red.apply(X) - Y
+    g3 = red.inc.apply(X) - Y
     return float(np.sqrt(np.sum(g1 * g1) + np.sum(g2 * g2) + np.sum(g3 * g3)))
 
 
@@ -108,17 +109,18 @@ class _NewtonSystem:
     """Psi, its gradient and Newton directions on one reduced problem.
 
     The generalised Hessian is H = diag(h) (x) I_d + sigma sum_l a_l a_l^T
-    (x) Q_l with a_l = e_ri - e_rj, laid out node-major (entry i * d + k is
-    coordinate k of node i). With Q_l = c_l (I - u_l u_l^T) it splits as
-    H = L (x) I_d - G^T diag(sigma c) G, where L = diag(h) + sigma Jr diag(c)
-    Jr^T is an n x n graph matrix and row l of G is a_l (x) u_l.
+    (x) Q_l over the edges (ri, rj) of red.inc, with a_l = e_ri - e_rj, laid
+    out node-major (entry i * d + k is coordinate k of node i). With
+    Q_l = c_l (I - u_l u_l^T) it splits as H = L (x) I_d - G^T diag(sigma c) G,
+    where L = diag(h) + sigma Jr diag(c) Jr^T is an n x n graph matrix and
+    row l of G is a_l (x) u_l.
 
     Stored, H has a dense d x d block per node and per pair of adjacent
     nodes. Up to EXACT_ENTRIES of them it is assembled on a fixed CSC
     pattern (the 4 d^2 entries of every edge summed by bincount) and
     factorized by SuperLU. Above that it is never formed: three sparse
-    products apply it in O(m d), and conjugate gradients solve the Newton
-    system preconditioned by L (x) I_d, whose factorization keeps the
+    products apply it in O(m d), and scipy's conjugate gradients solve the
+    Newton system preconditioned by L (x) I_d, whose factorization keeps the
     graph's sparsity and serves all d columns; H <= L (x) I_d, and the two
     differ by one rank-one term per edge.
 
@@ -130,8 +132,9 @@ class _NewtonSystem:
     def __init__(self, red):
         self.red = red
         d, n = red.C.shape
-        self.keep = red.ri != red.rj  # an edge inside one component adds nothing
-        ri, rj = red.ri[self.keep], red.rj[self.keep]
+        ri, rj = red.inc.edge_i, red.inc.edge_j
+        self.keep = ri != rj  # an edge inside one component adds nothing
+        ri, rj = ri[self.keep], rj[self.keep]
         pairs = len(np.unique(np.minimum(ri, rj) * n + np.maximum(ri, rj)))
         self.exact = ((n + 2 * pairs) * d * d <= EXACT_ENTRIES
                       and 4 * len(ri) * d * d <= ASSEMBLY_ENTRIES)
@@ -169,7 +172,7 @@ class _NewtonSystem:
         P = prox_columns(V, tau)
         Pi = V - P
         env = float(np.dot(tau, column_norms(P))) + 0.5 * float(np.sum(Pi * Pi))
-        return red.phi(X) + sigma * env, red.grad_phi(X) + sigma * red.adjoint(Pi)
+        return red.phi(X) + sigma * env, red.grad_phi(X) + sigma * red.inc.adjoint(Pi)
 
     def curvature(self, V, tau, sigma):
         """sigma c_l and u_l (columns of U) of every kept edge at V = X Jr +
@@ -222,22 +225,13 @@ class _NewtonSystem:
         else:
             hess, L = self.operator(V, tau, sigma)
             lu = _factor(L)
-            x = np.zeros_like(r)
-            z = lu.solve(r)
-            p = z.copy()
-            rz = float(np.vdot(r, z))
-            stop = rtol * float(np.linalg.norm(r))
-            for _ in range(MAX_CG):
-                if float(np.linalg.norm(r)) <= stop:
-                    break
-                Hp = hess(p)
-                step = rz / float(np.vdot(p, Hp))
-                x += step * p
-                r -= step * Hp
-                z = lu.solve(r)
-                rz, rz_prev = float(np.vdot(r, z)), rz
-                p *= rz / rz_prev
-                p += z
+            # cg works on the flattened node-major vector
+            H = sp.linalg.LinearOperator((r.size, r.size), dtype=np.float64,
+                                         matvec=lambda p: hess(p.reshape(r.shape)).ravel())
+            P = sp.linalg.LinearOperator((r.size, r.size), dtype=np.float64,
+                                         matvec=lambda p: lu.solve(p.reshape(r.shape)).ravel())
+            x, _ = sp.linalg.cg(H, r.ravel(), rtol=rtol, maxiter=MAX_CG, M=P)
+            x = x.reshape(r.shape)
         dX = np.empty_like(grad)
         dX[:, self.order] = x.T
         return dX
@@ -293,14 +287,14 @@ def _newton(ns, X, Z, sigma, gtol, max_steps):
     """
     red = ns.red
     tau = (red.lam / sigma) * red.weights
-    V = red.apply(X) + Z / sigma
+    V = red.inc.apply(X) + Z / sigma
     psi, grad = ns.psi_grad(X, V, tau, sigma)
     gnorm = float(np.linalg.norm(grad))
     steps = 0
     while gnorm > gtol and steps < max_steps:
         # forcing term min(0.1, ||grad||^0.5): superlinear once ||grad|| is small
         dX = ns.direction(V, tau, sigma, grad, min(0.1, np.sqrt(gnorm)))
-        dV = red.apply(dX)
+        dV = red.inc.apply(dX)
         slope = float(np.dot(grad.ravel(), dX.ravel()))
         alpha = 1.0
         for _ in range(40):  # halvings of the unit step
@@ -343,7 +337,7 @@ def solve_reduced_admm(red, tol, config=None, warm=None):
         X, Y, Z = (np.array(v, dtype=np.float64) for v in warm[:3])
     else:
         X = red.C / red.h
-        Y = red.apply(X)
+        Y = red.inc.apply(X)
         Z = np.zeros_like(Y)
 
     ns = _NewtonSystem(red)
@@ -362,7 +356,7 @@ def solve_reduced_admm(red, tol, config=None, warm=None):
         steps += n
         Y = prox_columns(V, lw / sigma)
         Z = sigma * (V - Y)
-        R = red.apply(X) - Y
+        R = red.inc.apply(X) - Y
         pinf = float(np.linalg.norm(R))
         kkt = float(np.sqrt(np.sum(grad * grad) + pinf * pinf))
         gap = _relative_gap(red, X, Z) if kkt <= tol else np.inf

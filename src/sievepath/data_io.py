@@ -119,11 +119,24 @@ class RunManifest:
 
     @classmethod
     def from_json(cls, text):
+        """Parse a manifest. A non-object, an unknown key or a value not of
+        its field's type raises DataError; a float field also takes an int,
+        no field takes a bool, and only a field whose default is None takes
+        null."""
         data = json.loads(text)
-        known = {f for f in cls.__dataclass_fields__}
-        unknown = set(data) - known
+        if not isinstance(data, dict):
+            raise DataError("manifest must be a JSON object")
+        fields = cls.__dataclass_fields__
+        unknown = set(data) - set(fields)
         if unknown:
             raise DataError(f"unknown manifest fields: {sorted(unknown)}")
+        for name, value in data.items():
+            f = fields[name]
+            if value is None and f.default is None:
+                continue
+            accepted = (int, float) if f.type is float else f.type
+            if isinstance(value, bool) or not isinstance(value, accepted):
+                raise DataError(f"manifest field {name!r} must be {f.type.__name__}, got {value!r}")
         return cls(**data)
 
     def save(self, path):

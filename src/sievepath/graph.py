@@ -4,7 +4,7 @@ A sieved edge set I induces a node partition (alpha, beta, gamma): connected
 components of the I-subgraph contribute their smallest node to alpha and the
 rest to gamma, untouched nodes form beta. Eliminating x_gamma through the
 component map M collapses the problem onto (x_alpha, x_beta) and the blocks
-outside I.
+outside I: a fusion problem again, on the quotient graph of the components.
 """
 
 from dataclasses import dataclass
@@ -23,16 +23,21 @@ class GraphError(ValueError):
 class IncidenceMap:
     """Edge-difference map B(X) = XJ with node-arc incidence matrix J.
 
-    Columns of J follow the lexicographic edge order; column l(i, j) holds
-    +1 at row i and -1 at row j. J is kept in row (CSR) form, which row
-    slicing by node sets and the adjoint product both want.
+    Column l of J is e_{edge_i[l]} - e_{edge_j[l]}, empty when the two ends
+    coincide (an edge inside a reduced component). J is kept in row (CSR)
+    form, which row slicing by node sets and the adjoint product both want.
     """
 
     def __init__(self, N, edge_i, edge_j):
         self.N = N
-        self.edge_i = np.asarray(edge_i, dtype=np.int64)
-        self.edge_j = np.asarray(edge_j, dtype=np.int64)
-        self.J = _incidence_matrix(N, self.edge_i, self.edge_j)
+        self.edge_i = ei = np.asarray(edge_i, dtype=np.int64)
+        self.edge_j = ej = np.asarray(edge_j, dtype=np.int64)
+        keep = ei != ej
+        cols = np.flatnonzero(keep)
+        rows = np.concatenate([ei[keep], ej[keep]])
+        data = np.concatenate([np.ones(len(cols)), -np.ones(len(cols))])
+        self.J = sp.csr_matrix((data, (rows, np.concatenate([cols, cols]))),
+                               shape=(N, len(ei)))
 
     @property
     def m(self):
@@ -40,27 +45,11 @@ class IncidenceMap:
 
     def apply(self, X):
         """B(X) = XJ, column l of the result is X_{:i} - X_{:j}."""
-        return edge_differences(X, self.edge_i, self.edge_j)
+        return np.take(X, self.edge_i, axis=1) - np.take(X, self.edge_j, axis=1)
 
     def adjoint(self, Z):
         """B*(Z) = Z J^T."""
         return (self.J @ Z.T).T
-
-
-def _incidence_matrix(n, ei, ej):
-    """CSR (n, m) matrix whose column l holds +1 at row ei[l] and -1 at
-    row ej[l]; a column with ei[l] == ej[l] is left empty."""
-    m = len(ei)
-    keep = ei != ej
-    cols = np.flatnonzero(keep)
-    rows = np.concatenate([ei[keep], ej[keep]])
-    data = np.concatenate([np.ones(len(cols)), -np.ones(len(cols))])
-    return sp.csr_matrix((data, (rows, np.concatenate([cols, cols]))), shape=(n, m))
-
-
-def edge_differences(X, ei, ej):
-    """Column l of the result is X_{:ei[l]} - X_{:ej[l]}."""
-    return np.take(X, ei, axis=1) - np.take(X, ej, axis=1)
 
 
 def build_knn_graph(A, k=10):
@@ -80,7 +69,7 @@ def build_knn_graph(A, k=10):
         raise GraphError(f"k must satisfy 1 <= k < N, got k={k}, N={N}")
 
     sq = np.einsum("ij,ij->j", A, A)
-    pairs = set()
+    keys = []  # min(i, j) * N + max(i, j) of every neighbor pair
     chunk = max(1, min(N, 2**22 // max(N, 1)))
     for start in range(0, N, chunk):
         cols = np.arange(start, min(start + chunk, N))
@@ -88,14 +77,11 @@ def build_knn_graph(A, k=10):
         np.maximum(D, 0.0, out=D)
         D[cols, np.arange(len(cols))] = np.inf  # exclude self
         # stable sort keeps ascending index order among equal distances
-        order = np.argsort(D, axis=0, kind="stable")
-        for c, j in enumerate(cols):
-            for i in order[:k, c]:
-                pairs.add((i, j) if i < j else (j, i))
+        nbrs = np.argsort(D, axis=0, kind="stable")[:k]
+        keys.append((np.minimum(nbrs, cols) * N + np.maximum(nbrs, cols)).ravel())
 
-    edges = sorted(pairs)
-    ei = np.array([e[0] for e in edges], dtype=np.int64)
-    ej = np.array([e[1] for e in edges], dtype=np.int64)
+    # unique keys come in lexicographic (i, j) order
+    ei, ej = np.divmod(np.unique(np.concatenate(keys)), N)
     diff = A[:, ei] - A[:, ej]
     w = np.exp(-0.5 * np.einsum("ij,ij->j", diff, diff))
     return ProblemInstance(A, ei, ej, w)
@@ -106,7 +92,8 @@ class IndexPartition:
     """Node partition (alpha, beta, gamma) induced by a sieved edge set I.
 
     M has shape (|alpha|, |gamma|) in the clustering orientation
-    X_gamma = X_alpha M; each column carries exactly one 1.
+    X_gamma = X_alpha M; each column carries exactly one 1. Node i has the
+    reduced column pos[i]: alpha, then beta, in order; gamma at its root's.
     """
 
     I: np.ndarray
@@ -114,7 +101,7 @@ class IndexPartition:
     beta: np.ndarray
     gamma: np.ndarray
     M: sp.csr_matrix
-    N: int
+    pos: np.ndarray
     m: int
 
     @property
@@ -146,13 +133,16 @@ def build_partition(inc, I):
     beta = np.flatnonzero(~touched)
     gamma = tnodes[roots != tnodes]  # touched nodes that are not their root
 
-    grows = np.searchsorted(alpha, labels[gamma])
+    # a touched node sits at its root's place in alpha, a root at its own
+    pos = np.empty(N, dtype=np.int64)
+    pos[tnodes] = np.searchsorted(alpha, roots)
+    pos[beta] = len(alpha) + np.arange(len(beta))
     M = sp.csr_matrix(
-        (np.ones(len(gamma)), (grows, np.arange(len(gamma)))),
+        (np.ones(len(gamma)), (pos[gamma], np.arange(len(gamma)))),
         shape=(len(alpha), len(gamma)),
     )
     return IndexPartition(
-        I=I, alpha=alpha, beta=beta, gamma=gamma, M=M, N=N, m=inc.m,
+        I=I, alpha=alpha, beta=beta, gamma=gamma, M=M, pos=pos, m=inc.m,
     )
 
 
@@ -160,13 +150,12 @@ class ReducedProblem:
     """Quadratic-plus-block-norm problem over (x_alpha, x_beta, y_{I^c}).
 
     Objective 0.5 sum_c h_c ||X_c||^2 - <X, C> + kappa + lam * q(Y) subject
-    to X Jr - Y = 0, with h the per-column Hessian diagonal (component sizes
-    on alpha, ones on beta) and Jr the reduced incidence matrix.
+    to inc.apply(X) - Y = 0, with h the per-column Hessian diagonal (component
+    sizes on alpha, ones on beta) and inc the IncidenceMap of the edges I^c
+    between the reduced columns of their ends.
     """
 
     def __init__(self, inst, partition, lam):
-        self.inst = inst
-        self.partition = partition
         self.lam = float(lam)
 
         alpha, beta, gamma = partition.alpha, partition.beta, partition.gamma
@@ -179,19 +168,8 @@ class ReducedProblem:
         self.C = np.ascontiguousarray(np.hstack([C_alpha, A[:, beta]]))
         self.kappa = 0.5 * float(np.sum(A * A))
 
-        # reduced position of every node: alpha and beta in order, gamma at
-        # its component's representative
-        s = len(alpha)
-        pos = np.empty(inst.N, dtype=np.int64)
-        pos[alpha] = np.arange(s)
-        pos[beta] = s + np.arange(len(beta))
-        pos[gamma] = M.tocsc().indices  # one 1 per column of M
-        I_c = partition.I_c
-        inc = inst.incidence
-        self.ri = pos[inc.edge_i[I_c]]
-        self.rj = pos[inc.edge_j[I_c]]
-        # column l of Jr is e_ri - e_rj, empty when both ends share a component
-        self.Jr = _incidence_matrix(len(self.h), self.ri, self.rj)
+        I_c, pos = partition.I_c, partition.pos
+        self.inc = IncidenceMap(len(self.h), pos[inst.edge_i[I_c]], pos[inst.edge_j[I_c]])
         self.weights = inst.weights[I_c]
 
     @property
@@ -212,21 +190,13 @@ class ReducedProblem:
     def grad_phi(self, X):
         return X * self.h - self.C
 
-    def apply(self, X):
-        """X Jr: column l is X_{:ri[l]} - X_{:rj[l]}."""
-        return edge_differences(X, self.ri, self.rj)
-
-    def adjoint(self, Y):
-        """Y Jr^T."""
-        return (self.Jr @ Y.T).T
-
     def primal_objective(self, X):
-        BX = self.apply(X)
+        BX = self.inc.apply(X)
         return self.phi(X) + self.lam * float(np.dot(self.weights, column_norms(BX)))
 
     def dual_objective(self, xi):
         """Value at a block-feasible multiplier (project first if inexact)."""
-        W = self.C - self.adjoint(xi)
+        W = self.C - self.inc.adjoint(xi)
         return self.kappa - 0.5 * float(np.sum(W * W / self.h))
 
 
@@ -238,19 +208,12 @@ def reduce_problem(inst, partition, lam):
 def recover_primal(partition, x_red, y_red):
     """Embed a reduced solution back into full coordinates.
 
-    x_gamma is copied from the component representatives, so the I blocks of
-    Bx vanish exactly; y is zero-filled on I.
+    Each node takes its reduced column, so x_gamma copies its root and the I
+    blocks of Bx vanish exactly; y is zero-filled on I.
     """
-    alpha, beta, gamma = partition.alpha, partition.beta, partition.gamma
-    s = len(alpha)
     if x_red.shape[1] != partition.n_reduced:
         raise ValueError("reduced solution does not match partition")
-    d = x_red.shape[0]
-    x = np.empty((d, partition.N))
-    x[:, alpha] = x_red[:, :s]
-    x[:, beta] = x_red[:, s:]
-    if len(gamma):
-        x[:, gamma] = (partition.M.T @ x_red[:, :s].T).T
-    y = np.zeros((d, partition.m))
+    x = np.take(x_red, partition.pos, axis=1)
+    y = np.zeros((x_red.shape[0], partition.m))
     y[:, partition.I_c] = y_red
     return x, y

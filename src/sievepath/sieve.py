@@ -91,9 +91,7 @@ class GammaSystem:
 
     def null_project(self, D):
         """Project block matrix D onto {D : D Jg^T = 0}."""
-        T = np.asarray((self.Jg @ D.T).T)  # D Jg^T
-        S = self._factor.solve(np.ascontiguousarray(T.T))
-        return D - (self._JgT @ S).T
+        return D + self.particular((self.Jg @ D.T).T)
 
 
 def apg_minimize(u0, radii, null_project, cfg=None, track_history=False):
@@ -241,7 +239,7 @@ def _restricted_warm(warm, partition, red):
     nodes = np.concatenate([partition.alpha, partition.beta])
     X = np.ascontiguousarray(x_full[:, nodes])
     Z = np.ascontiguousarray(z_full[:, partition.I_c])
-    return (X, red.apply(X), Z, *warm[2:])
+    return (X, red.inc.apply(X), Z, *warm[2:])
 
 
 def _sieve_loop(inst, cfg, I0, enhanced, warm=None):

@@ -137,15 +137,15 @@ def _newton_point(rng, margin=1e-6):
         X = red.C / red.h + rng.standard_normal(red.C.shape)
         Z = rng.standard_normal((red.C.shape[0], red.m_red))
         tau = red.lam * red.weights / sigma
-        V = red.apply(X) + Z / sigma
+        V = red.inc.apply(X) + Z / sigma
         if np.all(np.abs(column_norms(V) - tau) > margin):
             return red, X, Z, sigma, tau
 
 
 def _grad_psi(red, X, Z, sigma, tau):
     # Pi_tau is the projection onto the tau-balls: V - prox(V)
-    V = red.apply(X) + Z / sigma
-    return red.grad_phi(X) + sigma * red.adjoint(project_columns(V, tau))
+    V = red.inc.apply(X) + Z / sigma
+    return red.grad_phi(X) + sigma * red.inc.adjoint(project_columns(V, tau))
 
 
 def _node_major(D):
@@ -168,7 +168,7 @@ def test_newton_hessian_matches_gradient_differences(monkeypatch):
     rng = np.random.default_rng(11)
     for _ in range(20):
         red, X, Z, sigma, tau = _newton_point(rng)
-        V = red.apply(X) + Z / sigma
+        V = red.inc.apply(X) + Z / sigma
         d = X.shape[0]
         monkeypatch.setattr(admm, "EXACT_ENTRIES", 10**9)
         exact = admm._NewtonSystem(red)
@@ -235,7 +235,7 @@ def test_node_order_is_a_permutation_with_minimum_degree_fill(monkeypatch, budge
 
         sigma = 2.0
         tau = red.lam * red.weights / sigma
-        V = red.apply(red.C / red.h) + 0.5 * rng.standard_normal((d, red.m_red))
+        V = red.inc.apply(red.C / red.h) + 0.5 * rng.standard_normal((d, red.m_red))
         if ns.exact:
             A, per, slack = ns.matrix(V, tau, sigma), d, 1.05
         else:

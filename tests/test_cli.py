@@ -87,6 +87,14 @@ def test_path_manifest_overrides_flags(small_csv, tmp_path):
     assert result.config.mode == "eas"
 
 
+def test_path_manifest_value_of_wrong_type_exit_two(small_csv, tmp_path, capsys):
+    man = tmp_path / "bad.json"
+    man.write_text(json.dumps({"input": str(small_csv), "k": "4", "grid": "2:-1:1"}))
+    rc = main(["path", "--manifest", str(man)])
+    assert rc == 2
+    assert "error:" in capsys.readouterr().err
+
+
 def test_path_requires_input(capsys):
     rc = main(["path"])
     assert rc == 2

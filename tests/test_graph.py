@@ -30,6 +30,13 @@ def partition_invariants(inst, part):
     # every gamma node that M maps to it
     Mc = part.M.tocoo()
     assert np.all(part.alpha[Mc.row] < part.gamma[Mc.col])
+    # reduced columns: alpha roots first, then beta, each gamma node at its
+    # root's column
+    s = len(part.alpha)
+    assert np.array_equal(part.pos[part.alpha], np.arange(s))
+    assert np.array_equal(part.pos[part.beta], s + np.arange(len(part.beta)))
+    assert np.array_equal(part.pos[part.gamma[Mc.col]], Mc.row)
+    assert len(part.pos) == inst.N
 
 
 def test_incidence_apply_adjoint():
@@ -68,10 +75,10 @@ def test_operators_match_sparse_products():
 
         X = rng.standard_normal((d, part.n_reduced))
         Y = rng.standard_normal((d, red.m_red))
-        np.testing.assert_allclose(red.apply(X), X @ Jr, rtol=0, atol=1e-14)
-        np.testing.assert_allclose(red.adjoint(Y), (Jr @ Y.T).T, rtol=0, atol=1e-14)
-        ip = np.sum(red.apply(X) * Y)
-        assert abs(ip - np.sum(X * red.adjoint(Y))) <= 1e-13 * (1.0 + abs(ip))
+        np.testing.assert_allclose(red.inc.apply(X), X @ Jr, rtol=0, atol=1e-14)
+        np.testing.assert_allclose(red.inc.adjoint(Y), (Jr @ Y.T).T, rtol=0, atol=1e-14)
+        ip = np.sum(red.inc.apply(X) * Y)
+        assert abs(ip - np.sum(X * red.inc.adjoint(Y))) <= 1e-13 * (1.0 + abs(ip))
 
         x = rng.standard_normal((d, inst.N))
         z = rng.standard_normal((d, m))
@@ -208,7 +215,7 @@ def test_reduced_objective_matches_full(t1_inst):
         part = build_partition(t1_inst.incidence, I)
         red = reduce_problem(t1_inst, part, 0.7)
         Xr = rng.standard_normal((1, part.n_reduced))
-        x, y = recover_primal(part, Xr, red.apply(Xr))
+        x, y = recover_primal(part, Xr, red.inc.apply(Xr))
         full = primal_objective(t1_inst, 0.7, x)
         assert red.primal_objective(Xr) == pytest.approx(full, abs=1e-10)
 
@@ -221,6 +228,31 @@ def test_recover_primal_exactness(t1_inst):
     assert np.all(BX[:, part.I] == 0.0)
     with pytest.raises(ValueError):
         recover_primal(part, np.zeros((1, 3)), np.zeros((1, 2)))
+
+
+def _embed_through_M(part, x_red):
+    """x_alpha and x_beta in order, x_gamma = x_alpha M."""
+    s = len(part.alpha)
+    x = np.empty((x_red.shape[0], len(part.pos)))
+    x[:, part.alpha] = x_red[:, :s]
+    x[:, part.beta] = x_red[:, s:]
+    if len(part.gamma):
+        x[:, part.gamma] = (part.M.T @ x_red[:, :s].T).T
+    return x
+
+
+def test_recover_primal_is_the_M_embedding_bitwise():
+    rng = np.random.default_rng(6)
+    for trial in range(30):
+        inst = random_instance(rng)
+        m = inst.m_blocks
+        size = [0, m][trial] if trial < 2 else int(rng.integers(0, m + 1))
+        part = build_partition(inst.incidence, rng.choice(m, size=size, replace=False))
+        x_red = rng.standard_normal((inst.d, part.n_reduced))
+        y_red = rng.standard_normal((inst.d, m - size))
+        x, y = recover_primal(part, x_red, y_red)
+        assert x.tobytes() == _embed_through_M(part, x_red).tobytes()
+        assert np.array_equal(y[:, part.I_c], y_red) and not y[:, part.I].any()
 
 
 def test_recover_primal_identity_embedding(t1_inst):

@@ -109,6 +109,28 @@ def test_manifest_rejects_unknown_field():
         RunManifest.from_json('{"k": 3, "bogus": 1}')
 
 
+@pytest.mark.parametrize("text, match", [
+    ('["k", "eps"]', "must be a JSON object"),
+    ('{"k": "4"}', "field 'k' must be int"),
+    ('{"k": true}', "field 'k' must be int"),
+    ('{"k": 4.0}', "field 'k' must be int"),
+    ('{"k": null}', "field 'k' must be int"),
+    ('{"eps": "1e-6"}', "field 'eps' must be float"),
+    ('{"eps": false}', "field 'eps' must be float"),
+    ('{"grid": 5}', "field 'grid' must be str"),
+    ('{"mode": null}', "field 'mode' must be str"),
+    ('{"input": 3}', "field 'input' must be str"),
+])
+def test_manifest_rejects_wrong_value_type(text, match):
+    with pytest.raises(DataError, match=match):
+        RunManifest.from_json(text)
+
+
+def test_manifest_float_takes_int_and_null_only_where_default_is_none():
+    m = RunManifest.from_json('{"eps": 1, "admm_tol": null, "input": null, "k": 4}')
+    assert (m.eps, m.admm_tol, m.input, m.k) == (1, None, None, 4)
+
+
 # --------------------------------------------------------------------- labels
 
 
