@@ -26,7 +26,8 @@ def _add_common_solver_flags(p):
                    help="cap on the subsolver's Newton steps per solve (default 50000)")
     p.add_argument("--admm-tol", type=float, default=None,
                    help="override the subsolver tolerance (default: derived from eps)")
-    p.add_argument("--apg-maxiter", type=int, default=10)
+    p.add_argument("--apg-maxiter", type=int, default=ApgConfig().maxiter,
+                   help="cap on the dual-recovery APG steps per call (default %(default)s)")
 
 
 def build_parser():

@@ -6,6 +6,8 @@ from dataclasses import dataclass, asdict, field
 
 import numpy as np
 
+from .sieve import ApgConfig
+
 
 class DataError(ValueError):
     pass
@@ -110,7 +112,7 @@ class RunManifest:
     sigma: float = 1.0
     admm_max_iter: int = 50000
     admm_tol: float = None
-    apg_maxiter: int = 10
+    apg_maxiter: int = ApgConfig().maxiter
     outdir: str = None
     seed: int = 0
 

@@ -2,8 +2,9 @@
 
 The sieve guesses an index set I of zero blocks, solves the reduced problem,
 recovers a full-space dual candidate u (minimum-violation choice via an
-accelerated projected-gradient refinement on the null space of B_{I gamma}^T),
-and removes the blocks whose dual certificate lands outside its subdifferential
+accelerated projected-gradient refinement on the null space of B_{I gamma}^T,
+which stops as soon as u is within the APG tolerance of the balls on I), and
+removes the blocks whose dual certificate lands outside its subdifferential
 ball. The enhanced variant additionally tries to certify optimality on the
 enlarged zero set of the current iterate once the objective stalls, which can
 stop the loop before the plain violation test would.
@@ -42,7 +43,7 @@ class SieveLimitError(RuntimeError):
 @dataclass
 class ApgConfig:
     eps: float = None  # falls back to half the caller's outer tolerance
-    maxiter: int = 10
+    maxiter: int = 30
 
 
 @dataclass
@@ -100,9 +101,13 @@ def apg_minimize(u0, radii, null_project, cfg=None, track_history=False):
     Minimizes h(d) = 0.5 * dist^2(u0 + d, K) over the null space handled by
     ``null_project``, where K is the product of balls with the given radii.
     The gradient (u0 + d) - Pi_K(u0 + d) is 1-Lipschitz, so the unit step
-    needs no line search. Stops when both the iterate movement and the
-    distance to K fall below cfg.eps, or at cfg.maxiter; non-convergence is
-    a normal outcome meaning the current index set is wrong.
+    needs no line search. Stops at the first step whose distance to K is
+    at most cfg.eps, the one quantity certification reads: on I the
+    recovered primal is zero, so that distance is the I-part of the KKT
+    residual, and further steps could only move the iterate. Also stops
+    when h plateaus above that level, or at cfg.maxiter; non-convergence is
+    a normal outcome meaning the current index set is wrong. With
+    cfg.maxiter = 0 it takes no step and reports h(0).
     """
     cfg = cfg or ApgConfig()
     eps = 1e-6 if cfg.eps is None else float(cfg.eps)
@@ -118,22 +123,28 @@ def apg_minimize(u0, radii, null_project, cfg=None, track_history=False):
         grad = v - project_columns(v, radii)
         d_prev, h_prev = d, h_val
         d = null_project(d_hat - grad)
-        resid = u0 + d
-        resid = resid - project_columns(resid, radii)
-        dist = frobenius_norm(resid)
+        dist = _ball_distance(u0 + d, radii)
         h_val = 0.5 * dist * dist
         if track_history:
             history.append(h_val)
-        if max(frobenius_norm(d - d_prev), dist) <= eps:
+        if dist <= eps:
             converged = True
             break
         # plateauing above the certifiable level cannot recover; bail out
-        if eps > 0.0 and k >= 3 and h_val > 0.5 * eps * eps and h_val > 0.999 * h_prev:
+        if eps > 0.0 and k >= 3 and h_val > 0.999 * h_prev:
             break
         t_next = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * t * t))
         d_hat = d + ((t - 1.0) / t_next) * (d - d_prev)
         t = t_next
-    return ApgResult(d, k, h_val if h_val is not np.inf else 0.0, converged, history)
+    if k == 0:
+        dist = _ball_distance(u0, radii)
+        h_val, converged = 0.5 * dist * dist, dist <= eps
+    return ApgResult(d, k, h_val, converged, history)
+
+
+def _ball_distance(v, radii):
+    """dist(v, K) for K the product of column balls with the given radii."""
+    return frobenius_norm(v - project_columns(v, radii))
 
 
 def recover_dual(inst, lam, partition, sub, apg_cfg=None, x_bar=None):

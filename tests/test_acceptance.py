@@ -261,8 +261,10 @@ def test_criterion_6_sieving_speedup(
             for n, as_, direct in ((500, path500_as, path500_direct),
                                    (1000, path1000_as, path1000_direct))
         )
+        rounds = ", ".join(f"n={n} {as_.total_rounds}"
+                           for n, as_ in ((500, path500_as), (1000, path1000_as)))
         info["detail"] = (f"time ratios: n=500 {r500:.2f}, n=1000 {r1000:.2f} (<= 0.70); "
-                          f"Newton steps as/direct: {steps}")
+                          f"Newton steps as/direct: {steps}; as sieve rounds: {rounds}")
 
 
 def test_criterion_7_reduction_magnitude(path1000_as, moons1000, tmp_path, capsys):

@@ -3,8 +3,8 @@ import json
 import numpy as np
 import pytest
 
-from sievepath import RunManifest, load_matrix, load_path_state
-from sievepath.cli import main
+from sievepath import ApgConfig, RunManifest, load_matrix, load_path_state
+from sievepath.cli import _path_config, build_parser, main
 
 
 @pytest.fixture()
@@ -143,3 +143,12 @@ def test_solver_error_exit_one(small_csv, monkeypatch, capsys):
     rc = main(["solve", "--input", str(small_csv), "--lam", "2.0", "--k", "5"])
     assert rc == 1
     assert "FAILED: SingularSystemError" in capsys.readouterr().err
+
+
+def test_apg_budget_has_one_default():
+    """The CLI flag, the manifest field and the library share ApgConfig's
+    budget; a saved manifest that names another budget keeps it."""
+    args = build_parser().parse_args(["path"])
+    assert args.apg_maxiter == RunManifest().apg_maxiter == ApgConfig().maxiter
+    old = RunManifest.from_json('{"apg_maxiter": 10}')
+    assert _path_config(old, [1.0]).apg.maxiter == 10

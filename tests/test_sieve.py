@@ -151,6 +151,37 @@ def test_apg_eps_zero_runs_full_budget():
     assert not res.converged
 
 
+def test_apg_stops_at_first_step_inside_the_balls():
+    """Two blocks with a fixed sum, feasible only on an interval of width
+    0.1: the iterate enters K at step 5 and momentum carries it out again
+    at step 6. The exit reads the distance alone, so the returned point is
+    the one inside K."""
+    u0 = np.array([[-1.0, 3.2]])
+    radii = np.array([1.8, 0.5])
+    P = np.eye(2) - 0.5  # projector onto {D : D[:, 0] + D[:, 1] = 0}
+    eps = 1e-6
+    res = apg_minimize(u0, radii, lambda D: D @ P, ApgConfig(eps=eps), track_history=True)
+    assert res.converged
+    dists = np.sqrt(2.0 * np.array(res.history))
+    assert res.iterations == 5
+    assert np.all(dists[:-1] > eps) and dists[-1] <= eps
+    v = u0 + res.d
+    assert np.all(column_norms(v) <= radii + eps)
+    assert np.allclose(v @ np.ones(2), u0 @ np.ones(2), atol=1e-12)
+
+
+def test_apg_zero_budget_reports_distance_of_start():
+    u0 = np.array([[10.0]])
+    radii = np.array([1.0])
+    res = apg_minimize(u0, radii, lambda D: D, ApgConfig(maxiter=0))
+    assert res.iterations == 0
+    assert res.objective == pytest.approx(0.5 * 9.0**2)
+    assert not res.converged
+    assert np.all(res.d == 0.0)
+    inside = apg_minimize(0.1 * u0, radii, lambda D: D, ApgConfig(maxiter=0))
+    assert inside.converged and inside.objective == 0.0
+
+
 # --------------------------------------------------------------- violation_set
 
 
