@@ -8,13 +8,16 @@ scaled by tau = lam * w / sigma, by a semismooth Newton method. Its
 generalised Hessian has the sparsity of the graph with a d x d block per
 pair of adjacent nodes: a small one is assembled and factorized by SuperLU
 at every Newton step; a large one is only applied, and scipy's conjugate
-gradients, preconditioned by a factorized n x n graph matrix, solve the
-Newton system, so that memory and work per step grow linearly in d. The
-pattern is fixed within a subsolve, so one fill-reducing node order is
-computed when the subsolve starts and every factorization of it reuses that
-order. The multiplier step Z = sigma * Pi_tau(V) keeps Z inside the dual
-balls, so Y = prox(Y + Z) holds exactly and the reduced KKT residual is the
-inner gradient plus the primal infeasibility. Warm starts carry sigma over
+gradients, preconditioned by a factorized n x n graph matrix L, solve the
+Newton system, so that memory and work per step grow linearly in d. Within
+one inner solve later Newton steps reuse the factors of L until the CG
+steps this costs, weighted by d, would pay for a new factorization
+(REUSE_WEIGHT; every d > 8 factors at every step). The pattern is fixed
+within a subsolve, so one fill-reducing node order is computed when the
+subsolve starts and every factorization of it reuses that order. The
+multiplier step Z = sigma * Pi_tau(V) keeps Z inside the dual balls, so
+Y = prox(Y + Z) holds exactly and the reduced KKT residual is the inner
+gradient plus the primal infeasibility. Warm starts carry sigma over
 from the solve they resume. Convergence is declared on the reduced KKT
 residual, which matches the full-space residual contribution of the
 retained blocks after recovery.
@@ -53,6 +56,13 @@ PSI_ROUNDOFF = 1e-15
 EXACT_ENTRIES = 50_000
 ASSEMBLY_ENTRIES = 1_000_000
 MAX_CG = 500  # conjugate-gradient steps per Newton direction
+# _newton factors L afresh once (excess + 1) * d > REUSE_WEIGHT, excess being
+# the extra CG steps that reused factors have cost. The factors serve all d
+# columns, and a CG step costs about d times a d = 1 step: at N = 1000 one
+# factorization of L takes about 1.3 ms and one d = 2 CG step 0.15 ms. On
+# N = 1000 moons direct paths reuse paid at d = 2 and 5, was about even at
+# d = 10 and lost at d = 20; every d > REUSE_WEIGHT refactors at every step.
+REUSE_WEIGHT = 8
 
 
 class SingularSystemError(RuntimeError):
@@ -75,7 +85,9 @@ class AdmmConfig:
 @dataclass
 class SubSolution:
     """Reduced-space solution triple plus solver diagnostics; iterations
-    counts Newton steps."""
+    counts Newton steps, cg_steps their conjugate-gradient steps and
+    factorizations the SuperLU factorizations of Newton or preconditioner
+    matrices (the order probe not included)."""
 
     x_red: np.ndarray
     y_red: np.ndarray
@@ -85,6 +97,8 @@ class SubSolution:
     kkt_red: float
     gap: float
     sigma: float
+    cg_steps: int = 0
+    factorizations: int = 0
 
     def warm_start(self):
         """(X, Y, Z, sigma) to restart the subsolver where this solve stopped."""
@@ -122,7 +136,9 @@ class _NewtonSystem:
     products apply it in O(m d), and scipy's conjugate gradients solve the
     Newton system preconditioned by L (x) I_d, whose factorization keeps the
     graph's sparsity and serves all d columns; H <= L (x) I_d, and the two
-    differ by one rank-one term per edge.
+    differ by one rank-one term per edge. Factors of L at an earlier point
+    precondition as well, so the caller may pass them back (_newton's reuse
+    rule); the system itself keeps no factors.
 
     Both are built once, in one fill-reducing order of the n nodes
     (_node_order), node order[p] in place p, so SuperLU factors them as
@@ -214,27 +230,37 @@ class _NewtonSystem:
 
         return apply, L
 
-    def direction(self, V, tau, sigma, grad, rtol):
-        """Newton direction, H dX = -grad: exact, or by PCG until the
-        residual is at most rtol * ||grad||; any CG iterate is a descent
-        direction. Only the right-hand side and the result are permuted."""
+    def direction(self, V, tau, sigma, grad, rtol, lu=None):
+        """Newton direction, H dX = -grad, as (dX, lu, cg).
+
+        Exact mode factors H and solves it; lu is None and cg 0. Operator
+        mode runs PCG until the residual is at most rtol * ||grad||,
+        preconditioned by lu, factors of L at an earlier point of the same
+        inner solve, or by L factored here when lu is None; it returns the
+        factors it used and its CG steps. Any SPD preconditioner keeps every
+        CG iterate a descent direction. Only the right-hand side and the
+        result are permuted."""
         r = -grad.T[self.order]
         if self.exact:
             lu = _factor(self.matrix(V, tau, sigma))
             x = lu.solve(r.ravel()).reshape(r.shape)
+            lu, cg = None, 0
         else:
             hess, L = self.operator(V, tau, sigma)
-            lu = _factor(L)
+            if lu is None:
+                lu = _factor(L)
             # cg works on the flattened node-major vector
             H = sp.linalg.LinearOperator((r.size, r.size), dtype=np.float64,
                                          matvec=lambda p: hess(p.reshape(r.shape)).ravel())
             P = sp.linalg.LinearOperator((r.size, r.size), dtype=np.float64,
                                          matvec=lambda p: lu.solve(p.reshape(r.shape)).ravel())
-            x, _ = sp.linalg.cg(H, r.ravel(), rtol=rtol, maxiter=MAX_CG, M=P)
-            x = x.reshape(r.shape)
+            iterates = []  # cg calls back once per step
+            x, _ = sp.linalg.cg(H, r.ravel(), rtol=rtol, maxiter=MAX_CG, M=P,
+                                callback=iterates.append)
+            x, cg = x.reshape(r.shape), len(iterates)
         dX = np.empty_like(grad)
         dX[:, self.order] = x.T
-        return dX
+        return dX, lu, cg
 
 
 def _pattern(rows, cols, n):
@@ -282,18 +308,34 @@ def _factor(A):
 def _newton(ns, X, Z, sigma, gtol, max_steps):
     """Semismooth Newton on Psi from X until ||grad Psi|| <= gtol.
 
-    Returns (X, V, grad, steps, stalled); stalled means no step along the
-    Newton direction was acceptable, i.e. round-off ended the descent.
+    Returns (X, V, grad, steps, stalled, cg_steps, factorizations); stalled
+    means no step along the Newton direction was acceptable, i.e. round-off
+    ended the descent. In operator mode the factors of L from the first step
+    precondition the later ones: each direction that reuses them adds the CG
+    steps it took beyond c0, the count of the direction that factored them,
+    to an excess, and the next step factors L afresh once (excess + 1) * d >
+    REUSE_WEIGHT. The factors live only in this call.
     """
     red = ns.red
+    d = red.C.shape[0]
     tau = (red.lam / sigma) * red.weights
     V = red.inc.apply(X) + Z / sigma
     psi, grad = ns.psi_grad(X, V, tau, sigma)
     gnorm = float(np.linalg.norm(grad))
-    steps = 0
+    steps = cg_steps = factorizations = 0
+    lu = None
     while gnorm > gtol and steps < max_steps:
+        if lu is not None and (excess + 1) * d > REUSE_WEIGHT:
+            lu = None
+        fresh = lu is None
         # forcing term min(0.1, ||grad||^0.5): superlinear once ||grad|| is small
-        dX = ns.direction(V, tau, sigma, grad, min(0.1, np.sqrt(gnorm)))
+        dX, lu, cg = ns.direction(V, tau, sigma, grad, min(0.1, np.sqrt(gnorm)), lu)
+        if fresh:
+            c0, excess = cg, 0
+        else:
+            excess += max(0, cg - c0)
+        cg_steps += cg
+        factorizations += fresh
         dV = red.inc.apply(dX)
         slope = float(np.dot(grad.ravel(), dX.ravel()))
         alpha = 1.0
@@ -308,10 +350,10 @@ def _newton(ns, X, Z, sigma, gtol, max_steps):
                 break
             alpha *= 0.5
         else:
-            return X, V, grad, steps, True
+            return X, V, grad, steps, True, cg_steps, factorizations
         X, V, psi, grad, gnorm = X_t, V_t, psi_t, grad_t, gnorm_t
         steps += 1
-    return X, V, grad, steps, False
+    return X, V, grad, steps, False, cg_steps, factorizations
 
 
 def solve_reduced_admm(red, tol, config=None, warm=None):
@@ -344,7 +386,7 @@ def solve_reduced_admm(red, tol, config=None, warm=None):
     lw = red.lam * red.weights
     kkt = reduced_kkt_residual(red, X, Y, Z)
     gap = _relative_gap(red, X, Z) if kkt <= tol else np.inf
-    steps = 0
+    steps = cg_steps = factorizations = 0
     pinf_prev = np.inf
     best = kkt
     for _ in range(MAX_OUTER):
@@ -352,8 +394,9 @@ def solve_reduced_admm(red, tol, config=None, warm=None):
             break
         # the inner solve only needs to outpace the infeasibility it leaves
         gtol = max(0.5 * tol, min(0.1 * pinf_prev, 1.0))
-        X, V, grad, n, stalled = _newton(ns, X, Z, sigma, gtol, cfg.max_iter - steps)
-        steps += n
+        X, V, grad, n, stalled, cg, factored = _newton(ns, X, Z, sigma, gtol,
+                                                       cfg.max_iter - steps)
+        steps, cg_steps, factorizations = steps + n, cg_steps + cg, factorizations + factored
         Y = prox_columns(V, lw / sigma)
         Z = sigma * (V - Y)
         R = red.inc.apply(X) - Y
@@ -375,7 +418,7 @@ def solve_reduced_admm(red, tol, config=None, warm=None):
             "SSNAL stopped after %d Newton steps with residual %.3e, gap %.3e > tol %.3e",
             steps, kkt, gap, tol,
         )
-    return SubSolution(X, Y, Z, steps, converged, kkt, gap, sigma)
+    return SubSolution(X, Y, Z, steps, converged, kkt, gap, sigma, cg_steps, factorizations)
 
 
 def solve_full(inst, lam, tol, config=None, warm=None):

@@ -53,7 +53,7 @@ def build_parser():
     p_path.add_argument("--grid", default="10:-0.2:1",
                         help="lambda grid 'start:step:stop' or comma list")
     p_path.add_argument("--out", help="report output directory")
-    p_path.add_argument("--state", help="also save the solved path state here")
+    p_path.add_argument("--state", help="also save the solved path state here (an .npz archive)")
     p_path.add_argument("--manifest", help="JSON manifest; overrides other flags")
     p_path.add_argument("--save-manifest", help="write the effective manifest here")
     _add_common_solver_flags(p_path)

@@ -9,6 +9,7 @@ are Frobenius; residuals of stacked blocks use the Euclidean norm of the
 concatenation.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -224,7 +225,17 @@ class SolveConfig:
     apg: object = None  # ApgConfig, None for defaults
 
     def __post_init__(self):
+        if not math.isfinite(self.lam):
+            raise ValueError("lam must be finite")
         if self.lam <= 0.0:
             raise ValueError("lam must be positive")
-        if self.eps <= 0.0 or self.eps_hat <= 0.0:
-            raise ValueError("tolerances must be positive")
+        check_tolerances(self.eps, self.eps_hat)
+
+
+def check_tolerances(eps, eps_hat):
+    """eps and eps_hat must be finite and positive: a NaN passes every
+    comparison and would reach the solver."""
+    if not (math.isfinite(eps) and math.isfinite(eps_hat)):
+        raise ValueError("tolerances must be finite")
+    if eps <= 0.0 or eps_hat <= 0.0:
+        raise ValueError("tolerances must be positive")

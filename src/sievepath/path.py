@@ -16,7 +16,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .admm import AdmmConfig, SingularSystemError, solve_full
-from .model import InfeasibleDualError, SolveConfig, fused_blocks, primal_objective
+from .model import (InfeasibleDualError, SolveConfig, check_tolerances, fused_blocks,
+                    primal_objective)
 from .sieve import SieveLimitError, as_solve, eas_solve
 
 log = logging.getLogger(__name__)
@@ -72,8 +73,11 @@ class PathConfig:
         self.lambdas = np.asarray(self.lambdas, dtype=np.float64)
         if len(self.lambdas) == 0:
             raise ValueError("lambda grid is empty")
+        if not np.all(np.isfinite(self.lambdas)):
+            raise ValueError("lambdas must be finite")
         if np.any(self.lambdas <= 0):
             raise ValueError("lambdas must be positive")
+        check_tolerances(self.eps, self.eps_hat)
         if len(self.lambdas) > 1 and np.any(np.diff(self.lambdas) >= 0):
             raise ValueError("lambdas must be strictly decreasing")
         if self.mode not in MODES:
@@ -97,6 +101,8 @@ class LambdaRecord:
     num_fused: int
     error: str = None
     newton_steps: int = 0  # of every subsolve of this lambda
+    cg_steps: int = 0  # likewise
+    factorizations: int = 0  # likewise; SuperLU, order probes not counted
 
 
 @dataclass
@@ -121,6 +127,14 @@ class PathResult:
     def total_newton_steps(self):
         return sum(r.newton_steps for r in self.records)
 
+    @property
+    def total_cg_steps(self):
+        return sum(r.cg_steps for r in self.records)
+
+    @property
+    def total_factorizations(self):
+        return sum(r.factorizations for r in self.records)
+
     def summary(self):
         n = len(self.records)
         return {
@@ -133,6 +147,8 @@ class PathResult:
             "eps_hat": self.config.eps_hat,
             "total_rounds": self.total_rounds,
             "total_newton_steps": self.total_newton_steps,
+            "total_cg_steps": self.total_cg_steps,
+            "total_factorizations": self.total_factorizations,
             "average_rounds": self.total_rounds / n if n else 0.0,
             "average_reduced_n": (
                 float(np.mean([r.avg_reduced_n for r in self.records])) if n else 0.0
@@ -191,11 +207,16 @@ def solve_path(inst, pcfg=None):
         # a sieve run, certified or out of rounds, reports its own rounds; a
         # direct solve is one full-size round; a solve that raised has none
         if state is not None and state.records:
-            rounds, steps = state.round, state.newton_steps
+            rounds = state.round
+            work = {"newton_steps": state.newton_steps, "cg_steps": state.cg_steps,
+                    "factorizations": state.factorizations}
             avg_n = float(np.mean([r["n_reduced"] for r in state.records]))
             avg_m = float(np.mean([r["m_reduced"] for r in state.records]))
         else:
-            rounds, steps = (1, sub.iterations) if sub is not None else (0, 0)
+            rounds, work = 0, {}
+            if sub is not None:
+                rounds, work = 1, {"newton_steps": sub.iterations, "cg_steps": sub.cg_steps,
+                                   "factorizations": sub.factorizations}
             avg_n, avg_m = float(inst.N), float(m)
 
         residual = gap = objective = np.inf
@@ -216,6 +237,6 @@ def solve_path(inst, pcfg=None):
             lam=cfg.lam, triple=triple, converged=triple is not None, rounds=rounds,
             avg_reduced_n=avg_n, avg_reduced_m=avg_m, residual=residual, gap=gap,
             objective=objective, seconds=seconds, num_fused=num_fused,
-            error=error, newton_steps=steps,
+            error=error, **work,
         ))
     return result

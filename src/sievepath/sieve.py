@@ -64,6 +64,8 @@ class SieveState:
     certified_early: bool = False
     records: list = field(default_factory=list)
     newton_steps: int = 0  # of every subsolve, retightenings included
+    cg_steps: int = 0  # likewise
+    factorizations: int = 0  # likewise
 
 
 class GammaSystem:
@@ -284,6 +286,8 @@ def _sieve_loop(inst, cfg, I0, enhanced, warm=None):
         for attempt in range(4):
             sub = solve_reduced_admm(red, tol_cur, admm_cfg, warm=warm_red)
             state.newton_steps += sub.iterations
+            state.cg_steps += sub.cg_steps
+            state.factorizations += sub.factorizations
             x_bar, y_bar = recover_primal(partition, sub.x_red, sub.y_red)
             F_val = primal_objective(inst, lam, x_bar)
             state.sub = sub

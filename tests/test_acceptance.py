@@ -263,8 +263,13 @@ def test_criterion_6_sieving_speedup(
         )
         rounds = ", ".join(f"n={n} {as_.total_rounds}"
                            for n, as_ in ((500, path500_as), (1000, path1000_as)))
+        work = ", ".join(
+            f"n={n} {direct.total_cg_steps}/{direct.total_factorizations}"
+            for n, direct in ((500, path500_direct), (1000, path1000_direct))
+        )
         info["detail"] = (f"time ratios: n=500 {r500:.2f}, n=1000 {r1000:.2f} (<= 0.70); "
-                          f"Newton steps as/direct: {steps}; as sieve rounds: {rounds}")
+                          f"Newton steps as/direct: {steps}; as sieve rounds: {rounds}; "
+                          f"direct CG steps/factorizations: {work}")
 
 
 def test_criterion_7_reduction_magnitude(path1000_as, moons1000, tmp_path, capsys):

@@ -3,7 +3,9 @@ import pytest
 
 from sievepath import (
     AdmmConfig,
+    build_knn_graph,
     build_partition,
+    gen_two_half_moons,
     reduce_problem,
     reduced_kkt_residual,
     solve_full,
@@ -194,12 +196,14 @@ def test_newton_hessian_matches_gradient_differences(monkeypatch):
 
         G = _grad_psi(red, X, Z, sigma, tau)
         scale = 1.0 + np.abs(G).max()
-        dX = exact.direction(V, tau, sigma, G, 0.1)
+        dX, lu, cg = exact.direction(V, tau, sigma, G, 0.1)
+        assert lu is None and cg == 0
         assert np.allclose(H @ _node_major(dX), -_node_major(G), rtol=0, atol=1e-9 * scale)
-        dX = operator.direction(V, tau, sigma, G, 1e-12)
+        dX, lu, cg = operator.direction(V, tau, sigma, G, 1e-12)
+        assert lu is not None and cg > 0
         assert np.allclose(H @ _node_major(dX), -_node_major(G), rtol=0, atol=1e-9 * scale)
         # a loose PCG solve stops at its tolerance and still descends
-        dX = operator.direction(V, tau, sigma, G, 0.5)
+        dX, _, _ = operator.direction(V, tau, sigma, G, 0.5)
         res = np.linalg.norm(H @ _node_major(dX) + _node_major(G))
         assert res <= 0.5 * np.linalg.norm(G)
         assert np.vdot(G, dX) < 0.0
@@ -248,7 +252,11 @@ def test_node_order_is_a_permutation_with_minimum_degree_fill(monkeypatch, budge
 
 def test_one_order_per_subsolve_and_one_factorization_per_newton_step(monkeypatch):
     """A subsolve asks SuperLU for a minimum-degree order once, for its
-    order probe, and factors one Newton matrix per Newton step in it."""
+    order probe, and factors in it: the assembled branch one Newton matrix
+    per Newton step; the operator branch L at least once per inner solve
+    and, at d = 2, at fewer Newton steps than it takes, unless REUSE_WEIGHT
+    is 0, which refactors at every step. SubSolution.factorizations counts
+    the factorizations, not the probe."""
     import scipy.sparse.linalg as spla
 
     specs = []
@@ -259,17 +267,100 @@ def test_one_order_per_subsolve_and_one_factorization_per_newton_step(monkeypatc
         return splu(A, permc_spec=permc_spec, **kwargs)
 
     monkeypatch.setattr(spla, "splu", counting)
-    rng = np.random.default_rng(3)
-    for budget in (10**9, 0):
+    newton = admm._newton
+    inner = []  # (directions, factorizations) of every inner solve
+
+    def recording(*args):
+        out = newton(*args)
+        inner.append((out[3] + out[4], out[6]))
+        return out
+
+    monkeypatch.setattr(admm, "_newton", recording)
+    for budget, weight in ((10**9, admm.REUSE_WEIGHT), (0, admm.REUSE_WEIGHT), (0, 0)):
         monkeypatch.setattr(admm, "EXACT_ENTRIES", budget)
-        inst = random_instance(rng, N=30, d=2, k=4)
+        monkeypatch.setattr(admm, "REUSE_WEIGHT", weight)
+        inst = random_instance(np.random.default_rng(3), N=30, d=2, k=4)
         red = reduce_problem(inst, build_partition(inst.incidence, []), 0.4)
         specs.clear()
+        inner.clear()
         sub = solve_reduced_admm(red, tol=1e-8)
         assert sub.converged and sub.iterations > 0
         assert specs.count("MMD_AT_PLUS_A") == 1
-        assert specs.count("NATURAL") == sub.iterations
-        assert len(specs) == sub.iterations + 1
+        assert len(specs) == sub.factorizations + 1
+        assert specs.count("NATURAL") == sub.factorizations
+        assert sum(f for _, f in inner) == sub.factorizations
+        if budget and weight:
+            assert sub.factorizations == sub.iterations and sub.cg_steps == 0
+        elif weight:
+            assert all(f >= 1 for n, f in inner if n > 0)
+            assert sub.factorizations < sub.iterations
+        else:
+            assert sub.factorizations == sub.iterations
+        if not budget:
+            assert sub.cg_steps >= sub.iterations
+
+
+def test_preconditioner_is_refactored_once_extra_cg_steps_outweigh_it(monkeypatch):
+    """Replayed on the CG counts of every inner solve: the first direction
+    factors L; each later one reuses the factors until (excess + 1) * d
+    exceeds REUSE_WEIGHT, excess summing the CG steps of reusing directions
+    beyond the count of the direction that factored them."""
+    solves = []
+    direction, newton = admm._NewtonSystem.direction, admm._newton
+
+    def recording(self, V, tau, sigma, grad, rtol, lu=None):
+        out = direction(self, V, tau, sigma, grad, rtol, lu)
+        solves[-1].append((lu is None, out[2]))
+        return out
+
+    def per_solve(*args):
+        solves.append([])
+        return newton(*args)
+
+    monkeypatch.setattr(admm._NewtonSystem, "direction", recording)
+    monkeypatch.setattr(admm, "_newton", per_solve)
+    monkeypatch.setattr(admm, "EXACT_ENTRIES", 0)
+    inst = build_knn_graph(gen_two_half_moons(100, 0.1, 0), k=5)
+    red = reduce_problem(inst, build_partition(inst.incidence, []), 1.0)
+    refreshed = 0
+    for weight in (2, admm.REUSE_WEIGHT):
+        monkeypatch.setattr(admm, "REUSE_WEIGHT", weight)
+        solves.clear()
+        assert solve_reduced_admm(red, tol=1e-8).converged
+        for calls in filter(None, solves):
+            assert calls[0][0]
+            c0, excess = calls[0][1], 0
+            for fresh, cg in calls[1:]:
+                assert fresh == ((excess + 1) * inst.d > weight)
+                c0, excess = (cg, 0) if fresh else (c0, excess + max(0, cg - c0))
+                refreshed += fresh
+    assert refreshed > 0
+
+
+def test_reused_factors_still_give_a_descent_direction(monkeypatch):
+    """A direction preconditioned by the factors of L at an earlier Newton
+    point still solves H dX = -grad to rtol and descends."""
+    rng = np.random.default_rng(31)
+    for _ in range(10):
+        red, X, Z, sigma, tau = _newton_point(rng)
+        monkeypatch.setattr(admm, "EXACT_ENTRIES", 10**9)
+        exact = admm._NewtonSystem(red)
+        monkeypatch.setattr(admm, "EXACT_ENTRIES", 0)
+        operator = admm._NewtonSystem(red)
+        V = red.inc.apply(X) + Z / sigma
+        G = _grad_psi(red, X, Z, sigma, tau)
+        _, lu, _ = operator.direction(V, tau, sigma, G, 0.1)
+
+        X1 = X + 0.5 * rng.standard_normal(X.shape)
+        V1 = red.inc.apply(X1) + Z / sigma
+        G1 = _grad_psi(red, X1, Z, sigma, tau)
+        H1 = _unpermute(exact.matrix(V1, tau, sigma).toarray(), exact.order, X.shape[0])
+        for rtol in (0.5, 0.1, 1e-6):
+            dX, kept, _ = operator.direction(V1, tau, sigma, G1, rtol, lu)
+            assert kept is lu
+            res = np.linalg.norm(H1 @ _node_major(dX) + _node_major(G1))
+            assert res <= rtol * np.linalg.norm(G1)
+            assert np.vdot(G1, dX) < 0.0
 
 
 @pytest.mark.parametrize("budget", [10**9, 0], ids=["exact", "operator"])
@@ -281,7 +372,7 @@ def test_newton_steps_never_increase_psi(monkeypatch, budget):
         ns = admm._NewtonSystem(red)
         values = []
         for k in range(12):
-            X, V, _, steps, _ = admm._newton(ns, X0, Z, sigma, 0.0, k)
+            X, V, _, steps, *_ = admm._newton(ns, X0, Z, sigma, 0.0, k)
             values.append(ns.psi_grad(X, V, tau, sigma)[0])
             if steps < k:
                 break  # stalled at round-off: later calls repeat this point
@@ -289,16 +380,19 @@ def test_newton_steps_never_increase_psi(monkeypatch, budget):
         assert np.all(np.diff(values) <= 1e-13 * np.abs(values[:-1]))
 
 
+def _moons_in_20_dimensions():
+    """50 moons points rotated into d = 20 dimensions plus 0.02 noise."""
+    rng = np.random.default_rng(5)
+    Q, _ = np.linalg.qr(rng.standard_normal((20, 20)))
+    A = Q[:, :2] @ gen_two_half_moons(50, noise=0.1, seed=3)
+    return build_knn_graph(A + 0.02 * rng.standard_normal(A.shape), k=5)
+
+
 def test_high_dimension_solves_without_forming_the_hessian(monkeypatch):
     """With d = 20 features the Newton matrix would store 4 m d^2 entries;
     the default budget sends the solve to the operator, which certifies the
     same solution as the assembled matrix does."""
-    from sievepath import build_knn_graph, gen_two_half_moons
-
-    rng = np.random.default_rng(5)
-    Q, _ = np.linalg.qr(rng.standard_normal((20, 20)))
-    A = Q[:, :2] @ gen_two_half_moons(50, noise=0.1, seed=3)
-    inst = build_knn_graph(A + 0.02 * rng.standard_normal(A.shape), k=5)
+    inst = _moons_in_20_dimensions()
     red = reduce_problem(inst, build_partition(inst.incidence, []), 0.5)
     assert not admm._NewtonSystem(red).exact
 
@@ -309,6 +403,20 @@ def test_high_dimension_solves_without_forming_the_hessian(monkeypatch):
     assert ref_sub.converged
     F, F_ref = primal_objective(inst, 0.5, triple.x), primal_objective(inst, 0.5, ref.x)
     assert abs(F - F_ref) <= 1e-9 * abs(F_ref)
+
+
+def test_high_dimension_never_reuses_the_preconditioner(monkeypatch):
+    """At d = 20 > REUSE_WEIGHT every Newton step factors L afresh, so the
+    solve is bit for bit the one that never reuses factors."""
+    inst = _moons_in_20_dimensions()
+    assert inst.d > admm.REUSE_WEIGHT
+    triple, sub = solve_full(inst, 0.5, tol=1e-9)
+    monkeypatch.setattr(admm, "REUSE_WEIGHT", 0)
+    ref, ref_sub = solve_full(inst, 0.5, tol=1e-9)
+    assert sub.factorizations == sub.iterations == ref_sub.iterations
+    assert sub.cg_steps == ref_sub.cg_steps
+    assert triple.x.tobytes() == ref.x.tobytes()
+    assert triple.z.tobytes() == ref.z.tobytes()
 
 
 def test_parallel_edges_share_a_block_but_not_an_assembly_slot(monkeypatch):

@@ -30,7 +30,7 @@ def test_solve_certified_exit_zero(small_csv, capsys):
 
 def test_solve_modes_available(small_csv, tmp_path, capsys):
     """solve --lam L is the path --grid L: same residual and rounds."""
-    state = tmp_path / "s.pkl"
+    state = tmp_path / "s.npz"
     for mode in ("as", "eas", "direct"):
         flags = ["--input", str(small_csv), "--k", "5", "--mode", mode]
         rc = main(["solve", "--lam", "1.0", *flags])
@@ -50,6 +50,19 @@ def test_solve_bad_input_exit_two(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [
+    ["solve", "--lam", "nan"], ["solve", "--lam", "inf"],
+    ["solve", "--lam", "1.0", "--eps", "nan"], ["path", "--grid", "2,nan"],
+])
+def test_non_finite_lambda_or_tolerance_is_bad_input(small_csv, capsys, argv):
+    """A NaN or infinite lambda or tolerance is rejected before any solve
+    (exit 2), not run into a failed solve (exit 1)."""
+    rc = main([*argv, "--input", str(small_csv), "--k", "5"])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert "error:" in err and "finite" in err and "FAILED" not in err
+
+
 def test_solve_missing_file_exit_two(tmp_path):
     rc = main(["solve", "--input", str(tmp_path / "nope.csv"), "--lam", "1.0"])
     assert rc == 2
@@ -57,7 +70,7 @@ def test_solve_missing_file_exit_two(tmp_path):
 
 def test_path_end_to_end(small_csv, tmp_path, capsys):
     outdir = tmp_path / "report"
-    state = tmp_path / "path.pkl"
+    state = tmp_path / "path.npz"
     rc = main(
         ["path", "--input", str(small_csv), "--grid", "5:-2:1", "--k", "5",
          "--out", str(outdir), "--state", str(state),
@@ -78,7 +91,7 @@ def test_path_end_to_end(small_csv, tmp_path, capsys):
 def test_path_manifest_overrides_flags(small_csv, tmp_path):
     man = tmp_path / "run.json"
     RunManifest(input=str(small_csv), k=5, grid="4,2", mode="eas").save(man)
-    state = tmp_path / "s.pkl"
+    state = tmp_path / "s.npz"
     # --grid on the command line must lose to the manifest
     rc = main(["path", "--manifest", str(man), "--grid", "9,8,7", "--state", str(state)])
     assert rc == 0
@@ -102,7 +115,7 @@ def test_path_requires_input(capsys):
 
 
 def test_report_from_saved_state(small_csv, tmp_path):
-    state = tmp_path / "s.pkl"
+    state = tmp_path / "s.npz"
     rc = main(["path", "--input", str(small_csv), "--grid", "3,1", "--k", "5",
                "--state", str(state)])
     assert rc == 0
@@ -116,6 +129,16 @@ def test_report_from_saved_state(small_csv, tmp_path):
     lines = [l for l in (outdir / "path.csv").read_text().splitlines()
              if l and not l.startswith("#")]
     assert len(lines) == 1 + 2  # header + rows
+
+
+def test_report_from_a_file_that_is_not_a_state_exit_two(small_csv, tmp_path, capsys):
+    """A file that is not a saved path state, such as the input CSV, is bad
+    input; loading it runs nothing."""
+    rc = main(["report", "--state", str(small_csv), "--out", str(tmp_path / "rep")])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert "error:" in err and "not a sievepath path state" in err
+    assert not (tmp_path / "rep").exists()
 
 
 def test_path_failure_exit_one(small_csv, tmp_path, capsys):

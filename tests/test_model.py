@@ -151,4 +151,8 @@ def test_solve_config_validation():
         SolveConfig(lam=1.0, eps=0.0)
     with pytest.raises(ValueError):
         SolveConfig(lam=1.0, eps_hat=-1.0)
+    for kwargs in ({"lam": np.nan}, {"lam": np.inf}, {"eps": np.nan}, {"eps": np.inf},
+                   {"eps_hat": np.nan}, {"eps_hat": np.inf}):
+        with pytest.raises(ValueError, match="finite"):
+            SolveConfig(**{"lam": 1.0, **kwargs})
 

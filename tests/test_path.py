@@ -50,6 +50,12 @@ def test_path_config_validation():
         PathConfig(lambdas=[2.0, -1.0])
     with pytest.raises(ValueError):
         PathConfig(lambdas=[2.0, 1.0], mode="magic")
+    # NaN passes every comparison, so non-finite values are rejected by name
+    for kwargs in ({"lambdas": [2.0, np.nan]}, {"lambdas": [np.inf, 1.0]},
+                   {"lambdas": [np.nan]}, {"eps": np.nan}, {"eps": np.inf},
+                   {"eps_hat": np.nan}, {"eps_hat": np.inf}):
+        with pytest.raises(ValueError, match="finite"):
+            PathConfig(**{"lambdas": [2.0, 1.0], **kwargs})
 
 
 def test_t1_path_all_modes_agree(t1_inst):
@@ -136,6 +142,36 @@ def test_lambda_records_count_every_newton_step(monkeypatch, mode):
     assert res.all_converged
     assert [r.newton_steps for r in res.records] == [steps[lam] for lam in (0.5, 0.2, 0.05)]
     assert res.summary()["total_newton_steps"] == sum(steps.values()) > 0
+
+
+@pytest.mark.parametrize("mode", ["as", "direct"])
+def test_lambda_records_count_cg_steps_and_factorizations(monkeypatch, mode):
+    """cg_steps and factorizations sum those of every subsolve of their
+    lambda; with PCG at d = 2 some Newton steps reuse the factors of L."""
+    from sievepath import admm, build_knn_graph, sieve
+
+    real = admm.solve_reduced_admm
+    work = {}
+
+    def counting(red, *args, **kwargs):
+        sub = real(red, *args, **kwargs)
+        total = work.get(red.lam, np.zeros(3, dtype=int))
+        work[red.lam] = total + (sub.iterations, sub.cg_steps, sub.factorizations)
+        return sub
+
+    monkeypatch.setattr(admm, "EXACT_ENTRIES", 0)
+    monkeypatch.setattr(admm, "solve_reduced_admm", counting)
+    monkeypatch.setattr(sieve, "solve_reduced_admm", counting)
+    A = np.random.default_rng(2).standard_normal((2, 30))
+    res = solve_path(build_knn_graph(A, k=4),
+                     PathConfig(lambdas=[0.5, 0.2, 0.05], eps=1e-7, mode=mode))
+    assert res.all_converged
+    for rec in res.records:
+        assert [rec.newton_steps, rec.cg_steps, rec.factorizations] == work[rec.lam].tolist()
+    summary = res.summary()
+    assert summary["total_cg_steps"] == sum(w[1] for w in work.values()) > 0
+    assert 0 < summary["total_factorizations"] == sum(w[2] for w in work.values())
+    assert summary["total_factorizations"] < summary["total_newton_steps"]
 
 
 @pytest.mark.parametrize("mode, exc", [

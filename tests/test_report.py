@@ -1,16 +1,19 @@
 import csv
 import json
+import pickle
 
+import numpy as np
 import pytest
 
 from sievepath import (
+    DataError,
     PathConfig,
     emit_report,
     load_path_state,
     save_path_state,
     solve_path,
 )
-from sievepath.report import PATH_COLUMNS
+from sievepath.report import PATH_COLUMNS, STATE_VERSION
 
 
 @pytest.fixture(scope="module")
@@ -40,8 +43,9 @@ def test_path_csv_layout(t1_result, tmp_path):
     # fully fused at the top, fully split at the bottom
     assert int(rows[1][-1]) == 1
     assert int(rows[3][-1]) == 3
-    col = PATH_COLUMNS.index("newton_steps")
-    assert [int(r[col]) for r in rows[1:]] == [rec.newton_steps for rec in t1_result.records]
+    for name in ("newton_steps", "cg_steps", "factorizations"):
+        col = PATH_COLUMNS.index(name)
+        assert [int(r[col]) for r in rows[1:]] == [getattr(rec, name) for rec in t1_result.records]
 
 
 def test_summary_json_cluster_counts(t1_result, tmp_path):
@@ -72,9 +76,40 @@ def test_plot_series(t1_result, tmp_path):
 
 
 def test_state_round_trip(t1_result, tmp_path):
-    p = tmp_path / "state.pkl"
+    p = tmp_path / "state.npz"
     save_path_state(t1_result, p)
     back = load_path_state(p)
     assert len(back.records) == len(t1_result.records)
     assert back.records[0].objective == t1_result.records[0].objective
     assert back.summary() == t1_result.summary()
+    # the reports re-emitted from the loaded state match the original ones
+    first = emit_report(t1_result, tmp_path / "a")
+    again = emit_report(back, tmp_path / "b")
+    assert [f.name for f in first] == [f.name for f in again]
+    for f, g in zip(first, again):
+        assert f.read_bytes() == g.read_bytes(), f.name
+
+
+def test_state_holds_no_pickle_and_checks_its_version(t1_result, tmp_path):
+    """A state is plain arrays plus versioned JSON; a pickle, an archive
+    without the metadata or another version is rejected as bad data."""
+    p = tmp_path / "state.npz"
+    save_path_state(t1_result, p)
+    with np.load(p, allow_pickle=False) as npz:
+        meta = json.loads(str(npz["meta"]))
+        arrays = {k: npz[k] for k in npz.files}
+    assert meta["version"] == STATE_VERSION
+    assert sorted(k for k in arrays if k.startswith("y_")) == ["y_0", "y_1", "y_2"]
+
+    foreign = tmp_path / "foreign.pkl"
+    foreign.write_bytes(pickle.dumps(t1_result))
+    with pytest.raises(DataError, match="not a sievepath path state"):
+        load_path_state(foreign)
+    np.savez(tmp_path / "plain.npz", A=np.zeros(2))
+    with pytest.raises(DataError, match="not a sievepath path state"):
+        load_path_state(tmp_path / "plain.npz")
+    meta["version"] = STATE_VERSION + 1
+    arrays["meta"] = np.array(json.dumps(meta))
+    np.savez(tmp_path / "newer.npz", **arrays)
+    with pytest.raises(DataError, match="version"):
+        load_path_state(tmp_path / "newer.npz")
