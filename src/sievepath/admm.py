@@ -28,6 +28,7 @@ spans, saved manifests and callers look them up by those names.
 """
 
 import logging
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -74,12 +75,15 @@ class SingularSystemError(RuntimeError):
 class AdmmConfig:
     sigma: float = 1.0  # cold-start penalty; warm starts carry their own
     max_iter: int = 50000  # cap on Newton steps per solve
-    tol: float = None  # first subsolve tolerance; None: half the outer eps
+    tol: float = None  # a lambda's first subsolve, None: eps/2; every mode retightens it
 
-    def start_tol(self, eps):
-        """Tolerance of the first subsolve of a solve to eps; the sieve
-        tightens it from there when a round finds no violation."""
-        return 0.5 * eps if self.tol is None else float(self.tol)
+    def __post_init__(self):
+        if not 0.0 < self.sigma < math.inf:
+            raise ValueError(f"sigma must be finite and positive, got {self.sigma!r}")
+        if self.max_iter < 1:
+            raise ValueError(f"admm max_iter must be at least 1, got {self.max_iter!r}")
+        if self.tol is not None and not 0.0 <= self.tol < math.inf:
+            raise ValueError(f"admm tol must be finite and >= 0, got {self.tol!r}")
 
 
 @dataclass

@@ -9,7 +9,7 @@ from .admm import AdmmConfig
 from .data_io import DataError, RunManifest, gen_two_half_moons, load_matrix, save_matrix
 from .graph import GraphError, build_knn_graph
 from .labels import extract_labels
-from .path import PathConfig, parse_lambda_spec, solve_path
+from .path import MODES, PathConfig, parse_lambda_spec, solve_path
 from .report import emit_report, load_path_state, save_path_state
 from .sieve import ApgConfig
 
@@ -19,13 +19,14 @@ def _add_common_solver_flags(p):
     p.add_argument("--eps", type=float, default=1e-6, help="KKT tolerance (default 1e-6)")
     p.add_argument("--eps-hat", type=float, default=2e-16,
                    help="zero-block detection threshold (default 2e-16)")
-    p.add_argument("--mode", choices=("as", "eas", "direct"), default="as")
+    p.add_argument("--mode", choices=MODES, default="as")
     p.add_argument("--sigma", type=float, default=1.0,
                    help="subsolver penalty of a cold start; warm starts keep the last one")
     p.add_argument("--admm-max-iter", type=int, default=50000,
                    help="cap on the subsolver's Newton steps per solve (default 50000)")
     p.add_argument("--admm-tol", type=float, default=None,
-                   help="override the subsolver tolerance (default: derived from eps)")
+                   help="tolerance of a lambda's first subsolve, retightened 100x up to "
+                        "3 times while it misses eps (default: eps/2)")
     p.add_argument("--apg-maxiter", type=int, default=ApgConfig().maxiter,
                    help="cap on the dual-recovery APG steps per call (default %(default)s)")
 

@@ -1,12 +1,14 @@
 """Solution-path driver: sweep a decreasing lambda grid with warm starts.
 
-Each lambda is solved by the sieve (or the plain subsolver in direct mode)
-and ends in one of two ways. It certifies: its triple has a recomputed KKT
-residual <= eps. Its fused blocks then seed the next lambda's candidate set,
-and the full-space primal/dual pair, with the subsolver penalty sigma it
-ended on, warm-starts the next subsolver. Or it fails: its record has no
-triple, an error "<Type>: <message>" and inf residual, gap and objective,
-and the next lambda starts from the last certified one.
+Every mode runs the one sieve loop; direct mode is that loop with an empty
+candidate set at every lambda, so its reduced problem is the full one and
+there is nothing to sieve. Each lambda ends in one of two ways. It
+certifies: its triple has a recomputed KKT residual <= eps. Its fused
+blocks then seed the next lambda's candidate set (as and eas), and the
+full-space primal/dual pair, with the subsolver penalty sigma it ended on,
+warm-starts the next subsolver. Or it fails: its record has no triple, an
+error "<Type>: <message>" and inf residual, gap and objective, and the next
+lambda starts from the last certified one.
 """
 
 import logging
@@ -15,9 +17,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .admm import AdmmConfig, SingularSystemError, solve_full
-from .model import (InfeasibleDualError, SolveConfig, check_tolerances, fused_blocks,
-                    primal_objective)
+# solve_full is not called here; perfbench/spans.py wraps it under this name
+from .admm import SingularSystemError, solve_full
+from .model import (InfeasibleDualError, SolveConfig, check_max_rounds, check_tolerances,
+                    fused_blocks)
 from .sieve import SieveLimitError, as_solve, eas_solve
 
 log = logging.getLogger(__name__)
@@ -25,14 +28,10 @@ log = logging.getLogger(__name__)
 MODES = ("as", "eas", "direct")
 
 
-class UncertifiedError(RuntimeError):
-    """A solve returned a point whose recomputed KKT residual exceeds eps."""
-
-
 # what a solve may raise on a numerical failure; the path records it on that
 # lambda and goes on, and the CLI reports it as a failed solve. Anything else
 # is a defect and propagates.
-SOLVER_ERRORS = (SieveLimitError, SingularSystemError, InfeasibleDualError, UncertifiedError)
+SOLVER_ERRORS = (SieveLimitError, SingularSystemError, InfeasibleDualError)
 
 
 def default_lambda_grid():
@@ -78,6 +77,7 @@ class PathConfig:
         if np.any(self.lambdas <= 0):
             raise ValueError("lambdas must be positive")
         check_tolerances(self.eps, self.eps_hat)
+        check_max_rounds(self.max_sieve_rounds)
         if len(self.lambdas) > 1 and np.any(np.diff(self.lambdas) >= 0):
             raise ValueError("lambdas must be strictly decreasing")
         if self.mode not in MODES:
@@ -168,15 +168,17 @@ class PathResult:
 def solve_path(inst, pcfg=None):
     """Run the lambda sweep; per-lambda failures are recorded, not raised.
 
-    A lambda whose solve raises one of SOLVER_ERRORS, or whose point misses
-    eps, gets a record with triple None and the error; the next lambda
-    starts from the candidate set and warm start of the last certified one.
+    as and eas start each lambda from the fused blocks of the last certified
+    one (all blocks at first); direct keeps the candidate set empty. A
+    lambda whose solve raises one of SOLVER_ERRORS gets a record with triple
+    None and the error; the next lambda starts from the candidate set and
+    warm start of the last certified one.
     """
     pcfg = pcfg or PathConfig()
     result = PathResult(inst=inst, config=pcfg)
     m = inst.m_blocks
-    sub_tol = (pcfg.admm or AdmmConfig()).start_tol(pcfg.eps)
-    I0 = np.arange(m, dtype=np.int64)
+    solver = eas_solve if pcfg.mode == "eas" else as_solve
+    I0 = np.arange(0 if pcfg.mode == "direct" else m, dtype=np.int64)
     carry = None
 
     for lam in pcfg.lambdas:
@@ -185,39 +187,23 @@ def solve_path(inst, pcfg=None):
             max_sieve_rounds=pcfg.max_sieve_rounds, admm=pcfg.admm, apg=pcfg.apg,
         )
         t0 = time.perf_counter()
-        triple = sub = state = error = None
+        triple = state = error = None
         try:
-            if pcfg.mode == "direct":
-                warm_full = None
-                if carry is not None:
-                    x_prev, z_prev, sigma_prev = carry
-                    warm_full = (x_prev, inst.incidence.apply(x_prev), z_prev, sigma_prev)
-                triple, sub = solve_full(inst, cfg.lam, sub_tol, pcfg.admm, warm=warm_full)
-            else:
-                solver = eas_solve if pcfg.mode == "eas" else as_solve
-                triple, state = solver(inst, cfg, I0=I0, warm=carry)
-                sub = state.sub
-            if triple.residual_norm > cfg.eps:
-                raise UncertifiedError(f"residual {triple.residual_norm:.3e} > eps {cfg.eps:.1e}")
+            triple, state = solver(inst, cfg, I0=I0, warm=carry)
         except SOLVER_ERRORS as exc:
             error = f"{type(exc).__name__}: {exc}"
-            triple, state = None, getattr(exc, "state", state)
+            state = getattr(exc, "state", None)
         seconds = time.perf_counter() - t0
 
         # a sieve run, certified or out of rounds, reports its own rounds; a
-        # direct solve is one full-size round; a solve that raised has none
-        if state is not None and state.records:
+        # solve that raised any other error has none
+        rounds, work, avg_n, avg_m = 0, {}, float(inst.N), float(m)
+        if state is not None:
             rounds = state.round
             work = {"newton_steps": state.newton_steps, "cg_steps": state.cg_steps,
                     "factorizations": state.factorizations}
             avg_n = float(np.mean([r["n_reduced"] for r in state.records]))
             avg_m = float(np.mean([r["m_reduced"] for r in state.records]))
-        else:
-            rounds, work = 0, {}
-            if sub is not None:
-                rounds, work = 1, {"newton_steps": sub.iterations, "cg_steps": sub.cg_steps,
-                                   "factorizations": sub.factorizations}
-            avg_n, avg_m = float(inst.N), float(m)
 
         residual = gap = objective = np.inf
         num_fused = 0
@@ -226,9 +212,11 @@ def solve_path(inst, pcfg=None):
         else:
             fused = fused_blocks(inst.incidence.apply(triple.x), pcfg.eps_hat)
             residual, gap = triple.residual_norm, triple.gap
-            objective = primal_objective(inst, cfg.lam, triple.x)
+            objective = state.records[-1]["objective"]  # F at triple.x, from the loop
             num_fused = int(np.count_nonzero(fused))
-            I0, carry = np.flatnonzero(fused), (triple.x, triple.z, sub.sigma)
+            carry = (triple.x, triple.z, state.sub.sigma)
+            if pcfg.mode != "direct":
+                I0 = np.flatnonzero(fused)
             log.info(
                 "lambda %.4g: rounds=%d reduced_n=%.1f residual=%.2e fused=%d (%.2fs)",
                 lam, rounds, avg_n, residual, num_fused, seconds,

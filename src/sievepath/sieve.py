@@ -7,15 +7,19 @@ which stops as soon as u is within the APG tolerance of the balls on I), and
 removes the blocks whose dual certificate lands outside its subdifferential
 ball. The enhanced variant additionally tries to certify optimality on the
 enlarged zero set of the current iterate once the objective stalls, which can
-stop the loop before the plain violation test would.
+stop the loop before the plain violation test would. With I empty the
+reduced problem is the full one and there is nothing to sieve: that run is
+the unsieved baseline, the path's direct mode.
 
 A round that finds no violation yet misses eps solves again with a subsolver
-tolerance 100x tighter, starting from AdmmConfig.start_tol. A sieve run
-either returns a triple whose recomputed KKT residual is <= eps or raises
-SieveLimitError; it never returns an uncertified point.
+tolerance 100x tighter, up to three times, starting from AdmmConfig.tol
+(eps/2 when None). A sieve run either returns a triple whose recomputed KKT
+residual is <= eps or raises SieveLimitError; it never returns an
+uncertified point.
 """
 
 import logging
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -24,7 +28,7 @@ import scipy.sparse as sp
 from ._kernels import column_norms, frobenius_norm, project_columns, union_find_min_labels
 from .admm import AdmmConfig, solve_reduced_admm
 from .graph import build_partition, recover_primal, reduce_problem
-from .model import KktTriple, fused_blocks, kkt_residual, primal_objective
+from .model import KktTriple, duality_gap, fused_blocks, kkt_residual, primal_objective
 
 log = logging.getLogger(__name__)
 
@@ -45,6 +49,12 @@ class ApgConfig:
     eps: float = None  # falls back to half the caller's outer tolerance
     maxiter: int = 30
 
+    def __post_init__(self):
+        if self.maxiter < 0:
+            raise ValueError(f"apg maxiter must be >= 0, got {self.maxiter!r}")
+        if self.eps is not None and not 0.0 <= self.eps < math.inf:
+            raise ValueError(f"apg eps must be finite and >= 0, got {self.eps!r}")
+
 
 @dataclass
 class ApgResult:
@@ -61,7 +71,6 @@ class SieveState:
 
     round: int
     sub: object = None
-    certified_early: bool = False
     records: list = field(default_factory=list)
     newton_steps: int = 0  # of every subsolve, retightenings included
     cg_steps: int = 0  # likewise
@@ -266,7 +275,7 @@ def _sieve_loop(inst, cfg, I0, enhanced, warm=None):
         max_rounds = len(I) + 1
     admm_cfg = cfg.admm or AdmmConfig()
     apg_base = cfg.apg or ApgConfig()
-    sub_tol = admm_cfg.start_tol(cfg.eps)
+    sub_tol = 0.5 * cfg.eps if admm_cfg.tol is None else float(admm_cfg.tol)
     apg_eps = apg_base.eps if apg_base.eps is not None else 0.5 * cfg.eps
     apg_iter = apg_base.maxiter
 
@@ -298,7 +307,6 @@ def _sieve_loop(inst, cfg, I0, enhanced, warm=None):
                     ApgConfig(eps=apg_eps, maxiter=apg_cur),
                 )
                 if cert is not None:
-                    state.certified_early = True
                     state.records.append(_record(rnd, partition, sub, cert.residual_norm, F_val, 0, tol_cur, True))
                     log.info("round %d: certified early, residual %.3e", rnd + 1, cert.residual_norm)
                     return cert, state
@@ -311,7 +319,8 @@ def _sieve_loop(inst, cfg, I0, enhanced, warm=None):
             if res <= cfg.eps:
                 state.records.append(_record(rnd, partition, sub, res, F_val, 0, tol_cur, False))
                 log.info("round %d: residual %.3e <= eps", rnd + 1, res)
-                return KktTriple.from_point(inst, lam, x_bar, y_bar, u), state
+                gap = duality_gap(inst, lam, x_bar, u)
+                return KktTriple(x=x_bar, y=y_bar, z=u, residual_norm=res, gap=gap), state
 
             J = violation_set(partition, lam, inst, u)
             if len(J):

@@ -442,3 +442,20 @@ def test_singular_factorization_is_a_solver_error():
 
     with pytest.raises(admm.SingularSystemError):
         admm._factor(sp.csc_matrix((3, 3)))
+
+
+@pytest.mark.parametrize("kwargs", [
+    {"sigma": 0.0}, {"sigma": -1.0}, {"sigma": float("nan")}, {"sigma": float("inf")},
+    {"max_iter": 0}, {"max_iter": -3},
+    {"tol": -1e-3}, {"tol": float("nan")}, {"tol": float("inf")},
+])
+def test_admm_config_rejects_settings_no_solve_can_run(kwargs):
+    """A zero sigma divides by zero in the Newton step, and a NaN or
+    negative setting would only run into a failed solve: all are bad input."""
+    with pytest.raises(ValueError):
+        AdmmConfig(**kwargs)
+
+
+def test_admm_config_accepts_its_edge_values():
+    AdmmConfig(sigma=1e-12, max_iter=1, tol=0.0)
+    AdmmConfig(tol=None)

@@ -3,7 +3,11 @@ must fail here rather than inside a traced benchmark run."""
 
 from pathlib import Path
 
+import numpy as np
+import pytest
 import scipy.sparse.linalg as spla
+
+from sievepath import PathConfig, build_knn_graph, solve_path
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -24,6 +28,29 @@ def test_layer_wrappers_resolve_and_restore(monkeypatch):
         assert ("sievepath.graph", "union_find_min_labels") in wrapped
         assert ("sievepath.labels", "union_find_min_labels") in wrapped
     assert spla.splu is splu
+    for owner, attr, original in patched:
+        current = owner.__dict__[attr] if isinstance(owner, type) else getattr(owner, attr)
+        assert current is original, (owner, attr)
+
+
+@pytest.mark.parametrize("mode", ["as", "eas", "direct"])
+def test_layer_wrappers_count_a_solved_path(monkeypatch, mode):
+    """The span hooks read the sieve state and its round records; a change
+    to either must fail here, on a small path in every mode."""
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    from spans import Tracer, install_layer_wrappers
+
+    inst = build_knn_graph(np.random.default_rng(3).standard_normal((2, 30)), k=4)
+    with Tracer() as tracer:
+        install_layer_wrappers(tracer)
+        patched = list(tracer._patched)
+        res = solve_path(inst, PathConfig(lambdas=[1.0, 0.3], eps=1e-7, mode=mode))
+    assert res.all_converged
+    counts = tracer.counts
+    assert counts["sieve.rounds"] == res.total_rounds >= 2
+    assert counts["sieve.round_records"] >= 2
+    assert counts["admm.iters"] == res.total_newton_steps > 0
+    assert counts["graph.partition.calls"] >= 2
     for owner, attr, original in patched:
         current = owner.__dict__[attr] if isinstance(owner, type) else getattr(owner, attr)
         assert current is original, (owner, attr)

@@ -63,6 +63,29 @@ def test_non_finite_lambda_or_tolerance_is_bad_input(small_csv, capsys, argv):
     assert "error:" in err and "finite" in err and "FAILED" not in err
 
 
+@pytest.mark.parametrize("flags", [
+    ["--sigma", "0"], ["--sigma", "-1"], ["--sigma", "nan"],
+    ["--admm-max-iter", "-3"], ["--admm-tol", "nan"], ["--apg-maxiter", "-1"],
+])
+@pytest.mark.parametrize("command", [["solve", "--lam", "1"], ["path", "--grid", "2,1"]])
+def test_bad_subsolver_setting_is_bad_input(small_csv, capsys, command, flags):
+    """A subsolver or APG setting no solve can run with is rejected before
+    any solve (exit 2): no traceback, no failed solve."""
+    rc = main([*command, "--input", str(small_csv), "--k", "5", *flags])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err.startswith("error:") and "Traceback" not in err and "FAILED" not in err
+
+
+def test_manifest_with_a_bad_subsolver_setting_exit_two(small_csv, tmp_path, capsys):
+    man = tmp_path / "run.json"
+    RunManifest(input=str(small_csv), k=5, grid="2,1", sigma=0.0).save(man)
+    rc = main(["path", "--manifest", str(man)])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err.startswith("error:") and "sigma" in err
+
+
 def test_solve_missing_file_exit_two(tmp_path):
     rc = main(["solve", "--input", str(tmp_path / "nope.csv"), "--lam", "1.0"])
     assert rc == 2

@@ -9,6 +9,7 @@ from sievepath import (
     PathConfig,
     SieveLimitError,
     SingularSystemError,
+    SolveConfig,
     build_knn_graph,
     default_lambda_grid,
     parse_lambda_spec,
@@ -56,6 +57,12 @@ def test_path_config_validation():
                    {"eps_hat": np.nan}, {"eps_hat": np.inf}):
         with pytest.raises(ValueError, match="finite"):
             PathConfig(**{"lambdas": [2.0, 1.0], **kwargs})
+    for rounds in (0, -1):
+        with pytest.raises(ValueError, match="max_sieve_rounds"):
+            PathConfig(lambdas=[2.0, 1.0], max_sieve_rounds=rounds)
+        with pytest.raises(ValueError, match="max_sieve_rounds"):
+            SolveConfig(lam=1.0, max_sieve_rounds=rounds)
+    PathConfig(lambdas=[2.0, 1.0], max_sieve_rounds=1)
 
 
 def test_t1_path_all_modes_agree(t1_inst):
@@ -219,27 +226,55 @@ def test_solver_error_stays_with_its_lambda(t1_inst, monkeypatch, mode, exc):
     assert res.summary()["failed_lambdas"] == [0.5]
 
 
-def test_direct_mode_honours_admm_tol_and_fails_above_eps():
-    """Direct mode solves once, to --admm-tol; a point above eps fails its
-    lambda like any other failure."""
+def test_direct_path_is_a_chain_of_full_solves():
+    """Direct mode is the sieve loop with an empty candidate set: when each
+    lambda certifies at its first tolerance it gives, bit for bit, the
+    chain of full-size solves warm-started by the last one at eps/2."""
+    from sievepath import solve_full
+
+    inst = build_knn_graph(np.random.default_rng(2).standard_normal((2, 40)), k=4)
+    lams, eps = [1.0, 0.5, 0.2, 0.05], 1e-7
+    res = solve_path(inst, PathConfig(lambdas=lams, eps=eps, mode="direct"))
+    assert res.all_converged
+    warm = None
+    for lam, rec in zip(lams, res.records):
+        triple, sub = solve_full(inst, lam, 0.5 * eps, warm=warm)
+        assert triple.residual_norm <= eps
+        assert np.array_equal(rec.triple.x, triple.x)
+        assert np.array_equal(rec.triple.z, triple.z)
+        assert rec.newton_steps == sub.iterations > 0
+        assert rec.rounds == 1 and rec.avg_reduced_n == inst.N
+        warm = (triple.x, inst.incidence.apply(triple.x), triple.z, sub.sigma)
+
+
+def test_direct_mode_retightens_admm_tol_like_the_sieve():
+    """--admm-tol is the first subsolver tolerance in every mode: a direct
+    solve that misses eps retightens it within its one round, and one that
+    still misses eps fails its lambda as SieveLimitError."""
     inst = build_knn_graph(np.random.default_rng(2).standard_normal((2, 40)), k=4)
     res = solve_path(inst, PathConfig(lambdas=[0.2], eps=1e-8, mode="direct",
                                       admm=AdmmConfig(tol=1e-3)))
+    rec = res.records[0]
+    assert rec.converged and rec.residual <= 1e-8 and rec.rounds == 1
+    res = solve_path(inst, PathConfig(lambdas=[0.2], eps=1e-8, mode="direct",
+                                      admm=AdmmConfig(tol=1e-3, max_iter=2)))
     failed = res.records[0]
     assert failed.triple is None and not failed.converged
-    assert failed.error.startswith("UncertifiedError: ")
+    assert failed.error.startswith("SieveLimitError: ")
     assert failed.residual == np.inf
     assert failed.rounds == 1 and failed.newton_steps > 0
 
 
-def test_defect_in_a_solve_propagates(t1_inst, monkeypatch):
+@pytest.mark.parametrize("mode", ["as", "eas", "direct"])
+def test_defect_in_a_solve_propagates(t1_inst, monkeypatch, mode):
     """An error that is not a numerical failure of the solve is a defect:
     the path does not record it and go on."""
-    from sievepath import admm
+    from sievepath import admm, sieve
 
     def broken(*args, **kwargs):
         raise ZeroDivisionError("float division by zero")
 
     monkeypatch.setattr(admm, "solve_reduced_admm", broken)
+    monkeypatch.setattr(sieve, "solve_reduced_admm", broken)
     with pytest.raises(ZeroDivisionError):
-        solve_path(t1_inst, PathConfig(lambdas=[5.0, 2.0], mode="direct"))
+        solve_path(t1_inst, PathConfig(lambdas=[5.0, 2.0], mode=mode))

@@ -113,3 +113,18 @@ def test_state_holds_no_pickle_and_checks_its_version(t1_result, tmp_path):
     np.savez(tmp_path / "newer.npz", **arrays)
     with pytest.raises(DataError, match="version"):
         load_path_state(tmp_path / "newer.npz")
+
+
+def test_state_with_a_bad_subsolver_setting_is_bad_data(t1_result, tmp_path):
+    """A saved state whose subsolver settings no solve could run with is
+    malformed, like any other invalid field."""
+    p = tmp_path / "state.npz"
+    save_path_state(t1_result, p)
+    with np.load(p, allow_pickle=False) as npz:
+        arrays = {k: npz[k] for k in npz.files}
+    meta = json.loads(str(arrays["meta"]))
+    meta["config"]["admm"] = {"sigma": 0.0, "max_iter": 50000, "tol": None}
+    arrays["meta"] = np.array(json.dumps(meta))
+    np.savez(tmp_path / "bad.npz", **arrays)
+    with pytest.raises(DataError, match="sigma"):
+        load_path_state(tmp_path / "bad.npz")

@@ -360,9 +360,8 @@ def test_eas_early_certificate_fires():
     cfg = SolveConfig(lam=1e-6, eps=1e-6)
     t_as, s_as = as_solve(inst, cfg, I0=[0])
     t_eas, s_eas = eas_solve(inst, cfg, I0=[0])
-    assert s_as.round == 2 and not s_as.certified_early
-    assert s_eas.round == 2 and s_eas.certified_early
-    assert s_eas.records[-1]["certified_early"] is True
+    assert s_as.round == 2 and s_as.records[-1]["certified_early"] is False
+    assert s_eas.round == 2 and s_eas.records[-1]["certified_early"] is True
     assert t_eas.residual_norm <= 1e-6
     F_as = primal_objective(inst, 1e-6, t_as.x)
     F_eas = primal_objective(inst, 1e-6, t_eas.x)
@@ -376,3 +375,11 @@ def test_warm_started_solve_certifies(t1_inst):
     )
     assert t1.residual_norm <= 1e-8
     assert state.round <= 4
+
+
+@pytest.mark.parametrize("kwargs", [
+    {"maxiter": -1}, {"eps": -1e-9}, {"eps": float("nan")}, {"eps": float("inf")},
+])
+def test_apg_config_rejects_bad_settings(kwargs):
+    with pytest.raises(ValueError):
+        ApgConfig(**kwargs)
