@@ -12,10 +12,14 @@ gradients, preconditioned by a factorized n x n graph matrix L, solve the
 Newton system, so that memory and work per step grow linearly in d. Within
 one inner solve later Newton steps reuse the factors of L until the CG
 steps this costs, weighted by d, would pay for a new factorization
-(REUSE_WEIGHT; every d > 8 factors at every step). The pattern is fixed
-within a subsolve, so one fill-reducing node order is computed when the
-subsolve starts and every factorization of it reuses that order. The
-multiplier step Z = sigma * Pi_tau(V) keeps Z inside the dual balls, so
+(REUSE_WEIGHT; every d > 8 factors at every step). The pattern depends
+on the candidate set alone, so one fill-reducing node order, the CSC
+pattern and each entry's slot in it (_NewtonSystem) are computed once per
+set: a standalone subsolve builds them when it starts, and the sieve passes
+the system it keeps for a set to every subsolve of that set, its
+retightenings and later lambdas included; direct mode thus orders its one
+full-problem system once per path. Every factorization reuses that order.
+The multiplier step Z = sigma * Pi_tau(V) keeps Z inside the dual balls, so
 Y = prox(Y + Z) holds exactly and the reduced KKT residual is the inner
 gradient plus the primal infeasibility. Warm starts carry sigma over
 from the solve they resume. Convergence is declared on the reduced KKT
@@ -147,6 +151,10 @@ class _NewtonSystem:
     Both are built once, in one fill-reducing order of the n nodes
     (_node_order), node order[p] in place p, so SuperLU factors them as
     they are; direction permutes only its right-hand side and its result.
+    Only the reduced graph and h shape the system, and they depend on the
+    candidate set alone, so the system serves every reduced problem of the
+    same set, at any lam: solve_reduced_admm binds it to the one it solves
+    (red) and overwrites the values of H, L and G at every step.
     """
 
     def __init__(self, red):
@@ -360,14 +368,17 @@ def _newton(ns, X, Z, sigma, gtol, max_steps):
     return X, V, grad, steps, False, cg_steps, factorizations
 
 
-def solve_reduced_admm(red, tol, config=None, warm=None):
+def solve_reduced_admm(red, tol, config=None, warm=None, system=None):
     """Run SSNAL on a reduced problem until both the reduced KKT residual and
     the reduced relative duality gap fall below tol.
 
     warm is (X, Y, Z) or (X, Y, Z, sigma), as returned by
     SubSolution.warm_start; a carried sigma replaces config.sigma, which
     only sets the penalty of a cold start. config.max_iter caps the Newton
-    steps of the whole solve.
+    steps of the whole solve. system(red), when given, returns the
+    _NewtonSystem to use, one built for a reduced problem of the same
+    candidate set at any lam (the sieve keeps one per set); by default the
+    solve builds its own.
     """
     cfg = config or AdmmConfig()
     tol = float(tol)
@@ -386,7 +397,8 @@ def solve_reduced_admm(red, tol, config=None, warm=None):
         Y = red.inc.apply(X)
         Z = np.zeros_like(Y)
 
-    ns = _NewtonSystem(red)
+    ns = _NewtonSystem(red) if system is None else system(red)
+    ns.red = red
     lw = red.lam * red.weights
     kkt = reduced_kkt_residual(red, X, Y, Z)
     gap = _relative_gap(red, X, Z) if kkt <= tol else np.inf

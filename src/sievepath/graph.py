@@ -62,6 +62,8 @@ def build_knn_graph(A, k=10):
     A = np.ascontiguousarray(A, dtype=np.float64)
     if A.ndim != 2:
         raise GraphError("A must be 2-d (features x points)")
+    if not np.all(np.isfinite(A)):
+        raise GraphError("data must be finite, found NaN or inf")
     N = A.shape[1]
     if N < 2:
         raise GraphError("need at least 2 points to build a graph")
@@ -70,7 +72,7 @@ def build_knn_graph(A, k=10):
 
     sq = np.einsum("ij,ij->j", A, A)
     keys = []  # min(i, j) * N + max(i, j) of every neighbor pair
-    chunk = max(1, min(N, 2**22 // max(N, 1)))
+    chunk = max(1, min(N, 2**18 // N))  # 2 MB of distances at a time
     for start in range(0, N, chunk):
         cols = np.arange(start, min(start + chunk, N))
         D = sq[:, None] + sq[cols][None, :] - 2.0 * (A.T @ A[:, cols])

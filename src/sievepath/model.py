@@ -39,11 +39,16 @@ class ProblemInstance:
         self.A = np.ascontiguousarray(self.A, dtype=np.float64)
         if self.A.ndim != 2:
             raise ValueError("A must be a 2-d array (features x points)")
+        if not np.all(np.isfinite(self.A)):
+            raise ValueError("A must be finite")
         self.edge_i = np.asarray(self.edge_i, dtype=np.int64)
         self.edge_j = np.asarray(self.edge_j, dtype=np.int64)
         self.weights = np.asarray(self.weights, dtype=np.float64)
         if not (len(self.edge_i) == len(self.edge_j) == len(self.weights)):
             raise ValueError("edge arrays must have equal length")
+        # a NaN weight passes every comparison, so finiteness comes first
+        if not np.all(np.isfinite(self.weights)):
+            raise ValueError("edge weights must be finite")
         if np.any(self.weights <= 0.0):
             raise ValueError("edge weights must be positive")
         if np.any(self.edge_i >= self.edge_j):

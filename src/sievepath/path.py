@@ -21,7 +21,7 @@ import numpy as np
 from .admm import SingularSystemError, solve_full
 from .model import (InfeasibleDualError, SolveConfig, check_max_rounds, check_tolerances,
                     fused_blocks)
-from .sieve import SieveLimitError, as_solve, eas_solve
+from .sieve import BuildStore, SieveLimitError, as_solve, eas_solve
 
 log = logging.getLogger(__name__)
 
@@ -180,6 +180,7 @@ def solve_path(inst, pcfg=None):
     solver = eas_solve if pcfg.mode == "eas" else as_solve
     I0 = np.arange(0 if pcfg.mode == "direct" else m, dtype=np.int64)
     carry = None
+    store = BuildStore(inst)  # candidate sets recur across lambdas
 
     for lam in pcfg.lambdas:
         cfg = SolveConfig(
@@ -189,7 +190,7 @@ def solve_path(inst, pcfg=None):
         t0 = time.perf_counter()
         triple = state = error = None
         try:
-            triple, state = solver(inst, cfg, I0=I0, warm=carry)
+            triple, state = solver(inst, cfg, I0=I0, warm=carry, store=store)
         except SOLVER_ERRORS as exc:
             error = f"{type(exc).__name__}: {exc}"
             state = getattr(exc, "state", None)

@@ -16,6 +16,16 @@ tolerance 100x tighter, up to three times, starting from AdmmConfig.tol
 (eps/2 when None). A sieve run either returns a triple whose recomputed KKT
 residual is <= eps or raises SieveLimitError; it never returns an
 uncertified point.
+
+What depends on the candidate set I alone is built once per set and kept in
+a BuildStore: the IndexPartition, the subsolver's Newton system (node
+order, CSC pattern and slots) and, on first use, the GammaSystem's Gram
+factors. Every round, retightening or later lambda that solves a stored I
+again reuses them; lam, sigma and every numeric value are recomputed, so
+reuse changes no iterate. The path keeps one store for all its lambdas;
+seeding each lambda from the fused blocks of Bx makes I alternate between
+two sets, so the store keeps the two most recently used ones. A run
+without a store gets its own.
 """
 
 import logging
@@ -26,7 +36,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from ._kernels import column_norms, frobenius_norm, project_columns, union_find_min_labels
-from .admm import AdmmConfig, solve_reduced_admm
+from .admm import AdmmConfig, _NewtonSystem, solve_reduced_admm
 from .graph import build_partition, recover_primal, reduce_problem
 from .model import KktTriple, duality_gap, fused_blocks, kkt_residual, primal_objective
 
@@ -106,6 +116,57 @@ class GammaSystem:
         return D + self.particular((self.Jg @ D.T).T)
 
 
+class _Built:
+    """The structures of one candidate set I: its partition, and, built
+    when a round first needs them, the Newton system of its reduced problem
+    and its GammaSystem."""
+
+    def __init__(self, inst, I):
+        self.inst = inst
+        self.partition = build_partition(inst.incidence, I)
+        self._newton = self._gram = None
+
+    def newton_system(self, red):
+        """The Newton system of red, a reduced problem of this set."""
+        if self._newton is None:
+            self._newton = _NewtonSystem(red)
+        return self._newton
+
+    def gram_system(self):
+        """The GammaSystem of the partition."""
+        if self._gram is None:
+            self._gram = GammaSystem(self.inst, self.partition)
+        return self._gram
+
+
+class BuildStore:
+    """The built structures of the SIZE most recently used candidate sets
+    of one instance, keyed by the exact set."""
+
+    SIZE = 2
+
+    def __init__(self, inst):
+        self.inst = inst
+        self._sets = {}  # I.tobytes() -> _Built, least recently used first
+
+    def __len__(self):
+        return len(self._sets)
+
+    def get(self, I):
+        """(built, fresh) for the sorted index array I: its stored
+        structures, or new ones (fresh True) after evicting the least
+        recently used set."""
+        key = I.tobytes()
+        built = self._sets.pop(key, None)
+        fresh = built is None
+        if fresh:
+            if len(self._sets) == self.SIZE:
+                del self._sets[next(iter(self._sets))]
+            built = _Built(self.inst, I)
+        self._sets[key] = built
+        return built, fresh
+
+
 def apg_minimize(u0, radii, null_project, cfg=None, track_history=False):
     """Accelerated projected-gradient refinement of a dual particular solution.
 
@@ -158,12 +219,14 @@ def _ball_distance(v, radii):
     return frobenius_norm(v - project_columns(v, radii))
 
 
-def recover_dual(inst, lam, partition, sub, apg_cfg=None, x_bar=None):
+def recover_dual(inst, lam, partition, sub, apg_cfg=None, x_bar=None, gram=None):
     """Build the full-space dual candidate u, a (d, m) array, from a reduced
     solution.
 
     On I^c, u is the subsolver multiplier bit for bit; on I it is the
     particular stationarity solution plus its APG null-space refinement.
+    gram(), when given, returns the GammaSystem of partition (the sieve
+    keeps one per candidate set); by default it is built here.
     """
     if x_bar is None:
         x_bar, _ = recover_primal(partition, sub.x_red, sub.y_red)
@@ -171,19 +234,19 @@ def recover_dual(inst, lam, partition, sub, apg_cfg=None, x_bar=None):
     u[:, partition.I_c] = sub.xi
     if len(partition.I) and len(partition.gamma):
         g = (x_bar - inst.A) + inst.incidence.adjoint(u)
-        _complete_dual(inst, lam, partition, g, u, apg_cfg)
+        gs = GammaSystem(inst, partition) if gram is None else gram()
+        _complete_dual(inst, lam, partition, gs, g, u, apg_cfg)
     return u
 
 
-def _complete_dual(inst, lam, partition, g, v, apg_cfg):
+def _complete_dual(inst, lam, partition, gs, g, v, apg_cfg):
     """Fill the I blocks of the dual v, whose I^c blocks are already set and
     whose I blocks are zero; g = (x - A) + B*(v) is the stationarity
-    residual of that v.
+    residual of that v and gs the GammaSystem of partition.
 
     The fill is the min-norm solution of stationarity on the gamma rows plus
     its APG refinement on the null space of B_{I gamma}^T.
     """
-    gs = GammaSystem(inst, partition)
     v0 = gs.particular(g[:, partition.gamma])
     radii = lam * inst.weights[partition.I]
     apg = apg_minimize(v0, radii, gs.null_project, apg_cfg)
@@ -248,7 +311,7 @@ def eas_certify(inst, lam, x_bar, eps, eps_hat=2e-16, apg_cfg=None):
     if len(I_t):
         y_t[:, I_t] = 0.0
         partition = build_partition(inst.incidence, I_t)
-        _complete_dual(inst, lam, partition, g, v, apg_cfg)
+        _complete_dual(inst, lam, partition, GammaSystem(inst, partition), g, v, apg_cfg)
     if kkt_residual(inst, lam, x_bar, y_t, v) <= eps:
         return KktTriple.from_point(inst, lam, x_bar, y_t, v)
     return None
@@ -264,7 +327,11 @@ def _restricted_warm(warm, partition, red):
     return (X, red.inc.apply(X), Z, *warm[2:])
 
 
-def _sieve_loop(inst, cfg, I0, enhanced, warm=None):
+def _sieve_loop(inst, cfg, I0, enhanced, warm=None, store=None):
+    if store is None:
+        store = BuildStore(inst)
+    elif store.inst is not inst:
+        raise ValueError("the build store belongs to another instance")
     lam = cfg.lam
     m = inst.m_blocks
     I = np.arange(m, dtype=np.int64) if I0 is None else np.unique(
@@ -285,7 +352,8 @@ def _sieve_loop(inst, cfg, I0, enhanced, warm=None):
 
     for rnd in range(max_rounds):
         state.round = rnd + 1
-        partition = build_partition(inst.incidence, I)
+        built, fresh = store.get(I)
+        partition = built.partition
         red = reduce_problem(inst, partition, lam)
         warm_red = None
         if carry is not None:
@@ -293,7 +361,8 @@ def _sieve_loop(inst, cfg, I0, enhanced, warm=None):
 
         tol_cur, apg_cur = sub_tol, apg_iter
         for attempt in range(4):
-            sub = solve_reduced_admm(red, tol_cur, admm_cfg, warm=warm_red)
+            sub = solve_reduced_admm(red, tol_cur, admm_cfg, warm=warm_red,
+                                     system=built.newton_system)
             state.newton_steps += sub.iterations
             state.cg_steps += sub.cg_steps
             state.factorizations += sub.factorizations
@@ -307,17 +376,18 @@ def _sieve_loop(inst, cfg, I0, enhanced, warm=None):
                     ApgConfig(eps=apg_eps, maxiter=apg_cur),
                 )
                 if cert is not None:
-                    state.records.append(_record(rnd, partition, sub, cert.residual_norm, F_val, 0, tol_cur, True))
+                    state.records.append(_record(rnd, partition, sub, cert.residual_norm, F_val, 0, tol_cur, True, fresh))
                     log.info("round %d: certified early, residual %.3e", rnd + 1, cert.residual_norm)
                     return cert, state
 
             u = recover_dual(
                 inst, lam, partition, sub,
                 ApgConfig(eps=apg_eps, maxiter=apg_cur), x_bar=x_bar,
+                gram=built.gram_system,
             )
             res = kkt_residual(inst, lam, x_bar, y_bar, u)
             if res <= cfg.eps:
-                state.records.append(_record(rnd, partition, sub, res, F_val, 0, tol_cur, False))
+                state.records.append(_record(rnd, partition, sub, res, F_val, 0, tol_cur, False, fresh))
                 log.info("round %d: residual %.3e <= eps", rnd + 1, res)
                 gap = duality_gap(inst, lam, x_bar, u)
                 return KktTriple(x=x_bar, y=y_bar, z=u, residual_norm=res, gap=gap), state
@@ -335,12 +405,12 @@ def _sieve_loop(inst, cfg, I0, enhanced, warm=None):
                 rnd + 1, res, tol_cur,
             )
         else:
-            state.records.append(_record(rnd, partition, sub, res, F_val, 0, tol_cur, False))
+            state.records.append(_record(rnd, partition, sub, res, F_val, 0, tol_cur, False, fresh))
             raise SieveLimitError(
                 f"no violations but residual {res:.3e} > eps after retightening", state
             )
 
-        state.records.append(_record(rnd, partition, sub, res, F_val, len(J), tol_cur, False))
+        state.records.append(_record(rnd, partition, sub, res, F_val, len(J), tol_cur, False, fresh))
         log.info(
             "round %d: residual %.3e, removing %d of %d candidate blocks",
             rnd + 1, res, len(J), len(I),
@@ -352,7 +422,10 @@ def _sieve_loop(inst, cfg, I0, enhanced, warm=None):
     raise SieveLimitError(f"sieve did not certify within {max_rounds} rounds", state)
 
 
-def _record(rnd, partition, sub, res, F_val, n_viol, tol, certified):
+def _record(rnd, partition, sub, res, F_val, n_viol, tol, certified, built):
+    """One round's record; built says that the round's candidate set was
+    not stored, so the round built its partition (and the Newton system and
+    Gram factors that it used)."""
     return {
         "round": rnd + 1,
         "n_reduced": partition.n_reduced,
@@ -363,10 +436,11 @@ def _record(rnd, partition, sub, res, F_val, n_viol, tol, certified):
         "violations": n_viol,
         "subsolver_tol": tol,
         "certified_early": certified,
+        "built": built,
     }
 
 
-def as_solve(inst, cfg, I0=None, warm=None):
+def as_solve(inst, cfg, I0=None, warm=None, store=None):
     """Adaptive sieving for one lambda; returns (KktTriple, SieveState).
 
     Starting from the candidate zero set I0 (all blocks when omitted), each
@@ -374,11 +448,13 @@ def as_solve(inst, cfg, I0=None, warm=None):
     certifies the point or strips I of its violating blocks; I shrinks
     strictly, so at most len(I0) + 1 rounds ever run. warm is a full-space
     (x, z) pair, optionally followed by the subsolver sigma to resume with.
+    store is a BuildStore of inst shared with other solves, such as the
+    other lambdas of a path; None uses one of this solve's own.
     """
-    return _sieve_loop(inst, cfg, I0, enhanced=False, warm=warm)
+    return _sieve_loop(inst, cfg, I0, enhanced=False, warm=warm, store=store)
 
 
-def eas_solve(inst, cfg, I0=None, warm=None):
+def eas_solve(inst, cfg, I0=None, warm=None, store=None):
     """Sieve with early optimality certification; never more rounds than as_solve.
 
     Identical to as_solve except that once consecutive objectives agree to
@@ -386,4 +462,4 @@ def eas_solve(inst, cfg, I0=None, warm=None):
     pattern is used to attempt a direct optimality certificate before any
     further sieving.
     """
-    return _sieve_loop(inst, cfg, I0, enhanced=True, warm=warm)
+    return _sieve_loop(inst, cfg, I0, enhanced=True, warm=warm, store=store)

@@ -40,6 +40,16 @@ def test_layer_wrappers_count_a_solved_path(monkeypatch, mode):
     monkeypatch.syspath_prepend(str(PERFBENCH))
     from spans import Tracer, install_layer_wrappers
 
+    from sievepath import path
+
+    records = []  # every round record of the path
+    for name in ("as_solve", "eas_solve"):
+        def recording(*args, _solve=getattr(path, name), **kwargs):
+            triple, state = _solve(*args, **kwargs)
+            records.extend(state.records)
+            return triple, state
+
+        monkeypatch.setattr(path, name, recording)
     inst = build_knn_graph(np.random.default_rng(3).standard_normal((2, 30)), k=4)
     with Tracer() as tracer:
         install_layer_wrappers(tracer)
@@ -50,7 +60,9 @@ def test_layer_wrappers_count_a_solved_path(monkeypatch, mode):
     assert counts["sieve.rounds"] == res.total_rounds >= 2
     assert counts["sieve.round_records"] >= 2
     assert counts["admm.iters"] == res.total_newton_steps > 0
-    assert counts["graph.partition.calls"] >= 2
+    assert len(records) == res.total_rounds
+    # a candidate set is partitioned only by the round that first solves it
+    assert counts["graph.partition.calls"] == sum(r["built"] for r in records) >= 1
     for owner, attr, original in patched:
         current = owner.__dict__[attr] if isinstance(owner, type) else getattr(owner, attr)
         assert current is original, (owner, attr)

@@ -136,6 +136,30 @@ def test_knn_rejects_bad_input():
         build_knn_graph(np.zeros((2, 5)), k=0)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_knn_rejects_non_finite_data(bad):
+    A = np.random.default_rng(0).standard_normal((2, 6))
+    A[0, 3] = bad
+    with pytest.raises(GraphError, match="finite"):
+        build_knn_graph(A, k=2)
+
+
+def test_knn_chunks_give_the_unchunked_graph():
+    """At N = 700 the distances come in two column chunks; the edges and
+    weights equal those of one stable sort of the whole distance matrix."""
+    A = np.random.default_rng(4).standard_normal((2, 700))
+    k = 5
+    inst = build_knn_graph(A, k=k)
+    D = np.sum((A[:, :, None] - A[:, None, :]) ** 2, axis=0)
+    np.fill_diagonal(D, np.inf)
+    nbrs = np.argsort(D, axis=0, kind="stable")[:k]
+    cols = np.arange(A.shape[1])
+    pairs = {(min(i, j), max(i, j)) for i, j in zip(nbrs.ravel(), np.tile(cols, k))}
+    assert sorted(pairs) == list(zip(inst.edge_i.tolist(), inst.edge_j.tolist()))
+    diff = A[:, inst.edge_i] - A[:, inst.edge_j]
+    assert np.allclose(inst.weights, np.exp(-0.5 * np.sum(diff * diff, axis=0)))
+
+
 def test_build_partition_hand_example():
     # nodes 0,1,2 with edges e0=(0,1), e1=(0,2), e2=(1,2); I={e0}
     inc = IncidenceMap(3, [0, 0, 1], [1, 2, 2])

@@ -29,6 +29,18 @@ def test_instance_validation():
         ProblemInstance.from_edges(A, [(0, 3, 1.0)])  # out of range
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_instance_rejects_non_finite_data_and_weights(bad):
+    """A NaN weight passes the positivity test, and a non-finite weight or
+    data entry would only fail the solve: both are bad input."""
+    A = np.zeros((2, 3))
+    with pytest.raises(ValueError, match="finite"):
+        ProblemInstance.from_edges(A, [(0, 1, 1.0), (1, 2, bad)])
+    A[1, 2] = bad
+    with pytest.raises(ValueError, match="finite"):
+        ProblemInstance.from_edges(A, [(0, 1, 1.0), (1, 2, 1.0)])
+
+
 def test_instance_sorts_edges_lexicographically():
     A = np.zeros((1, 4))
     inst = ProblemInstance.from_edges(A, [(1, 3, 1.0), (0, 2, 2.0), (1, 2, 3.0)])

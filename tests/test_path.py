@@ -278,3 +278,118 @@ def test_defect_in_a_solve_propagates(t1_inst, monkeypatch, mode):
     monkeypatch.setattr(sieve, "solve_reduced_admm", broken)
     with pytest.raises(ZeroDivisionError):
         solve_path(t1_inst, PathConfig(lambdas=[5.0, 2.0], mode=mode))
+
+
+@pytest.fixture(scope="module")
+def moons200():
+    from sievepath import gen_two_half_moons
+
+    return build_knn_graph(gen_two_half_moons(200, 0.1, seed=0), k=10)
+
+
+def _path_without_store(inst, pcfg):
+    """solve_path's lambda loop, with each solve building every structure
+    itself: the same I0, warm start and sigma, but no shared build store."""
+    from sievepath import sieve
+    from sievepath.model import fused_blocks
+
+    solver = sieve.eas_solve if pcfg.mode == "eas" else sieve.as_solve
+    I0 = np.arange(0 if pcfg.mode == "direct" else inst.m_blocks, dtype=np.int64)
+    carry, out = None, []
+    for lam in pcfg.lambdas:
+        cfg = SolveConfig(lam=float(lam), eps=pcfg.eps, eps_hat=pcfg.eps_hat)
+        triple, state = solver(inst, cfg, I0=I0, warm=carry)
+        out.append((triple, state))
+        carry = (triple.x, triple.z, state.sub.sigma)
+        if pcfg.mode != "direct":
+            I0 = np.flatnonzero(fused_blocks(inst.incidence.apply(triple.x), pcfg.eps_hat))
+    return out
+
+
+@pytest.mark.parametrize("mode", ["as", "eas", "direct"])
+def test_reused_structures_change_no_result(moons200, mode):
+    """A path that reuses the partitions, Newton systems and Gram factors of
+    recurring candidate sets returns, bit for bit, what per-lambda solves
+    that build everything afresh return, with the same rounds and work."""
+    pcfg = PathConfig(mode=mode)
+    res = solve_path(moons200, pcfg)
+    assert res.all_converged
+    for rec, (triple, state) in zip(res.records, _path_without_store(moons200, pcfg),
+                                    strict=True):
+        for name in ("x", "y", "z"):
+            assert getattr(rec.triple, name).tobytes() == getattr(triple, name).tobytes()
+        assert rec.rounds == state.round
+        assert (rec.newton_steps, rec.cg_steps, rec.factorizations) == (
+            state.newton_steps, state.cg_steps, state.factorizations)
+
+
+@pytest.mark.parametrize("mode", ["as", "eas", "direct"])
+def test_each_stored_candidate_set_is_built_once(moons200, monkeypatch, mode):
+    """Partitions, Newton systems and Gram factors are built only by the
+    rounds whose record says built, at most two sets' structures are alive
+    at once, and direct mode builds one partition and one Newton system per
+    path. eas_certify builds its own, which are not counted here."""
+    import weakref
+
+    from sievepath import path, sieve
+
+    builds = {"build_partition": 0, "_NewtonSystem": 0, "GammaSystem": 0}
+    in_eas = []
+
+    def counting(name):
+        real = getattr(sieve, name)
+
+        def build(*args):
+            builds[name] += not in_eas
+            return real(*args)
+
+        monkeypatch.setattr(sieve, name, build)
+
+    for name in builds:
+        counting(name)
+    real_eas = sieve.eas_certify
+
+    def eas(*args, **kwargs):
+        in_eas.append(True)
+        try:
+            return real_eas(*args, **kwargs)
+        finally:
+            in_eas.pop()
+
+    monkeypatch.setattr(sieve, "eas_certify", eas)
+    alive, most = weakref.WeakSet(), []
+    real_built = sieve._Built
+
+    def tracked(*args):
+        built = real_built(*args)
+        alive.add(built)
+        most.append(len(alive))
+        return built
+
+    monkeypatch.setattr(sieve, "_Built", tracked)
+    records = []
+    for name in ("as_solve", "eas_solve"):
+        real_solve = getattr(path, name)
+
+        def recording(*args, _solve=real_solve, **kwargs):
+            triple, state = _solve(*args, **kwargs)
+            records.extend(state.records)
+            return triple, state
+
+        monkeypatch.setattr(path, name, recording)
+
+    res = solve_path(moons200, PathConfig(mode=mode))
+    assert res.all_converged and len(records) == res.total_rounds
+    assert not any(r["certified_early"] for r in records)
+    built = [r for r in records if r["built"]]
+    assert builds["build_partition"] == len(built)
+    # a reduced problem without blocks is solved without a Newton system,
+    # and an empty I (m_reduced = m) needs no Gram factors
+    assert builds["_NewtonSystem"] == sum(r["m_reduced"] > 0 for r in built)
+    assert builds["GammaSystem"] == sum(r["m_reduced"] < moons200.m_blocks for r in built)
+    assert max(most) <= sieve.BuildStore.SIZE
+    if mode == "direct":
+        assert builds["build_partition"] == builds["_NewtonSystem"] == 1
+        assert builds["GammaSystem"] == 0
+    else:
+        assert len(built) < len(records) / 2  # candidate sets recur

@@ -324,6 +324,30 @@ def test_eas_certify_rejects_by_the_bound_before_building_the_fill(t1_inst, monk
     assert eas_certify(t1_inst, 0.01, x_bad, eps=1e-6) is None
 
 
+# ----------------------------------------------------------------- BuildStore
+
+
+def test_build_store_keys_on_the_exact_set_and_keeps_the_two_last_used(t1_inst):
+    store = sieve.BuildStore(t1_inst)
+    a, fresh_a = store.get(np.array([0], dtype=np.int64))
+    b, fresh_b = store.get(np.array([1], dtype=np.int64))  # same size, another set
+    assert fresh_a and fresh_b and b is not a
+    assert a.partition.I.tolist() == [0] and b.partition.I.tolist() == [1]
+    again, fresh = store.get(np.array([0], dtype=np.int64))
+    assert again is a and not fresh
+    store.get(np.array([0, 1], dtype=np.int64))  # evicts [1], used least recently
+    assert len(store) == 2
+    assert store.get(np.array([0], dtype=np.int64)) == (a, False)
+    rebuilt, fresh = store.get(np.array([1], dtype=np.int64))
+    assert fresh and rebuilt is not b
+
+
+def test_a_build_store_serves_one_instance(t1_inst):
+    other = build_knn_graph(np.random.default_rng(0).standard_normal((1, 5)), k=2)
+    with pytest.raises(ValueError, match="another instance"):
+        as_solve(t1_inst, SolveConfig(lam=1.0), store=sieve.BuildStore(other))
+
+
 # ------------------------------------------------------------------- eas_solve
 
 
