@@ -11,6 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
+from scipy.spatial import cKDTree
 
 from ._kernels import column_norms, union_find_min_labels
 from .model import ProblemInstance
@@ -57,7 +58,17 @@ def build_knn_graph(A, k=10):
 
     An undirected edge (i, j) exists when either point is among the other's
     k nearest neighbors; its weight is exp(-0.5 ||A_:i - A_:j||^2). Distance
-    ties are broken toward the smaller index.
+    ties are broken toward the smaller index, where a distance is the sum of
+    squared coordinate differences.
+
+    A k-d tree proposes k + 1 + _SPARE candidates per point, O(N log N)
+    expected time (Friedman, Bentley & Finkel, 1977). The candidates'
+    distances are recomputed from the differences, the point itself is
+    dropped by index, and the rest are sorted by (distance, index). That
+    window is exact when its k-th distance lies strictly below the tree's
+    largest returned distance; otherwise, which only ties or duplicate
+    points at the window's edge cause, the point's row is recomputed
+    against all N points and sorted the same way.
     """
     A = np.ascontiguousarray(A, dtype=np.float64)
     if A.ndim != 2:
@@ -67,26 +78,53 @@ def build_knn_graph(A, k=10):
     N = A.shape[1]
     if N < 2:
         raise GraphError("need at least 2 points to build a graph")
+    if A.shape[0] == 0:
+        raise GraphError("data has no feature rows, so points have no distances")
     if not 1 <= k < N:
         raise GraphError(f"k must satisfy 1 <= k < N, got k={k}, N={N}")
 
-    sq = np.einsum("ij,ij->j", A, A)
-    keys = []  # min(i, j) * N + max(i, j) of every neighbor pair
-    chunk = max(1, min(N, 2**18 // N))  # 2 MB of distances at a time
-    for start in range(0, N, chunk):
-        cols = np.arange(start, min(start + chunk, N))
-        D = sq[:, None] + sq[cols][None, :] - 2.0 * (A.T @ A[:, cols])
-        np.maximum(D, 0.0, out=D)
-        D[cols, np.arange(len(cols))] = np.inf  # exclude self
-        # stable sort keeps ascending index order among equal distances
-        nbrs = np.argsort(D, axis=0, kind="stable")[:k]
-        keys.append((np.minimum(nbrs, cols) * N + np.maximum(nbrs, cols)).ravel())
-
-    # unique keys come in lexicographic (i, j) order
-    ei, ej = np.divmod(np.unique(np.concatenate(keys)), N)
+    nbrs = _knn_rows(A, k)
+    rows = np.arange(N)[:, None]
+    # unique keys min(i, j) * N + max(i, j) come in lexicographic (i, j) order
+    keys = np.minimum(nbrs, rows) * N + np.maximum(nbrs, rows)
+    ei, ej = np.divmod(np.unique(keys), N)
     diff = A[:, ei] - A[:, ej]
     w = np.exp(-0.5 * np.einsum("ij,ij->j", diff, diff))
     return ProblemInstance(A, ei, ej, w)
+
+
+_SPARE = 4  # candidates queried beyond k + 1, so that few windows end in a tie
+
+
+def _sq_dists(A, i):
+    """Squared distances from point i to every point, summed in feature order
+    from the same differences as the candidates' distances."""
+    diff = A - A[:, i][:, None]
+    return np.sum(diff * diff, axis=0)
+
+
+def _knn_rows(A, k):
+    """(N, k) array whose row i holds point i's k nearest neighbors in
+    (distance, index) order."""
+    N = A.shape[1]
+    c = min(k + 1 + _SPARE, N)
+    tree_d, cand = cKDTree(A.T).query(A.T, k=c)
+    D = np.empty((N, c))
+    for t in range(c):
+        diff = A[:, cand[:, t]] - A
+        D[:, t] = np.sum(diff * diff, axis=0)
+    # self goes last by index: with duplicate points the tree may omit it
+    D[cand == np.arange(N)[:, None]] = np.inf
+    order = np.lexsort((cand, D), axis=1)[:, :k]
+    nbrs = np.take_along_axis(cand, order, axis=1)
+    # every point outside the window lies at least the tree's last distance
+    # away; the margin covers the two computations' round-off
+    kth = np.take_along_axis(D, order[:, -1:], axis=1)[:, 0]
+    for i in np.flatnonzero(~(kth < (1.0 - 1e-9) * tree_d[:, -1] ** 2)):
+        d = _sq_dists(A, i)
+        d[i] = np.inf
+        nbrs[i] = np.argsort(d, kind="stable")[:k]
+    return nbrs
 
 
 @dataclass

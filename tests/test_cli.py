@@ -50,6 +50,16 @@ def test_solve_bad_input_exit_two(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_data_without_features_is_bad_input(small_csv, monkeypatch, capsys):
+    """A points matrix with no feature rows has no distances: exit 2."""
+    from sievepath import cli
+
+    monkeypatch.setattr(cli, "load_matrix", lambda path: np.zeros((0, 30)))
+    rc = main(["path", "--input", str(small_csv), "--grid", "1.0", "--k", "5"])
+    assert rc == 2
+    assert "no feature rows" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("argv", [
     ["solve", "--lam", "nan"], ["solve", "--lam", "inf"],
     ["solve", "--lam", "1.0", "--eps", "nan"], ["path", "--grid", "2,nan"],

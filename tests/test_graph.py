@@ -1,15 +1,18 @@
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from scipy.spatial import cKDTree
 
 from sievepath import (
     GraphError,
     IncidenceMap,
     build_knn_graph,
     build_partition,
+    gen_two_half_moons,
     recover_primal,
     reduce_problem,
 )
+from sievepath import graph
 from sievepath.model import primal_objective
 
 from conftest import random_instance
@@ -144,9 +147,9 @@ def test_knn_rejects_non_finite_data(bad):
         build_knn_graph(A, k=2)
 
 
-def test_knn_chunks_give_the_unchunked_graph():
-    """At N = 700 the distances come in two column chunks; the edges and
-    weights equal those of one stable sort of the whole distance matrix."""
+def test_knn_equals_one_stable_sort_of_all_distances():
+    """The edges and weights equal those of one stable sort of the whole
+    distance matrix."""
     A = np.random.default_rng(4).standard_normal((2, 700))
     k = 5
     inst = build_knn_graph(A, k=k)
@@ -158,6 +161,93 @@ def test_knn_chunks_give_the_unchunked_graph():
     assert sorted(pairs) == list(zip(inst.edge_i.tolist(), inst.edge_j.tolist()))
     diff = A[:, inst.edge_i] - A[:, inst.edge_j]
     assert np.allclose(inst.weights, np.exp(-0.5 * np.sum(diff * diff, axis=0)))
+
+
+def _reference_row(A, i, k):
+    """Point i's k nearest neighbors: a stable argsort of the directly
+    computed squared distances, self excluded."""
+    D = np.sum((A - A[:, [i]]) ** 2, axis=0)
+    D[i] = np.inf
+    return np.argsort(D, kind="stable")[:k]
+
+
+def _assert_exact(A, k):
+    """Neighbor rows and edge set both equal the brute-force reference."""
+    N = A.shape[1]
+    ref = np.array([_reference_row(A, i, k) for i in range(N)])
+    assert np.array_equal(graph._knn_rows(A, k), ref)
+    inst = build_knn_graph(A, k=k)
+    pairs = {(min(i, j), max(i, j)) for i in range(N) for j in ref[i]}
+    assert sorted(pairs) == list(zip(inst.edge_i.tolist(), inst.edge_j.tolist()))
+
+
+def _count_fallbacks(monkeypatch):
+    """Count the rows recomputed against all points."""
+    calls = []
+    real = graph._sq_dists
+
+    def counted(A, i):
+        calls.append(i)
+        return real(A, i)
+
+    monkeypatch.setattr(graph, "_sq_dists", counted)
+    return calls
+
+
+@pytest.mark.parametrize("k", [1, 5, 10])
+@pytest.mark.parametrize("d", [1, 2, 20, 100])
+def test_knn_tree_equals_brute_force(d, k):
+    A = np.random.default_rng(10 * d + k).standard_normal((d, 300))
+    _assert_exact(A, k)
+
+
+def test_knn_lattice_ties_fall_back_to_the_exact_row(monkeypatch):
+    """On the integer lattice Z^3 an inner point has 6 neighbors at distance
+    1 and 12 at sqrt(2): with k = 10 the tie run at sqrt(2) overruns the
+    tree's window, so those rows are recomputed against every point."""
+    g = np.arange(6.0)
+    A = np.stack(np.meshgrid(g, g, g, indexing="ij")).reshape(3, -1)
+    calls = _count_fallbacks(monkeypatch)
+    _assert_exact(A, 10)
+    assert len(calls) > 0
+
+
+def test_knn_repeated_points_fall_back_to_the_exact_row(monkeypatch):
+    """Twelve copies of each point: the tree's window of 10 holds only
+    copies, and for some points it leaves the point itself out."""
+    base = np.random.default_rng(7).standard_normal((2, 25))
+    A = np.repeat(base, 12, axis=1)
+    k = 5
+    _, cand = cKDTree(A.T).query(A.T, k=k + 1 + graph._SPARE)
+    assert np.any(~np.any(cand == np.arange(A.shape[1])[:, None], axis=1))
+    calls = _count_fallbacks(monkeypatch)
+    _assert_exact(A, k)
+    assert len(calls) > 0
+
+
+@pytest.mark.parametrize("k", range(1, 8))
+def test_knn_window_covering_every_point(k):
+    """N = 8: from k = 3 on, the window k + 1 + spare holds all N points."""
+    A = np.random.default_rng(k).integers(0, 3, (2, 8)).astype(float)
+    _assert_exact(A, k)
+
+
+def test_knn_rejects_data_without_features():
+    with pytest.raises(GraphError, match="no feature rows"):
+        build_knn_graph(np.zeros((0, 5)), k=2)
+
+
+def test_knn_scale_guard():
+    """N = 20,000 in well under a second with the tree, where a quadratic
+    set-up takes tens of seconds."""
+    A = gen_two_half_moons(20_000, 0.1, seed=0)
+    k = 10
+    inst = build_knn_graph(A, k=k)
+    degree = np.bincount(np.concatenate([inst.edge_i, inst.edge_j]), minlength=inst.N)
+    assert degree.min() >= k
+    rows = graph._knn_rows(A, k)
+    for i in np.random.default_rng(0).choice(inst.N, size=200, replace=False):
+        assert np.array_equal(rows[i], _reference_row(A, i, k))
 
 
 def test_build_partition_hand_example():
