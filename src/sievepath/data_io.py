@@ -114,7 +114,6 @@ class RunManifest:
     admm_tol: float = None
     apg_maxiter: int = ApgConfig().maxiter
     outdir: str = None
-    seed: int = 0
 
     def to_json(self):
         return json.dumps(asdict(self), indent=2, sort_keys=True)
@@ -128,6 +127,10 @@ class RunManifest:
         data = json.loads(text)
         if not isinstance(data, dict):
             raise DataError("manifest must be a JSON object")
+        # older manifests carry an integer seed that no run reads
+        seed = data.pop("seed", 0)
+        if isinstance(seed, bool) or not isinstance(seed, int):
+            raise DataError(f"manifest field 'seed' must be int, got {seed!r}")
         fields = cls.__dataclass_fields__
         unknown = set(data) - set(fields)
         if unknown:

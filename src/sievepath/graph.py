@@ -1,10 +1,13 @@
 """k-NN fusion graph, incidence map, index partition and problem reduction.
 
-A sieved edge set I induces a node partition (alpha, beta, gamma): connected
-components of the I-subgraph contribute their smallest node to alpha and the
-rest to gamma, untouched nodes form beta. Eliminating x_gamma through the
-component map M collapses the problem onto (x_alpha, x_beta) and the blocks
-outside I: a fusion problem again, on the quotient graph of the components.
+A sieved edge set I merges the nodes of each connected component of the
+I-subgraph into one reduced column, numbered by the component's smallest
+node (its rep); untouched nodes keep a column of their own. pos maps every
+node to its column and gamma lists the merged nodes that are not a rep.
+Summing over those columns collapses the problem onto the reduced columns
+and the blocks outside I: a fusion problem again, on the quotient graph of
+the components. In the paper's notation, rep is (alpha, beta) and the 0/1
+map M sends gamma node i to column pos[i].
 """
 
 from dataclasses import dataclass
@@ -127,37 +130,46 @@ def _knn_rows(A, k):
     return nbrs
 
 
+def unique_indices(idx):
+    """The distinct entries of an index array, sorted, as int64."""
+    idx = np.sort(np.asarray(idx, dtype=np.int64), axis=None)
+    keep = np.ones(len(idx), dtype=bool)
+    np.not_equal(idx[1:], idx[:-1], out=keep[1:])
+    return idx[keep]
+
+
 @dataclass
 class IndexPartition:
-    """Node partition (alpha, beta, gamma) induced by a sieved edge set I.
+    """Node partition induced by a sieved edge set I.
 
-    M has shape (|alpha|, |gamma|) in the clustering orientation
-    X_gamma = X_alpha M; each column carries exactly one 1. Node i has the
-    reduced column pos[i]: alpha, then beta, in order; gamma at its root's.
+    Reduced column c holds the nodes i with pos[i] == c; rep[c] is the
+    smallest of them. The roots of components of the I-subgraph come first,
+    then the nodes no edge of I touches, each group in node order; gamma
+    lists the other nodes of the components.
     """
 
     I: np.ndarray
-    alpha: np.ndarray
-    beta: np.ndarray
+    I_c: np.ndarray
+    rep: np.ndarray
     gamma: np.ndarray
-    M: sp.csr_matrix
     pos: np.ndarray
-    m: int
-
-    @property
-    def I_c(self):
-        mask = np.ones(self.m, dtype=bool)
-        mask[self.I] = False
-        return np.flatnonzero(mask)
 
     @property
     def n_reduced(self):
-        return len(self.alpha) + len(self.beta)
+        return len(self.rep)
+
+    def sums(self, V):
+        """Per reduced column, the sum of V's columns over its nodes: the
+        rep's column plus the sum of its gamma nodes' columns."""
+        k = len(self.gamma)
+        G = sp.csr_matrix((np.ones(k), (self.pos[self.gamma], np.arange(k))),
+                          shape=(len(self.rep), k))
+        return V[:, self.rep] + (G @ V[:, self.gamma].T).T
 
 
 def build_partition(inc, I):
     """Partition nodes via connected components of the edges indexed by I."""
-    I = np.unique(np.asarray(I, dtype=np.int64))
+    I = unique_indices(I)
     if len(I) and (I[0] < 0 or I[-1] >= inc.m):
         raise ValueError("edge indices out of range")
     N = inc.N
@@ -169,43 +181,35 @@ def build_partition(inc, I):
     tnodes = np.flatnonzero(touched)
 
     roots = labels[tnodes]
-    alpha = np.unique(roots)  # roots are component minima already
+    alpha = tnodes[roots == tnodes]  # roots are component minima already
     beta = np.flatnonzero(~touched)
     gamma = tnodes[roots != tnodes]  # touched nodes that are not their root
 
-    # a touched node sits at its root's place in alpha, a root at its own
+    # a touched node sits at its root's column, an untouched one at its own
     pos = np.empty(N, dtype=np.int64)
     pos[tnodes] = np.searchsorted(alpha, roots)
     pos[beta] = len(alpha) + np.arange(len(beta))
-    M = sp.csr_matrix(
-        (np.ones(len(gamma)), (pos[gamma], np.arange(len(gamma)))),
-        shape=(len(alpha), len(gamma)),
-    )
-    return IndexPartition(
-        I=I, alpha=alpha, beta=beta, gamma=gamma, M=M, pos=pos, m=inc.m,
-    )
+    out = np.ones(inc.m, dtype=bool)
+    out[I] = False
+    return IndexPartition(I=I, I_c=np.flatnonzero(out), rep=np.concatenate([alpha, beta]),
+                          gamma=gamma, pos=pos)
 
 
 class ReducedProblem:
-    """Quadratic-plus-block-norm problem over (x_alpha, x_beta, y_{I^c}).
+    """Quadratic-plus-block-norm problem over the reduced columns and y_{I^c}.
 
     Objective 0.5 sum_c h_c ||X_c||^2 - <X, C> + kappa + lam * q(Y) subject
-    to inc.apply(X) - Y = 0, with h the per-column Hessian diagonal (component
-    sizes on alpha, ones on beta) and inc the IncidenceMap of the edges I^c
-    between the reduced columns of their ends.
+    to inc.apply(X) - Y = 0, with h the per-column Hessian diagonal (the
+    number of nodes in each column), C the column sums of A and inc the
+    IncidenceMap of the edges I^c between the reduced columns of their ends.
     """
 
     def __init__(self, inst, partition, lam):
         self.lam = float(lam)
 
-        alpha, beta, gamma = partition.alpha, partition.beta, partition.gamma
-        M = partition.M
-        # a component's size is its root plus the gamma nodes in its row of M
-        sizes = 1.0 + np.diff(M.indptr)
-        self.h = np.concatenate([sizes, np.ones(len(beta))])
+        self.h = np.bincount(partition.pos).astype(np.float64)
         A = inst.A
-        C_alpha = A[:, alpha] + (M @ A[:, gamma].T).T if len(alpha) else A[:, alpha]
-        self.C = np.ascontiguousarray(np.hstack([C_alpha, A[:, beta]]))
+        self.C = np.ascontiguousarray(partition.sums(A))
         self.kappa = 0.5 * float(np.sum(A * A))
 
         I_c, pos = partition.I_c, partition.pos
@@ -254,6 +258,6 @@ def recover_primal(partition, x_red, y_red):
     if x_red.shape[1] != partition.n_reduced:
         raise ValueError("reduced solution does not match partition")
     x = np.take(x_red, partition.pos, axis=1)
-    y = np.zeros((x_red.shape[0], partition.m))
+    y = np.zeros((x_red.shape[0], len(partition.I) + len(partition.I_c)))
     y[:, partition.I_c] = y_red
     return x, y

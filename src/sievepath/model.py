@@ -226,7 +226,6 @@ class SolveConfig:
     lam: float
     eps: float = 1e-6
     eps_hat: float = 2e-16
-    max_sieve_rounds: int | None = None  # None: m_blocks + 1
     admm: object = None  # AdmmConfig, None for defaults
     apg: object = None  # ApgConfig, None for defaults
 
@@ -236,7 +235,6 @@ class SolveConfig:
         if self.lam <= 0.0:
             raise ValueError("lam must be positive")
         check_tolerances(self.eps, self.eps_hat)
-        check_max_rounds(self.max_sieve_rounds)
 
 
 def check_tolerances(eps, eps_hat):
@@ -246,9 +244,3 @@ def check_tolerances(eps, eps_hat):
         raise ValueError("tolerances must be finite")
     if eps <= 0.0 or eps_hat <= 0.0:
         raise ValueError("tolerances must be positive")
-
-
-def check_max_rounds(max_sieve_rounds):
-    """A sieve round budget is None (as many as can ever run) or >= 1."""
-    if max_sieve_rounds is not None and max_sieve_rounds < 1:
-        raise ValueError(f"max_sieve_rounds must be at least 1, got {max_sieve_rounds!r}")

@@ -19,8 +19,7 @@ import numpy as np
 
 # solve_full is not called here; perfbench/spans.py wraps it under this name
 from .admm import SingularSystemError, solve_full
-from .model import (InfeasibleDualError, SolveConfig, check_max_rounds, check_tolerances,
-                    fused_blocks)
+from .model import InfeasibleDualError, SolveConfig, check_tolerances, fused_blocks
 from .sieve import BuildStore, SieveLimitError, as_solve, eas_solve
 
 log = logging.getLogger(__name__)
@@ -64,7 +63,6 @@ class PathConfig:
     eps: float = 1e-6
     eps_hat: float = 2e-16
     mode: str = "as"
-    max_sieve_rounds: int = None
     admm: object = None
     apg: object = None
 
@@ -77,7 +75,6 @@ class PathConfig:
         if np.any(self.lambdas <= 0):
             raise ValueError("lambdas must be positive")
         check_tolerances(self.eps, self.eps_hat)
-        check_max_rounds(self.max_sieve_rounds)
         if len(self.lambdas) > 1 and np.any(np.diff(self.lambdas) >= 0):
             raise ValueError("lambdas must be strictly decreasing")
         if self.mode not in MODES:
@@ -184,8 +181,7 @@ def solve_path(inst, pcfg=None):
 
     for lam in pcfg.lambdas:
         cfg = SolveConfig(
-            lam=float(lam), eps=pcfg.eps, eps_hat=pcfg.eps_hat,
-            max_sieve_rounds=pcfg.max_sieve_rounds, admm=pcfg.admm, apg=pcfg.apg,
+            lam=float(lam), eps=pcfg.eps, eps_hat=pcfg.eps_hat, admm=pcfg.admm, apg=pcfg.apg,
         )
         t0 = time.perf_counter()
         triple = state = error = None

@@ -115,7 +115,7 @@ def save_path_state(result, path):
         "version": STATE_VERSION,
         "config": {
             "lambdas": cfg.lambdas.tolist(), "eps": cfg.eps, "eps_hat": cfg.eps_hat,
-            "mode": cfg.mode, "max_sieve_rounds": cfg.max_sieve_rounds,
+            "mode": cfg.mode,
             "admm": None if cfg.admm is None else asdict(cfg.admm),
             "apg": None if cfg.apg is None else asdict(cfg.apg),
         },
@@ -153,6 +153,7 @@ def load_path_state(path):
     try:
         inst = ProblemInstance(arrays["A"], arrays["edge_i"], arrays["edge_j"], arrays["weights"])
         cfg = dict(meta["config"])
+        cfg.pop("max_sieve_rounds", None)  # a removed setting older states carry
         cfg["admm"] = None if cfg["admm"] is None else AdmmConfig(**cfg["admm"])
         cfg["apg"] = None if cfg["apg"] is None else ApgConfig(**cfg["apg"])
         result = PathResult(inst=inst, config=PathConfig(**cfg))

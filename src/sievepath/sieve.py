@@ -35,9 +35,9 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.sparse as sp
 
-from ._kernels import column_norms, frobenius_norm, project_columns, union_find_min_labels
+from ._kernels import column_norms, frobenius_norm, project_columns
 from .admm import AdmmConfig, _NewtonSystem, solve_reduced_admm
-from .graph import build_partition, recover_primal, reduce_problem
+from .graph import build_partition, recover_primal, reduce_problem, unique_indices
 from .model import KktTriple, duality_gap, fused_blocks, kkt_residual, primal_objective
 
 log = logging.getLogger(__name__)
@@ -232,7 +232,7 @@ def recover_dual(inst, lam, partition, sub, apg_cfg=None, x_bar=None, gram=None)
         x_bar, _ = recover_primal(partition, sub.x_red, sub.y_red)
     u = np.zeros((inst.d, inst.m_blocks))
     u[:, partition.I_c] = sub.xi
-    if len(partition.I) and len(partition.gamma):
+    if len(partition.gamma):  # I is nonempty exactly when gamma is
         g = (x_bar - inst.A) + inst.incidence.adjoint(u)
         gs = GammaSystem(inst, partition) if gram is None else gram()
         _complete_dual(inst, lam, partition, gs, g, u, apg_cfg)
@@ -268,22 +268,18 @@ def violation_set(partition, lam, inst, u, slack=VIOLATION_SLACK):
     return I[norms > lam * inst.weights[I] * (1.0 + slack)]
 
 
-def _fill_bound(inst, I, g):
+def _fill_bound(partition, g):
     """A lower bound on ||(x - A) + B*(v + f)||^2 over every fill f that is
-    zero off I, given g = (x - A) + B*(v).
+    zero off partition.I, given g = (x - A) + B*(v).
 
     A fill block moves weight between the two ends of its edge, so the sum
-    S_C of g over a connected component C of the I-subgraph (singletons
-    included) is the same for every fill, and by Cauchy-Schwarz the
-    residual on C is at least ||S_C||^2 / |C|.
+    S_C of g over a reduced column C of the partition (a connected
+    component of the I-subgraph, singletons included) is the same for
+    every fill, and by Cauchy-Schwarz the residual on C is at least
+    ||S_C||^2 / |C|.
     """
-    inc = inst.incidence
-    labels = union_find_min_labels(inc.N, inc.edge_i[I], inc.edge_j[I])
-    members = sp.csr_matrix((np.ones(inc.N), (labels, np.arange(inc.N))),
-                            shape=(inc.N, inc.N))
-    S = members @ g.T
-    sizes = np.maximum(np.diff(members.indptr), 1)  # a row with no member has S = 0
-    return float(np.sum(np.einsum("ij,ij->i", S, S) / sizes))
+    S = partition.sums(g)
+    return float(np.sum(np.einsum("ij,ij->j", S, S) / np.bincount(partition.pos)))
 
 
 def eas_certify(inst, lam, x_bar, eps, eps_hat=2e-16, apg_cfg=None):
@@ -294,9 +290,9 @@ def eas_certify(inst, lam, x_bar, eps, eps_hat=2e-16, apg_cfg=None):
     blocks, recovers the free dual blocks by the same particular-plus-APG
     construction, and accepts iff the full KKT residual meets eps. When no
     fill can bring the residual of the pinned dual down to eps
-    (_fill_bound), it rejects before building any of that. Returns None
-    when certification fails, in which case sieving continues on the
-    violation test.
+    (_fill_bound, read off the partition), it rejects before computing the
+    fill. Returns None when certification fails, in which case sieving
+    continues on the violation test.
     """
     y_t = inst.incidence.apply(x_bar)
     fused = fused_blocks(y_t, eps_hat)
@@ -306,11 +302,11 @@ def eas_certify(inst, lam, x_bar, eps, eps_hat=2e-16, apg_cfg=None):
     if np.any(free):
         v[:, free] = y_t[:, free] * (lam * inst.weights[free] / column_norms(y_t[:, free]))
     g = (x_bar - inst.A) + inst.incidence.adjoint(v)
-    if _fill_bound(inst, I_t, g) > eps * eps:
+    partition = build_partition(inst.incidence, I_t)
+    if _fill_bound(partition, g) > eps * eps:
         return None
     if len(I_t):
         y_t[:, I_t] = 0.0
-        partition = build_partition(inst.incidence, I_t)
         _complete_dual(inst, lam, partition, GammaSystem(inst, partition), g, v, apg_cfg)
     if kkt_residual(inst, lam, x_bar, y_t, v) <= eps:
         return KktTriple.from_point(inst, lam, x_bar, y_t, v)
@@ -321,8 +317,7 @@ def _restricted_warm(warm, partition, red):
     """Project a full-space (x, z) or (x, z, sigma) warm start onto a
     reduced problem; a carried subsolver sigma passes through unchanged."""
     x_full, z_full = warm[:2]
-    nodes = np.concatenate([partition.alpha, partition.beta])
-    X = np.ascontiguousarray(x_full[:, nodes])
+    X = np.ascontiguousarray(x_full[:, partition.rep])
     Z = np.ascontiguousarray(z_full[:, partition.I_c])
     return (X, red.inc.apply(X), Z, *warm[2:])
 
@@ -334,12 +329,9 @@ def _sieve_loop(inst, cfg, I0, enhanced, warm=None, store=None):
         raise ValueError("the build store belongs to another instance")
     lam = cfg.lam
     m = inst.m_blocks
-    I = np.arange(m, dtype=np.int64) if I0 is None else np.unique(
-        np.asarray(I0, dtype=np.int64)
-    )
-    max_rounds = cfg.max_sieve_rounds
-    if max_rounds is None:
-        max_rounds = len(I) + 1
+    I = np.arange(m, dtype=np.int64) if I0 is None else unique_indices(I0)
+    # a round that does not certify shrinks I, so this limit is never hit
+    max_rounds = len(I) + 1
     admm_cfg = cfg.admm or AdmmConfig()
     apg_base = cfg.apg or ApgConfig()
     sub_tol = 0.5 * cfg.eps if admm_cfg.tol is None else float(admm_cfg.tol)
@@ -429,7 +421,7 @@ def _record(rnd, partition, sub, res, F_val, n_viol, tol, certified, built):
     return {
         "round": rnd + 1,
         "n_reduced": partition.n_reduced,
-        "m_reduced": partition.m - len(partition.I),
+        "m_reduced": len(partition.I_c),
         "admm_iterations": sub.iterations,
         "kkt_residual": res,
         "objective": F_val,

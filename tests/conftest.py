@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from sievepath import ProblemInstance, build_knn_graph
 
@@ -28,3 +29,14 @@ def random_instance(rng, N=None, d=None, k=None):
     k = k or int(rng.integers(1, min(N - 1, 5) + 1))
     A = rng.standard_normal((d, N)) * rng.uniform(0.5, 2.0)
     return build_knn_graph(A, k=k)
+
+
+def paper_partition(part):
+    """The paper's (alpha, beta, M) of an IndexPartition, from rep, pos and
+    gamma: alpha are the reps of the columns that hold gamma nodes, beta the
+    other reps, and the 0/1 map M of shape (|alpha|, |gamma|) carries one 1
+    per column, at row pos[gamma[k]], so that X_gamma = X_alpha M."""
+    s = len(np.unique(part.pos[part.gamma]))
+    k = len(part.gamma)
+    M = sp.csr_matrix((np.ones(k), (part.pos[part.gamma], np.arange(k))), shape=(s, k))
+    return part.rep[:s], part.rep[s:], M

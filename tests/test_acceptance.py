@@ -37,7 +37,7 @@ from sievepath import (
 )
 from sievepath.sieve import GammaSystem
 
-from conftest import random_instance
+from conftest import paper_partition, random_instance
 
 
 def _announce(capsys, num, name, status, detail=""):
@@ -210,10 +210,11 @@ def test_criterion_4_partition_identities(capsys):
             m = inst.m_blocks
             I = np.sort(rng.choice(m, size=int(rng.integers(0, m + 1)), replace=False))
             part = build_partition(inst.incidence, I)
+            alpha, beta, M = paper_partition(part)
             B = inst.incidence.J.T.tocsr()
             BI = B[part.I]
-            assert BI[:, part.beta].nnz == 0
-            resid = BI[:, part.alpha] + BI[:, part.gamma] @ part.M.T
+            assert BI[:, beta].nnz == 0
+            resid = BI[:, alpha] + BI[:, part.gamma] @ M.T
             if resid.nnz:
                 assert np.abs(resid.toarray()).max() == 0.0
             if len(part.gamma):

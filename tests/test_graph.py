@@ -15,31 +15,35 @@ from sievepath import (
 from sievepath import graph
 from sievepath.model import primal_objective
 
-from conftest import random_instance
+from conftest import paper_partition, random_instance
 from test_kernels import _reference_components
 
 
 def partition_invariants(inst, part):
     """B_{I beta} = 0 and B_{I alpha} + B_{I gamma} M^T = 0, exactly."""
+    alpha, beta, M = paper_partition(part)
     B = inst.incidence.J.T.tocsr()
     BI = B[part.I]
-    assert BI[:, part.beta].nnz == 0
-    resid = BI[:, part.alpha] + BI[:, part.gamma] @ part.M.T
+    assert BI[:, beta].nnz == 0
+    resid = BI[:, alpha] + BI[:, part.gamma] @ M.T
     assert np.abs(resid.toarray()).max() == 0.0 if resid.nnz else True
     # every column of M carries exactly one 1
-    if part.M.shape[1]:
-        assert np.all(np.asarray(part.M.sum(axis=0)).ravel() == 1.0)
+    if M.shape[1]:
+        assert np.all(np.asarray(M.sum(axis=0)).ravel() == 1.0)
     # alpha nodes are their component's minimum: each root is smaller than
     # every gamma node that M maps to it
-    Mc = part.M.tocoo()
-    assert np.all(part.alpha[Mc.row] < part.gamma[Mc.col])
+    Mc = M.tocoo()
+    assert np.all(alpha[Mc.row] < part.gamma[Mc.col])
     # reduced columns: alpha roots first, then beta, each gamma node at its
     # root's column
-    s = len(part.alpha)
-    assert np.array_equal(part.pos[part.alpha], np.arange(s))
-    assert np.array_equal(part.pos[part.beta], s + np.arange(len(part.beta)))
+    s = len(alpha)
+    assert np.array_equal(part.pos[alpha], np.arange(s))
+    assert np.array_equal(part.pos[beta], s + np.arange(len(beta)))
     assert np.array_equal(part.pos[part.gamma[Mc.col]], Mc.row)
     assert len(part.pos) == inst.N
+    # every node is a rep or a gamma node, and I_c is the rest of the edges
+    assert np.array_equal(np.sort(np.concatenate([part.rep, part.gamma])), np.arange(inst.N))
+    assert np.array_equal(np.setdiff1d(np.arange(inst.m_blocks), part.I), part.I_c)
 
 
 def test_incidence_apply_adjoint():
@@ -58,8 +62,9 @@ def test_incidence_apply_adjoint():
 
 def _reduced_incidence_reference(inst, part):
     """[J_alpha + M J_gamma; J_beta] restricted to the columns I^c."""
+    alpha, beta, M = paper_partition(part)
     J = inst.incidence.J
-    Jr = sp.vstack([J[part.alpha] + part.M @ J[part.gamma], J[part.beta]])
+    Jr = sp.vstack([J[alpha] + M @ J[part.gamma], J[beta]])
     return Jr.tocsc()[:, part.I_c]
 
 
@@ -254,23 +259,34 @@ def test_build_partition_hand_example():
     # nodes 0,1,2 with edges e0=(0,1), e1=(0,2), e2=(1,2); I={e0}
     inc = IncidenceMap(3, [0, 0, 1], [1, 2, 2])
     part = build_partition(inc, [0])
-    assert list(part.alpha) == [0]
-    assert list(part.beta) == [2]
+    assert list(part.rep) == [0, 2]
     assert list(part.gamma) == [1]
-    assert part.M.toarray().tolist() == [[1.0]]
+    assert list(part.pos) == [0, 0, 1]
+    assert list(part.I_c) == [1, 2]
 
 
 def test_build_partition_empty_and_full():
     inc = IncidenceMap(3, [0, 0, 1], [1, 2, 2])
     empty = build_partition(inc, [])
-    assert len(empty.alpha) == 0 and len(empty.gamma) == 0
-    assert list(empty.beta) == [0, 1, 2]
+    assert list(empty.rep) == [0, 1, 2] and len(empty.gamma) == 0
+    assert list(empty.pos) == [0, 1, 2] and list(empty.I_c) == [0, 1, 2]
 
     full = build_partition(inc, [0, 1, 2])
-    assert list(full.alpha) == [0]
-    assert len(full.beta) == 0
+    assert list(full.rep) == [0]
     assert list(full.gamma) == [1, 2]
-    assert full.M.toarray().tolist() == [[1.0, 1.0]]
+    assert list(full.pos) == [0, 0, 0] and len(full.I_c) == 0
+
+
+def test_build_partition_dedupes_and_sorts_the_index_set():
+    inc = IncidenceMap(4, [0, 1, 2], [1, 2, 3])
+    part = build_partition(inc, np.array([[2, 0], [2, 2]]))
+    assert part.I.dtype == np.int64 and list(part.I) == [0, 2]
+    assert list(part.I_c) == [1]
+    assert graph.unique_indices([]).dtype == np.int64
+    rng = np.random.default_rng(8)
+    for size in (0, 1, 2, 50):
+        idx = rng.integers(0, 20, size=size)
+        assert np.array_equal(graph.unique_indices(idx), np.unique(idx))
 
 
 def test_partition_invariants_random():
@@ -298,8 +314,9 @@ def test_reduced_hessian_is_component_sizes():
         part = build_partition(inst.incidence, I)
         red = reduce_problem(inst, part, 1.0)
         ref = _reference_components(inst.N, inst.edge_i[I], inst.edge_j[I])
-        s = len(part.alpha)
-        assert list(red.h[:s]) == [np.count_nonzero(ref == a) for a in part.alpha]
+        alpha, _, _ = paper_partition(part)
+        s = len(alpha)
+        assert list(red.h[:s]) == [np.count_nonzero(ref == a) for a in alpha]
         assert np.all(red.h[s:] == 1.0)
         assert len(red.h) == inst.N - len(part.gamma)
 
@@ -346,12 +363,13 @@ def test_recover_primal_exactness(t1_inst):
 
 def _embed_through_M(part, x_red):
     """x_alpha and x_beta in order, x_gamma = x_alpha M."""
-    s = len(part.alpha)
+    alpha, beta, M = paper_partition(part)
+    s = len(alpha)
     x = np.empty((x_red.shape[0], len(part.pos)))
-    x[:, part.alpha] = x_red[:, :s]
-    x[:, part.beta] = x_red[:, s:]
+    x[:, alpha] = x_red[:, :s]
+    x[:, beta] = x_red[:, s:]
     if len(part.gamma):
-        x[:, part.gamma] = (part.M.T @ x_red[:, :s].T).T
+        x[:, part.gamma] = (M.T @ x_red[:, :s].T).T
     return x
 
 
@@ -367,6 +385,24 @@ def test_recover_primal_is_the_M_embedding_bitwise():
         x, y = recover_primal(part, x_red, y_red)
         assert x.tobytes() == _embed_through_M(part, x_red).tobytes()
         assert np.array_equal(y[:, part.I_c], y_red) and not y[:, part.I].any()
+
+
+def test_reduced_data_is_the_M_fold_bitwise():
+    """C and h of a reduced problem equal, bit for bit, the paper's fold-in
+    A_alpha + A_gamma M^T next to A_beta and the component sizes."""
+    rng = np.random.default_rng(7)
+    for trial in range(40):
+        inst = random_instance(rng)
+        m = inst.m_blocks
+        size = [0, m][trial] if trial < 2 else int(rng.integers(0, m + 1))
+        part = build_partition(inst.incidence, rng.choice(m, size=size, replace=False))
+        alpha, beta, M = paper_partition(part)
+        A = inst.A
+        C_alpha = A[:, alpha] + (M @ A[:, part.gamma].T).T if len(alpha) else A[:, alpha]
+        h = np.concatenate([1.0 + np.diff(M.indptr), np.ones(len(beta))])
+        red = reduce_problem(inst, part, 1.0)
+        assert red.C.tobytes() == np.hstack([C_alpha, A[:, beta]]).tobytes()
+        assert red.h.tobytes() == h.tobytes()
 
 
 def test_recover_primal_identity_embedding(t1_inst):

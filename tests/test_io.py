@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -98,7 +100,7 @@ def test_moons_rejects_tiny_n():
 
 
 def test_manifest_round_trip(tmp_path):
-    m = RunManifest(input="data.csv", k=7, grid="5:-0.5:1", mode="eas", seed=9)
+    m = RunManifest(input="data.csv", k=7, grid="5:-0.5:1", mode="eas")
     p = tmp_path / "run.json"
     m.save(p)
     assert RunManifest.load(p) == m
@@ -124,6 +126,17 @@ def test_manifest_rejects_unknown_field():
 def test_manifest_rejects_wrong_value_type(text, match):
     with pytest.raises(DataError, match=match):
         RunManifest.from_json(text)
+
+
+def test_manifest_drops_the_seed_of_older_manifests():
+    """Older manifests carry an integer seed that no run reads: it loads
+    and is dropped, and is still bad input when it is not an integer."""
+    m = RunManifest.from_json('{"k": 4, "seed": 9}')
+    assert m == RunManifest(k=4)
+    assert "seed" not in json.loads(m.to_json())
+    for text in ('{"seed": "9"}', '{"seed": true}', '{"seed": 9.0}', '{"seed": null}'):
+        with pytest.raises(DataError, match="field 'seed' must be int"):
+            RunManifest.from_json(text)
 
 
 def test_manifest_float_takes_int_and_null_only_where_default_is_none():

@@ -1,5 +1,3 @@
-import dataclasses
-
 import numpy as np
 import pytest
 
@@ -57,12 +55,6 @@ def test_path_config_validation():
                    {"eps_hat": np.nan}, {"eps_hat": np.inf}):
         with pytest.raises(ValueError, match="finite"):
             PathConfig(**{"lambdas": [2.0, 1.0], **kwargs})
-    for rounds in (0, -1):
-        with pytest.raises(ValueError, match="max_sieve_rounds"):
-            PathConfig(lambdas=[2.0, 1.0], max_sieve_rounds=rounds)
-        with pytest.raises(ValueError, match="max_sieve_rounds"):
-            SolveConfig(lam=1.0, max_sieve_rounds=rounds)
-    PathConfig(lambdas=[2.0, 1.0], max_sieve_rounds=1)
 
 
 def test_t1_path_all_modes_agree(t1_inst):
@@ -103,12 +95,13 @@ def test_path_records_are_complete(t1_inst):
     assert s["n_lambdas"] == 2 and s["all_converged"] and s["failed_lambdas"] == []
 
 
-def test_path_fail_soft(t1_inst):
-    """A starved round budget fails that lambda but the sweep continues."""
-    res = solve_path(
-        t1_inst,
-        PathConfig(lambdas=[10.0, 0.01], eps=1e-10, max_sieve_rounds=1),
-    )
+def test_path_fail_soft(t1_inst, monkeypatch):
+    """A sieve that finds no block to remove fails that lambda but the sweep
+    continues."""
+    from sievepath import sieve
+
+    monkeypatch.setattr(sieve, "violation_set", lambda *args: np.empty(0, dtype=np.int64))
+    res = solve_path(t1_inst, PathConfig(lambdas=[10.0, 0.01], eps=1e-10))
     assert len(res.records) == 2
     assert res.records[0].converged  # fully fused: one round suffices
     assert not res.records[1].converged
@@ -191,25 +184,25 @@ def test_lambda_records_count_cg_steps_and_factorizations(monkeypatch, mode):
 def test_solver_error_stays_with_its_lambda(t1_inst, monkeypatch, mode, exc):
     """A solve that fails at one lambda fails only that lambda; the next one
     starts from the last certified solution and certifies. The failure is a
-    subsolver that raises, or a one-round sieve budget at a lambda that
-    needs two rounds."""
+    subsolver that raises, or a sieve that finds no block to remove at a
+    lambda that needs two rounds."""
     from sievepath import admm, sieve
 
     real = admm.solve_reduced_admm
-    real_loop = sieve._sieve_loop
+    real_violations = sieve.violation_set
 
     def flaky(red, *args, **kwargs):
         if red.lam == 0.5:
             raise exc
         return real(red, *args, **kwargs)
 
-    def starved(inst, cfg, *args, **kwargs):
-        if cfg.lam == 0.5:
-            cfg = dataclasses.replace(cfg, max_sieve_rounds=1)
-        return real_loop(inst, cfg, *args, **kwargs)
+    def blind(partition, lam, *args):
+        if lam == 0.5:
+            return np.empty(0, dtype=np.int64)
+        return real_violations(partition, lam, *args)
 
     if exc is SieveLimitError:
-        monkeypatch.setattr(sieve, "_sieve_loop", starved)
+        monkeypatch.setattr(sieve, "violation_set", blind)
     else:
         monkeypatch.setattr(admm, "solve_reduced_admm", flaky)
         monkeypatch.setattr(sieve, "solve_reduced_admm", flaky)

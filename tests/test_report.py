@@ -115,6 +115,24 @@ def test_state_holds_no_pickle_and_checks_its_version(t1_result, tmp_path):
         load_path_state(tmp_path / "newer.npz")
 
 
+def test_state_with_a_removed_round_budget_still_loads(t1_result, tmp_path):
+    """States saved while PathConfig had max_sieve_rounds carry it in their
+    config; they load as before and the setting is dropped."""
+    p = tmp_path / "state.npz"
+    save_path_state(t1_result, p)
+    with np.load(p, allow_pickle=False) as npz:
+        arrays = {k: npz[k] for k in npz.files}
+    meta = json.loads(str(arrays["meta"]))
+    assert "max_sieve_rounds" not in meta["config"]
+    for rounds in (None, 3):
+        meta["config"]["max_sieve_rounds"] = rounds
+        arrays["meta"] = np.array(json.dumps(meta))
+        np.savez(tmp_path / "older.npz", **arrays)
+        back = load_path_state(tmp_path / "older.npz")
+        assert back.summary() == t1_result.summary()
+        assert not hasattr(back.config, "max_sieve_rounds")
+
+
 def test_state_with_a_bad_subsolver_setting_is_bad_data(t1_result, tmp_path):
     """A saved state whose subsolver settings no solve could run with is
     malformed, like any other invalid field."""

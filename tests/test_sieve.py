@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from sievepath import (
     AdmmConfig,
@@ -23,7 +24,7 @@ from sievepath import (
     violation_set,
 )
 from sievepath import sieve
-from sievepath._kernels import column_norms
+from sievepath._kernels import column_norms, union_find_min_labels
 
 from conftest import random_instance
 
@@ -228,9 +229,12 @@ def test_as_solve_empty_start_matches_solve_full(t1_inst):
     assert np.allclose(triple.x, ref.x, atol=1e-7)
 
 
-def test_as_solve_respects_round_budget(t1_inst):
-    with pytest.raises(SieveLimitError) as exc:
-        as_solve(t1_inst, SolveConfig(lam=0.01, eps=1e-8, max_sieve_rounds=1))
+def test_as_solve_fails_when_retightening_runs_out(t1_inst, monkeypatch):
+    """A round that finds no violation above eps retightens; once that runs
+    out, the sieve raises SieveLimitError with its state."""
+    monkeypatch.setattr(sieve, "violation_set", lambda *args: np.empty(0, dtype=np.int64))
+    with pytest.raises(SieveLimitError, match="after retightening") as exc:
+        as_solve(t1_inst, SolveConfig(lam=0.01, eps=1e-8))
     state = exc.value.state
     assert state.round == 1
     assert state.records
@@ -301,13 +305,39 @@ def test_fill_bound_never_exceeds_the_residual():
         v = rng.standard_normal(y.shape)
         v[:, I] = 0.0
         g = (x - inst.A) + inst.incidence.adjoint(v)
-        bound = sieve._fill_bound(inst, I, g)
+        bound = sieve._fill_bound(build_partition(inst.incidence, I), g)
         assert bound <= np.sum(g * g) * (1.0 + 1e-12)
         for _ in range(5):
             z = v.copy()
             z[:, I] = rng.standard_normal((inst.d, len(I))) * rng.uniform(0.0, 5.0)
             res = kkt_residual(inst, lam, x, y, z)
             assert bound <= res * res * (1.0 + 1e-12) + 1e-12
+
+
+def _fill_bound_by_members(inst, I, g):
+    """The fill bound summed through a node-membership matrix of the
+    components of the I-subgraph, labelled by their smallest node."""
+    inc = inst.incidence
+    labels = union_find_min_labels(inc.N, inc.edge_i[I], inc.edge_j[I])
+    members = sp.csr_matrix((np.ones(inc.N), (labels, np.arange(inc.N))),
+                            shape=(inc.N, inc.N))
+    S = members @ g.T
+    sizes = np.maximum(np.diff(members.indptr), 1)  # a row with no member has S = 0
+    return float(np.sum(np.einsum("ij,ij->i", S, S) / sizes))
+
+
+def test_fill_bound_is_the_component_membership_sum():
+    """The bound read off the partition equals the one summed through a
+    membership matrix, up to the order of the additions."""
+    rng = np.random.default_rng(32)
+    for trial in range(40):
+        inst = random_instance(rng)
+        m = inst.m_blocks
+        size = [0, m][trial] if trial < 2 else int(rng.integers(0, m + 1))
+        I = rng.choice(m, size=size, replace=False)
+        g = rng.standard_normal(inst.A.shape)
+        bound = sieve._fill_bound(build_partition(inst.incidence, I), g)
+        assert bound == pytest.approx(_fill_bound_by_members(inst, I, g), rel=1e-13, abs=0)
 
 
 def test_eas_certify_rejects_by_the_bound_before_building_the_fill(t1_inst, monkeypatch):
@@ -319,8 +349,8 @@ def test_eas_certify_rejects_by_the_bound_before_building_the_fill(t1_inst, monk
     x_bad = np.array([[2.5, 2.5, 1.0]])
     zero = np.flatnonzero(column_norms(t1_inst.incidence.apply(x_bad)) == 0.0)
     assert len(zero) == 1
-    monkeypatch.setattr(sieve, "build_partition", forbidden)
     monkeypatch.setattr(sieve, "GammaSystem", forbidden)
+    monkeypatch.setattr(sieve, "apg_minimize", forbidden)
     assert eas_certify(t1_inst, 0.01, x_bad, eps=1e-6) is None
 
 
