@@ -5,20 +5,25 @@ matrix of red.inc, is solved by an augmented Lagrangian loop with multiplier
 Z and penalty sigma. Each inner step minimises Psi(X) = phi(X) + sigma *
 e_tau(X Jr + Z / sigma), with e_tau the Moreau envelope of the block norms
 scaled by tau = lam * w / sigma, by a semismooth Newton method. Its
-generalised Hessian has the sparsity of the graph with a d x d block per
-pair of adjacent nodes: a small one is assembled and factorized by SuperLU
-at every Newton step; a large one is only applied, and scipy's conjugate
-gradients, preconditioned by a factorized n x n graph matrix L, solve the
-Newton system, so that memory and work per step grow linearly in d. Within
-one inner solve later Newton steps reuse the factors of L until the CG
-steps this costs, weighted by d, would pay for a new factorization
-(REUSE_WEIGHT; every d > 8 factors at every step). The pattern depends
-on the candidate set alone, so one fill-reducing node order, the CSC
-pattern and each entry's slot in it (_NewtonSystem) are computed once per
-set: a standalone subsolve builds them when it starts, and the sieve passes
-the system it keeps for a set to every subsolve of that set, its
-retightenings and later lambdas included; direct mode thus orders its one
-full-problem system once per path. Every factorization reuses that order.
+generalised Hessian H has the sparsity of the graph with a d x d block per
+pair of adjacent nodes. The order probe, which finds the fill-reducing
+node order, also counts the fill of the graph's factors in it; times d^2
+that predicts the fill of H's factors. When that is affordable, in total
+and per node, H is assembled and factorized by SuperLU; otherwise
+it is only applied, and scipy's conjugate gradients, preconditioned by a
+factorized n x n graph matrix L, solve the Newton system, so that memory
+and work per step grow linearly in d. Factors are reused until the CG
+steps the reuse costs would pay for a new factorization, a count read off
+the factors' fill (_reuse_weight): factors of H stay on the system for
+later Newton steps, inner solves and lambdas, giving the direction in one
+solve while fresh and preconditioning CG on H once stale; factors of L
+serve one inner solve. The pattern depends on the candidate set alone, so
+one node order, the CSC pattern and each entry's slot in it
+(_NewtonSystem) are computed once per set: a standalone subsolve builds
+them when it starts, and the sieve passes the system it keeps for a set to
+every subsolve of that set, its retightenings and later lambdas included;
+direct mode thus orders its one full-problem system once per path. Every
+factorization reuses that order.
 The multiplier step Z = sigma * Pi_tau(V) keeps Z inside the dual balls, so
 Y = prox(Y + Z) holds exactly and the reduced KKT residual is the inner
 gradient plus the primal infeasibility. Warm starts carry sigma over
@@ -51,23 +56,31 @@ ARMIJO = 1e-4  # sufficient-decrease fraction of the Newton line search
 # below this fraction of |Psi| a decrease of Psi is lost in round-off, so
 # the line search judges a step by the gradient norm instead
 PSI_ROUNDOFF = 1e-15
-# Newton matrices with at most EXACT_ENTRIES stored entries (parallel edges
-# merged) are assembled and factorized; larger ones are applied as an
-# operator and solved by PCG. On the d = 2 moons paths the sieved
-# subproblems (up to about 4.2e4 entries at N = 5000) are faster assembled
-# and the full N = 1000 problem (5.3e4) faster by PCG. ASSEMBLY_ENTRIES caps
-# the per-edge index arrays of the assembly (4 m d^2 entries), which many
-# parallel edges can make much longer than the matrix.
-EXACT_ENTRIES = 50_000
+# H is assembled when the fill the order probe predicts for its factors,
+# fill * d^2, is affordable in total and per node. In total, it and the
+# 4 m d^2 entries the assembly sums (parallel edges make m much larger
+# than the pattern) are at most ASSEMBLY_ENTRIES, about 12 MB of factors.
+# Per node it is at most ASSEMBLY_NODE_FILL: with c = fill / n, a
+# factorization of H works about n d (d c)^2 and a CG step of the operator
+# about n d c, so their ratio is H's fill per node. On 9-lambda direct
+# moons paths (one BLAS thread) the assembled branch was 2.2x faster at
+# d = 2, N = 5000 (172 per node) and the operator 1.2x faster at d = 3,
+# N = 1000 (304) and 2.3x at d = 5 (623). Every d >= 10 problem with edges
+# goes to the operator.
 ASSEMBLY_ENTRIES = 1_000_000
+ASSEMBLY_NODE_FILL = 200
 MAX_CG = 500  # conjugate-gradient steps per Newton direction
-# _newton factors L afresh once (excess + 1) * d > REUSE_WEIGHT, excess being
-# the extra CG steps that reused factors have cost. The factors serve all d
-# columns, and a CG step costs about d times a d = 1 step: at N = 1000 one
-# factorization of L takes about 1.3 ms and one d = 2 CG step 0.15 ms. On
-# N = 1000 moons direct paths reuse paid at d = 2 and 5, was about even at
-# d = 10 and lost at d = 20; every d > REUSE_WEIGHT refactors at every step.
-REUSE_WEIGHT = 8
+# _reuse_weight. Measured with one BLAS thread on the d = 2 moons problems,
+# a factorization of H with c stored entries per column of its factors
+# took about c / 4 CG steps on H preconditioned by them (c = 15 to 100,
+# N = 70 to 10^4 nodes), and the same count puts a factorization of L at
+# N = 1000 at 7.5 one-column steps. A direction from stale factors of H
+# also pays for entering CG and for the Newton steps an inexact direction
+# adds; REUSE_ENTRY counts that as 4 steps, so factors with c < 20 per
+# column, every sieved subproblem of the N = 1000 moons paths among them
+# (c <= 16), are made afresh at every Newton step.
+REUSE_FILL = 4
+REUSE_ENTRY = 4
 
 
 class SingularSystemError(RuntimeError):
@@ -138,23 +151,31 @@ class _NewtonSystem:
     row l of G is a_l (x) u_l.
 
     Stored, H has a dense d x d block per node and per pair of adjacent
-    nodes. Up to EXACT_ENTRIES of them it is assembled on a fixed CSC
-    pattern (the 4 d^2 entries of every edge summed by bincount) and
-    factorized by SuperLU. Above that it is never formed: three sparse
-    products apply it in O(m d), and scipy's conjugate gradients solve the
-    Newton system preconditioned by L (x) I_d, whose factorization keeps the
-    graph's sparsity and serves all d columns; H <= L (x) I_d, and the two
-    differ by one rank-one term per edge. Factors of L at an earlier point
-    precondition as well, so the caller may pass them back (_newton's reuse
-    rule); the system itself keeps no factors.
+    nodes, and factored in the node order about d^2 times the fill of a
+    matrix with the graph's pattern, which the order probe measures. When
+    that predicted fill is affordable (ASSEMBLY_ENTRIES, ASSEMBLY_NODE_FILL),
+    H is assembled on a fixed CSC pattern (the 4 d^2 entries of every edge
+    summed by bincount) and factorized by SuperLU; L, G and G^T are not
+    built. Otherwise H is never formed: three sparse products apply it in
+    O(m d), and scipy's conjugate gradients solve the Newton system
+    preconditioned by L (x) I_d, whose factorization keeps the graph's
+    sparsity and serves all d columns; H <= L (x) I_d, and the two differ by
+    one rank-one term per edge.
 
-    Both are built once, in one fill-reducing order of the n nodes
+    The system keeps the factors it made last (lu; those of H only while
+    their reuse can pay), their reuse weight (_reuse_weight) and what
+    reusing them has cost (excess, in CG steps), so that factors of H
+    outlive the Newton step, the inner solve and the reduced problem that
+    made them; direction decides when to refactor, and _newton drops
+    factors of L before each inner solve.
+
+    Both matrices are built once, in one fill-reducing order of the n nodes
     (_node_order), node order[p] in place p, so SuperLU factors them as
     they are; direction permutes only its right-hand side and its result.
     Only the reduced graph and h shape the system, and they depend on the
     candidate set alone, so the system serves every reduced problem of the
     same set, at any lam: solve_reduced_admm binds it to the one it solves
-    (red) and overwrites the values of H, L and G at every step.
+    (red) and overwrites the values of H, or of L and G, at every step.
     """
 
     def __init__(self, red):
@@ -163,29 +184,24 @@ class _NewtonSystem:
         ri, rj = red.inc.edge_i, red.inc.edge_j
         self.keep = ri != rj  # an edge inside one component adds nothing
         ri, rj = ri[self.keep], rj[self.keep]
-        pairs = len(np.unique(np.minimum(ri, rj) * n + np.maximum(ri, rj)))
-        self.exact = ((n + 2 * pairs) * d * d <= EXACT_ENTRIES
-                      and 4 * len(ri) * d * d <= ASSEMBLY_ENTRIES)
         # every matrix below is built with node order[p] in place p, so that
         # SuperLU factors it in the given order instead of finding one again
-        self.order, rank = _node_order(n, ri, rj)
+        self.order, rank, fill = _node_order(n, ri, rj)
+        self.assembled = (fill * d * d <= min(ASSEMBLY_ENTRIES, ASSEMBLY_NODE_FILL * n)
+                          and 4 * len(ri) * d * d <= ASSEMBLY_ENTRIES)
         ri, rj, h = rank[ri], rank[rj], red.h[self.order]
-        k = np.arange(d)
-        if self.exact:
-            # the diagonal, then the blocks (ri, ri), (rj, rj), (ri, rj), (rj, ri)
-            br = np.concatenate([ri, rj, ri, rj])[:, None, None] * d + k[:, None]
-            bc = np.concatenate([ri, rj, rj, ri])[:, None, None] * d + k
-            br, bc = np.broadcast_arrays(br, bc)
-            self.H, self._slot = _pattern(np.concatenate([np.arange(n * d), br.ravel()]),
-                                          np.concatenate([np.arange(n * d), bc.ravel()]),
-                                          n * d)
+        # the diagonal, then the entries (ri, ri), (rj, rj), (ri, rj), (rj, ri)
+        L, slot = _pattern(np.concatenate([np.arange(n), ri, rj, ri, rj]),
+                           np.concatenate([np.arange(n), ri, rj, rj, ri]), n)
+        self.lu, self.excess, self.weight, self.c0 = None, 0, 0.0, 0
+        if self.assembled:
+            self.H, self._slot = _block_pattern(L, slot, d)
             self._hdiag = np.repeat(h, d)
         else:
-            self._h = h
-            self.L, self._slot = _pattern(np.concatenate([np.arange(n), ri, rj, ri, rj]),
-                                          np.concatenate([np.arange(n), ri, rj, rj, ri]), n)
+            self.L, self._slot, self._h = L, slot, h
             # column l of G^T holds u_l at rows ri*d + k and -u_l at rj*d + k;
             # G is a CSR view of the same arrays
+            k = np.arange(d)
             rows = np.hstack([ri[:, None] * d + k, rj[:, None] * d + k])
             self.GT = sp.csc_matrix(
                 (np.zeros(rows.size), rows.ravel().astype(np.intc),
@@ -214,13 +230,21 @@ class _NewtonSystem:
         return sc, U
 
     def matrix(self, V, tau, sigma):
-        """H at V, assembled in the node order (exact mode only)."""
+        """H at V, assembled in the node order (assembled mode only)."""
         sc, U = self.curvature(V, tau, sigma)
         d = U.shape[0]
-        sQ = sc[:, None, None] * (np.eye(d) - U.T[:, :, None] * U.T[:, None, :])
+        # sigma Q_l laid out (k, k', l), as the slots list the blocks; row by
+        # row, as products of d x d x m broadcasts are several times slower
+        sQ = np.empty((d, d, U.shape[1]))
+        for a in range(d):
+            for b in range(d):
+                np.multiply(U[a], U[b], out=sQ[a, b])
+        np.subtract(np.eye(d)[:, :, None], sQ, out=sQ)
+        sQ *= sc
         sQ = sQ.ravel()
+        nQ = -sQ
         self.H.data = np.bincount(
-            self._slot, weights=np.concatenate([self._hdiag, sQ, sQ, -sQ, -sQ]),
+            self._slot, weights=np.concatenate([self._hdiag, sQ, sQ, nQ, nQ]),
             minlength=self.H.nnz,
         )
         return self.H
@@ -242,37 +266,71 @@ class _NewtonSystem:
 
         return apply, L
 
-    def direction(self, V, tau, sigma, grad, rtol, lu=None):
-        """Newton direction, H dX = -grad, as (dX, lu, cg).
+    def direction(self, V, tau, sigma, grad, rtol):
+        """Newton direction, H dX = -grad, as (dX, cg, factored): cg counts
+        its CG steps and factored says that it made new factors.
 
-        Exact mode factors H and solves it; lu is None and cg 0. Operator
-        mode runs PCG until the residual is at most rtol * ||grad||,
-        preconditioned by lu, factors of L at an earlier point of the same
-        inner solve, or by L factored here when lu is None; it returns the
-        factors it used and its CG steps. Any SPD preconditioner keeps every
-        CG iterate a descent direction. Only the right-hand side and the
-        result are permuted."""
+        Kept factors of H precondition conjugate gradients on H, run until
+        the residual is at most rtol * ||grad||, but for no more steps than
+        the reuse weight has left; when none are left or kept, or CG stops
+        short of rtol, the system factors H at V and solves it. Factors of L
+        always precondition CG, run to rtol, and are made afresh once reuse
+        has cost the weight. Factors of H whose weight is below 1 are never
+        reused, so they are released as soon as the direction is found. Any
+        SPD preconditioner keeps every CG iterate a descent direction. Only
+        the right-hand side and the result are permuted."""
         r = -grad.T[self.order]
-        if self.exact:
-            lu = _factor(self.matrix(V, tau, sigma))
-            x = lu.solve(r.ravel()).reshape(r.shape)
-            lu, cg = None, 0
+        reuse = self.lu is not None and self.excess + 1 <= self.weight
+        if self.assembled:
+            H = self.matrix(V, tau, sigma)
+            cg, converged = 0, False
+            if reuse:
+                # the factors solve the flat node-major vector
+                x, cg, converged = self._cg(H.dot, r.size, r, rtol,
+                                            int(self.weight - self.excess))
+                self.excess += cg
+            factored = not converged
+            if factored:
+                self._refactor(H)
+                x = self.lu.solve(r.ravel())
         else:
             hess, L = self.operator(V, tau, sigma)
-            if lu is None:
-                lu = _factor(L)
-            # cg works on the flattened node-major vector
-            H = sp.linalg.LinearOperator((r.size, r.size), dtype=np.float64,
-                                         matvec=lambda p: hess(p.reshape(r.shape)).ravel())
-            P = sp.linalg.LinearOperator((r.size, r.size), dtype=np.float64,
-                                         matvec=lambda p: lu.solve(p.reshape(r.shape)).ravel())
-            iterates = []  # cg calls back once per step
-            x, _ = sp.linalg.cg(H, r.ravel(), rtol=rtol, maxiter=MAX_CG, M=P,
-                                callback=iterates.append)
-            x, cg = x.reshape(r.shape), len(iterates)
+            factored = not reuse
+            if factored:
+                self._refactor(L)
+            # the factors serve all d columns; an unconverged iterate still descends
+            x, cg, _ = self._cg(hess, r.shape, r, rtol, MAX_CG)
+            if factored:
+                self.c0 = cg
+            else:
+                self.excess += max(0, cg - self.c0)
+        if self.assembled and self.weight < 1:
+            # kept, such small factors fragment the heap: the N = 1000
+            # moons eas path peaked 2 MB higher
+            self.lu = None
         dX = np.empty_like(grad)
-        dX[:, self.order] = x.T
-        return dX, lu, cg
+        dX[:, self.order] = x.reshape(r.shape).T
+        return dX, cg, factored
+
+    def _refactor(self, A):
+        """Factor A, H or L at the current point, in place of lu."""
+        self.lu = None  # the stale factors go before the new ones are made
+        self.lu = _factor(A)
+        self.excess, self.weight = 0, _reuse_weight(self)
+
+    def _cg(self, hess, shape, r, rtol, maxiter):
+        """scipy's conjugate gradients for hess(x) = r, preconditioned by
+        lu, with x and r flattened node-major and hess and lu acting on
+        arrays of the given shape: (x, steps, converged)."""
+        lu = self.lu
+        H = sp.linalg.LinearOperator((r.size, r.size), dtype=np.float64,
+                                     matvec=lambda p: hess(p.reshape(shape)).ravel())
+        P = sp.linalg.LinearOperator((r.size, r.size), dtype=np.float64,
+                                     matvec=lambda p: lu.solve(p.reshape(shape)).ravel())
+        iterates = []  # cg calls back once per step
+        x, info = sp.linalg.cg(H, r.ravel(), rtol=rtol, maxiter=maxiter, M=P,
+                               callback=iterates.append)
+        return x, len(iterates), info == 0
 
 
 def _pattern(rows, cols, n):
@@ -287,9 +345,50 @@ def _pattern(rows, cols, n):
     return A, slot
 
 
+def _block_pattern(L, slot, d):
+    """H's CSC pattern from the node pattern L, and the slot in it of each
+    entry of the assembly: the diagonal of H, node-major, then the d x d
+    blocks of the node entries listed in slot after the n diagonal ones, in
+    four groups of m edges, each laid out (k, k', edge). Every entry of H
+    still sums its terms in the order of that list.
+
+    A stored entry of L becomes a dense d x d block, except the diagonal
+    entry of a node without edges, whose block keeps only its diagonal.
+    Column j * d + k' of H holds, for each stored row i of L's column j,
+    the rows i * d + k, so the slots follow from L's column pointers
+    without sorting the 4 m d^2 entries of the assembly. The pattern's
+    indices are 32-bit, as SuperLU takes them, and so is every index array
+    built on the way; the slots are intp, which bincount would otherwise
+    copy them to at every assembly.
+    """
+    n = L.shape[0]
+    count = np.diff(L.indptr)
+    full = count > 1  # every column holds its diagonal
+    col = np.repeat(np.arange(n, dtype=np.intc), count)  # the column of each entry of L
+    block = full[col]  # entries that become full blocks
+    one = block.astype(np.intc)
+    k = np.arange(d, dtype=np.intc)
+    # stored entries in each of the d columns of a node's block column
+    width = np.repeat(np.where(full, d * count, 1).astype(np.intc), d)
+    indptr = np.zeros(n * d + 1, dtype=np.intc)
+    np.cumsum(width, out=indptr[1:])
+    # place[s, k, k'] is the place in H of entry (k, k') of L's entry s
+    within = one * np.intc(d) * (np.arange(L.nnz, dtype=np.intc) - L.indptr[col])
+    place = (indptr[:-1].reshape(n, d)[col][:, None, :]
+             + (within[:, None] + one[:, None] * k)[:, :, None])
+    rows = np.empty(indptr[-1], dtype=np.intc)
+    rows[place[block].ravel()] = np.repeat((L.indices[block][:, None] * np.intc(d) + k).ravel(), d)
+    rows[place[~block][:, k, k].ravel()] = (L.indices[~block][:, None] * np.intc(d) + k).ravel()
+    H = sp.csc_matrix((np.zeros(len(rows)), rows, indptr), shape=(n * d, n * d))
+    blocks = place[slot[n:]].reshape(4, -1, d, d).transpose(0, 2, 3, 1)
+    return H, np.concatenate([place[slot[:n]][:, k, k].ravel(), blocks.ravel()],
+                             dtype=np.intp)
+
+
 def _node_order(n, ri, rj):
     """A fill-reducing order of the n-node graph with edges (ri, rj), as
-    (order, rank): node order[p] goes to place p, node i to place rank[i].
+    (order, rank, fill): node order[p] goes to place p, node i to place
+    rank[i], and fill counts the stored entries of the factors in it.
 
     It is SuperLU's symmetric minimum-degree order of a diagonally dominant
     matrix with the graph's pattern, so it depends on the pattern only.
@@ -304,7 +403,7 @@ def _node_order(n, ri, rj):
                         options={"SymmetricMode": True})
     # a copy: perm_c is a view that would keep the probe's factors alive
     rank = np.array(lu.perm_c, dtype=np.int64)
-    return np.argsort(rank), rank
+    return np.argsort(rank), rank, int(lu.nnz)
 
 
 def _factor(A):
@@ -317,37 +416,45 @@ def _factor(A):
         raise SingularSystemError(str(exc)) from exc
 
 
+def _reuse_weight(ns):
+    """How many CG steps beyond c0 reusing ns.lu may cost before a new
+    factorization pays, read off the fill of the factors: with c stored
+    entries per column a factorization costs about c / REUSE_FILL CG steps
+    that apply them to one column. A step of the operator applies factors
+    of L to d columns, and a direction from reused factors of H pays
+    REUSE_ENTRY steps more than a solve with fresh ones."""
+    lu = ns.lu
+    steps = lu.nnz / lu.shape[0] / REUSE_FILL
+    if ns.assembled:
+        return steps - REUSE_ENTRY
+    return steps / ns.red.C.shape[0]
+
+
 def _newton(ns, X, Z, sigma, gtol, max_steps):
     """Semismooth Newton on Psi from X until ||grad Psi|| <= gtol.
 
     Returns (X, V, grad, steps, stalled, cg_steps, factorizations); stalled
     means no step along the Newton direction was acceptable, i.e. round-off
-    ended the descent. In operator mode the factors of L from the first step
-    precondition the later ones: each direction that reuses them adds the CG
-    steps it took beyond c0, the count of the direction that factored them,
-    to an excess, and the next step factors L afresh once (excess + 1) * d >
-    REUSE_WEIGHT. The factors live only in this call.
+    ended the descent. Each direction that reuses the system's factors adds
+    the CG steps it took beyond c0, the count of the direction that made
+    them (0 for fresh factors of H), to ns.excess, and the system makes new
+    ones once excess + 1 exceeds their reuse weight (_NewtonSystem.direction).
+    Factors of L are dropped first, so that they serve this call only;
+    factors of H carry over from earlier calls.
     """
     red = ns.red
-    d = red.C.shape[0]
     tau = (red.lam / sigma) * red.weights
     V = red.inc.apply(X) + Z / sigma
     psi, grad = ns.psi_grad(X, V, tau, sigma)
     gnorm = float(np.linalg.norm(grad))
     steps = cg_steps = factorizations = 0
-    lu = None
+    if not ns.assembled:
+        ns.lu = None  # factors of L serve one inner solve
     while gnorm > gtol and steps < max_steps:
-        if lu is not None and (excess + 1) * d > REUSE_WEIGHT:
-            lu = None
-        fresh = lu is None
         # forcing term min(0.1, ||grad||^0.5): superlinear once ||grad|| is small
-        dX, lu, cg = ns.direction(V, tau, sigma, grad, min(0.1, np.sqrt(gnorm)), lu)
-        if fresh:
-            c0, excess = cg, 0
-        else:
-            excess += max(0, cg - c0)
+        dX, cg, factored = ns.direction(V, tau, sigma, grad, min(0.1, np.sqrt(gnorm)))
         cg_steps += cg
-        factorizations += fresh
+        factorizations += factored
         dV = red.inc.apply(dX)
         slope = float(np.dot(grad.ravel(), dX.ravel()))
         alpha = 1.0

@@ -22,10 +22,13 @@ a BuildStore: the IndexPartition, the subsolver's Newton system (node
 order, CSC pattern and slots) and, on first use, the GammaSystem's Gram
 factors. Every round, retightening or later lambda that solves a stored I
 again reuses them; lam, sigma and every numeric value are recomputed, so
-reuse changes no iterate. The path keeps one store for all its lambdas;
-seeding each lambda from the fused blocks of Bx makes I alternate between
-two sets, so the store keeps the two most recently used ones. A run
-without a store gets its own.
+reuse changes no iterate, except through the SuperLU factors of an
+assembled Newton matrix, which the system keeps: on one large enough for
+reuse to pay (admm's _reuse_weight) they precondition the next solve's
+first directions. The
+path keeps one store for all its lambdas; seeding each lambda from the
+fused blocks of Bx makes I alternate between two sets, so the store keeps
+the two most recently used ones. A run without a store gets its own.
 """
 
 import logging

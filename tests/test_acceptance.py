@@ -247,8 +247,17 @@ def test_criterion_5_moreau_suite(capsys):
         info["detail"] = f"1000 draws, worst Moreau defect {worst:.1e}"
 
 
+def _newton_branch(inst):
+    """The Newton solver the selector picks for inst's full problem, the one
+    direct mode solves: H assembled, or the operator preconditioned by L."""
+    from sievepath import admm
+
+    red = reduce_problem(inst, build_partition(inst.incidence, []), 1.0)
+    return "H" if admm._NewtonSystem(red).assembled else "L"
+
+
 def test_criterion_6_sieving_speedup(
-    path500_as, path500_direct, path1000_as, path1000_direct, capsys
+    path500_as, path500_direct, path1000_as, path1000_direct, moons500, moons1000, capsys
 ):
     with criterion(capsys, 6, "sieving speedup") as info:
         r500 = path500_as.total_seconds / path500_direct.total_seconds
@@ -265,12 +274,13 @@ def test_criterion_6_sieving_speedup(
         rounds = ", ".join(f"n={n} {as_.total_rounds}"
                            for n, as_ in ((500, path500_as), (1000, path1000_as)))
         work = ", ".join(
-            f"n={n} {direct.total_cg_steps}/{direct.total_factorizations}"
-            for n, direct in ((500, path500_direct), (1000, path1000_direct))
+            f"n={n} {direct.total_cg_steps}/{direct.total_factorizations} {_newton_branch(inst)}"
+            for n, direct, inst in ((500, path500_direct, moons500),
+                                    (1000, path1000_direct, moons1000))
         )
         info["detail"] = (f"time ratios: n=500 {r500:.2f}, n=1000 {r1000:.2f} (<= 0.70); "
                           f"Newton steps as/direct: {steps}; as sieve rounds: {rounds}; "
-                          f"direct CG steps/factorizations: {work}")
+                          f"direct CG steps/factorizations/Newton branch: {work}")
 
 
 def test_criterion_7_reduction_magnitude(path1000_as, moons1000, tmp_path, capsys):

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from sievepath import (
     AdmmConfig,
@@ -162,21 +163,29 @@ def _unpermute(A, order, d=1):
     return A[idx][:, idx]
 
 
+def _force(monkeypatch, assembled):
+    """Send every Newton system built from here on to H (assembled) or to
+    the operator, whatever its predicted fill."""
+    cap = 10**12 if assembled else 0
+    monkeypatch.setattr(admm, "ASSEMBLY_ENTRIES", cap)
+    monkeypatch.setattr(admm, "ASSEMBLY_NODE_FILL", cap)
+
+
 def test_newton_hessian_matches_gradient_differences(monkeypatch):
     """The assembled Hessian and the operator agree with each other and with
     differences of grad Psi; the preconditioner bounds H from above; the
-    exact and the PCG directions solve H dX = -grad. H and L are built in
+    direct and the PCG directions solve H dX = -grad. H and L are built in
     the system's node order and compared here in the original labels."""
     rng = np.random.default_rng(11)
     for _ in range(20):
         red, X, Z, sigma, tau = _newton_point(rng)
         V = red.inc.apply(X) + Z / sigma
         d = X.shape[0]
-        monkeypatch.setattr(admm, "EXACT_ENTRIES", 10**9)
+        _force(monkeypatch, True)
         exact = admm._NewtonSystem(red)
-        monkeypatch.setattr(admm, "EXACT_ENTRIES", 0)
+        _force(monkeypatch, False)
         operator = admm._NewtonSystem(red)
-        assert exact.exact and not operator.exact
+        assert exact.assembled and not operator.assembled
 
         H = _unpermute(exact.matrix(V, tau, sigma).toarray(), exact.order, d)
         assert np.allclose(H, H.T, rtol=0, atol=1e-12)
@@ -196,11 +205,11 @@ def test_newton_hessian_matches_gradient_differences(monkeypatch):
 
         G = _grad_psi(red, X, Z, sigma, tau)
         scale = 1.0 + np.abs(G).max()
-        dX, lu, cg = exact.direction(V, tau, sigma, G, 0.1)
-        assert lu is None and cg == 0
+        dX, cg, factored = exact.direction(V, tau, sigma, G, 0.1)
+        assert factored and cg == 0
         assert np.allclose(H @ _node_major(dX), -_node_major(G), rtol=0, atol=1e-9 * scale)
-        dX, lu, cg = operator.direction(V, tau, sigma, G, 1e-12)
-        assert lu is not None and cg > 0
+        dX, cg, factored = operator.direction(V, tau, sigma, G, 1e-12)
+        assert factored and cg > 0
         assert np.allclose(H @ _node_major(dX), -_node_major(G), rtol=0, atol=1e-9 * scale)
         # a loose PCG solve stops at its tolerance and still descends
         dX, _, _ = operator.direction(V, tau, sigma, G, 0.5)
@@ -213,19 +222,20 @@ def _fill(lu):
     return lu.L.nnz + lu.U.nnz
 
 
-@pytest.mark.parametrize("budget", [10**9, 0], ids=["exact", "operator"])
-def test_node_order_is_a_permutation_with_minimum_degree_fill(monkeypatch, budget):
+@pytest.mark.parametrize("assembled", [True, False], ids=["exact", "operator"])
+def test_node_order_is_a_permutation_with_minimum_degree_fill(monkeypatch, assembled):
     """On random kNN subproblems the stored node order is a permutation.
     Factored in it without reordering, L, which has the probe's pattern, has
     no more fill than SuperLU's own minimum-degree factorization of the same
     stored matrix in the original labels, and H, whose order is the node
     order spread over its d x d blocks, at most 5% more: minimum degree on
     the n d unknowns finds a few percent less fill on some instances and
-    more on others."""
+    more on others. The order probe's fill, which the selector reads, is
+    the fill of L's factors."""
     import scipy.sparse as sp
     from sievepath import build_knn_graph
 
-    monkeypatch.setattr(admm, "EXACT_ENTRIES", budget)
+    _force(monkeypatch, assembled)
     rng = np.random.default_rng(21)
     for _ in range(10):
         d = int(rng.integers(1, 4))
@@ -234,28 +244,72 @@ def test_node_order_is_a_permutation_with_minimum_degree_fill(monkeypatch, budge
                        replace=False)
         red = reduce_problem(inst, build_partition(inst.incidence, I), 0.3)
         ns = admm._NewtonSystem(red)
-        assert ns.exact == (budget > 0)
+        assert ns.assembled == assembled
         assert np.array_equal(np.sort(ns.order), np.arange(red.n_red))
 
         sigma = 2.0
         tau = red.lam * red.weights / sigma
         V = red.inc.apply(red.C / red.h) + 0.5 * rng.standard_normal((d, red.m_red))
-        if ns.exact:
+        if ns.assembled:
             A, per, slack = ns.matrix(V, tau, sigma), d, 1.05
         else:
             A, per, slack = ns.operator(V, tau, sigma)[1], 1, 1.0
+            keep = ns.keep
+            probe = admm._node_order(red.n_red, red.inc.edge_i[keep], red.inc.edge_j[keep])
+            assert probe[2] == admm._factor(A).nnz
         own = _unpermute(A, ns.order, per).tocsc()
         mmd = sp.linalg.splu(own, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
                              options={"SymmetricMode": True})
         assert _fill(admm._factor(A)) <= slack * _fill(mmd)
 
 
+def test_block_pattern_is_the_pattern_of_the_per_edge_entries():
+    """H's pattern, built from L's by spreading every node entry over a d x d
+    block, equals the pattern of its per-entry list (the diagonal, then the
+    (ri, ri), (rj, rj), (ri, rj) and (rj, ri) blocks of the edges), and each
+    listed entry's slot points at its own row and column; a node without
+    edges keeps a diagonal block."""
+    from sievepath import ProblemInstance
+
+    rng = np.random.default_rng(41)
+    # node 4 is joined only to node 3, then fused with it: an edgeless column
+    inst = ProblemInstance.from_edges(rng.standard_normal((3, 6)),
+                                      [(0, 1), (1, 2), (0, 2), (2, 3), (3, 4), (1, 5)])
+    fused = [l for l, e in enumerate(zip(inst.edge_i, inst.edge_j)) if e == (3, 4)]
+    cases = [(inst, fused), (random_instance(rng, N=12, d=2, k=3), [])]
+    for inst, I in cases:
+        red = reduce_problem(inst, build_partition(inst.incidence, I), 0.5)
+        ns = admm._NewtonSystem(red)
+        n, d = red.n_red, inst.d
+        ri, rj = red.inc.edge_i[ns.keep], red.inc.edge_j[ns.keep]
+        rank = np.argsort(ns.order)
+        ri, rj = rank[ri], rank[rj]
+        k = np.arange(d)
+        br = np.concatenate([ri, rj, ri, rj])[:, None, None] * d + k[:, None]
+        bc = np.concatenate([ri, rj, rj, ri])[:, None, None] * d + k
+        # each of the four groups of edge blocks laid out (k, k', edge)
+        br, bc = (b.reshape(4, -1, d, d).transpose(0, 2, 3, 1).ravel()
+                  for b in np.broadcast_arrays(br, bc))
+        rows = np.concatenate([np.arange(n * d), br])
+        cols = np.concatenate([np.arange(n * d), bc])
+        H, slot = admm._block_pattern(*admm._pattern(
+            np.concatenate([np.arange(n), ri, rj, ri, rj]),
+            np.concatenate([np.arange(n), ri, rj, rj, ri]), n), d)
+        ref = sp.csc_matrix((np.ones(len(rows)), (rows, cols)), shape=(n * d, n * d))
+        assert np.array_equal(H.indptr, ref.indptr) and np.array_equal(H.indices, ref.indices)
+        assert H.indices.dtype == H.indptr.dtype == np.intc
+        col = np.repeat(np.arange(n * d), np.diff(H.indptr))
+        assert np.array_equal(H.indices[slot], rows) and np.array_equal(col[slot], cols)
+
+
 def test_one_order_per_subsolve_and_one_factorization_per_newton_step(monkeypatch):
     """A subsolve asks SuperLU for a minimum-degree order once, for its
-    order probe, and factors in it: the assembled branch one Newton matrix
-    per Newton step; the operator branch L at least once per inner solve
-    and, at d = 2, at fewer Newton steps than it takes, unless REUSE_WEIGHT
-    is 0, which refactors at every step. SubSolution.factorizations counts
+    order probe, and factors in it. On a small system, whose factors hold
+    few entries per column, H is factored at every Newton step and its
+    fresh factors solve without CG. Elsewhere, L at d = 2 on the same
+    system and either matrix on a larger one, factors outlive some steps:
+    at most one factorization per direction, fewer than the Newton steps,
+    and L at least once per inner solve. SubSolution.factorizations counts
     the factorizations, not the probe."""
     import scipy.sparse.linalg as spla
 
@@ -276,102 +330,150 @@ def test_one_order_per_subsolve_and_one_factorization_per_newton_step(monkeypatc
         return out
 
     monkeypatch.setattr(admm, "_newton", recording)
-    for budget, weight in ((10**9, admm.REUSE_WEIGHT), (0, admm.REUSE_WEIGHT), (0, 0)):
-        monkeypatch.setattr(admm, "EXACT_ENTRIES", budget)
-        monkeypatch.setattr(admm, "REUSE_WEIGHT", weight)
-        inst = random_instance(np.random.default_rng(3), N=30, d=2, k=4)
-        red = reduce_problem(inst, build_partition(inst.incidence, []), 0.4)
-        specs.clear()
-        inner.clear()
-        sub = solve_reduced_admm(red, tol=1e-8)
-        assert sub.converged and sub.iterations > 0
-        assert specs.count("MMD_AT_PLUS_A") == 1
-        assert len(specs) == sub.factorizations + 1
-        assert specs.count("NATURAL") == sub.factorizations
-        assert sum(f for _, f in inner) == sub.factorizations
-        if budget and weight:
-            assert sub.factorizations == sub.iterations and sub.cg_steps == 0
-        elif weight:
-            assert all(f >= 1 for n, f in inner if n > 0)
-            assert sub.factorizations < sub.iterations
-        else:
-            assert sub.factorizations == sub.iterations
-        if not budget:
-            assert sub.cg_steps >= sub.iterations
+    small = random_instance(np.random.default_rng(3), N=30, d=2, k=4)
+    large = build_knn_graph(gen_two_half_moons(100, 0.1, 0), k=10)
+    for inst in (small, large):
+        for assembled in (True, False):
+            _force(monkeypatch, assembled)
+            red = reduce_problem(inst, build_partition(inst.incidence, []), 0.4)
+            specs.clear()
+            inner.clear()
+            sub = solve_reduced_admm(red, tol=1e-8)
+            assert sub.converged and sub.iterations > 0
+            assert specs.count("MMD_AT_PLUS_A") == 1
+            assert len(specs) == sub.factorizations + 1
+            assert specs.count("NATURAL") == sub.factorizations
+            assert sum(f for _, f in inner) == sub.factorizations
+            assert all(f <= n for n, f in inner)
+            if assembled and inst is small:
+                assert sub.factorizations == sub.iterations and sub.cg_steps == 0
+            else:
+                assert sub.factorizations < sub.iterations
+            if not assembled:
+                assert all(f >= 1 for n, f in inner if n > 0)
+                assert sub.cg_steps >= sub.iterations
 
 
 def test_preconditioner_is_refactored_once_extra_cg_steps_outweigh_it(monkeypatch):
-    """Replayed on the CG counts of every inner solve: the first direction
-    factors L; each later one reuses the factors until (excess + 1) * d
-    exceeds REUSE_WEIGHT, excess summing the CG steps of reusing directions
-    beyond the count of the direction that factored them."""
-    solves = []
-    direction, newton = admm._NewtonSystem.direction, admm._newton
+    """Replayed on the CG counts of every direction of direct paths, in
+    both branches. Factors are reused while excess + 1 <= weight, weight
+    being _reuse_weight of the factors when they were made: their stored
+    entries per column over REUSE_FILL, less REUSE_ENTRY for H and over d
+    for L; factors of H whose weight is below 1 are dropped after their
+    direction. Kept factors of H, made at any earlier step, inner solve or
+    lambda, run CG for at most weight - excess steps, and refactor in the
+    same direction when CG stops short; excess sums those steps. Factors of
+    L are made at the first direction of every inner solve, and excess sums
+    the CG steps of reusing directions beyond c0, the count of the
+    direction that made them."""
+    from sievepath import PathConfig, solve_path
 
-    def recording(self, V, tau, sigma, grad, rtol, lu=None):
-        out = direction(self, V, tau, sigma, grad, rtol, lu)
-        solves[-1].append((lu is None, out[2]))
+    calls, made = [], []
+    direction, newton, factor = admm._NewtonSystem.direction, admm._newton, admm._factor
+
+    def recording(self, *args):
+        kept = self.lu
+        out = direction(self, *args)
+        calls[-1].append((kept, out[1], out[2], self.lu))
         return out
 
     def per_solve(*args):
-        solves.append([])
+        calls.append([])
         return newton(*args)
+
+    def factoring(A):
+        made.append(factor(A))
+        return made[-1]
 
     monkeypatch.setattr(admm._NewtonSystem, "direction", recording)
     monkeypatch.setattr(admm, "_newton", per_solve)
-    monkeypatch.setattr(admm, "EXACT_ENTRIES", 0)
-    inst = build_knn_graph(gen_two_half_moons(100, 0.1, 0), k=5)
-    red = reduce_problem(inst, build_partition(inst.incidence, []), 1.0)
-    refreshed = 0
-    for weight in (2, admm.REUSE_WEIGHT):
-        monkeypatch.setattr(admm, "REUSE_WEIGHT", weight)
-        solves.clear()
-        assert solve_reduced_admm(red, tol=1e-8).converged
-        for calls in filter(None, solves):
-            assert calls[0][0]
-            c0, excess = calls[0][1], 0
-            for fresh, cg in calls[1:]:
-                assert fresh == ((excess + 1) * inst.d > weight)
-                c0, excess = (cg, 0) if fresh else (c0, excess + max(0, cg - c0))
-                refreshed += fresh
-    assert refreshed > 0
+    monkeypatch.setattr(admm, "_factor", factoring)
+    small = random_instance(np.random.default_rng(3), N=30, d=2, k=4)
+    large = build_knn_graph(gen_two_half_moons(100, 0.1, 0), k=10)
+    reused = refreshed = dropped = 0
+    for inst in (small, large):
+        for assembled in (True, False):
+            _force(monkeypatch, assembled)
+            calls.clear()
+            made.clear()
+            lams = [2.0, 1.0, 0.5]
+            assert solve_path(inst, PathConfig(mode="direct", lambdas=lams)).all_converged
+            lu, excess, weight = None, 0, 0.0
+            fresh = iter(made)
+            for solve in calls:
+                if not assembled:
+                    lu = None
+                for kept, cg, factored, after in solve:
+                    assert kept is lu
+                    reuse = lu is not None and excess + 1 <= weight
+                    if assembled and reuse:
+                        cap = int(weight - excess)
+                        assert cg <= cap and (cg == cap or not factored)
+                        excess += cg
+                    elif assembled:
+                        assert factored and cg == 0
+                    else:
+                        assert factored == (not reuse)
+                        if reuse:
+                            excess += max(0, cg - c0)
+                        else:
+                            c0 = cg
+                    if factored:
+                        refreshed += lu is not None
+                        lu, excess = next(fresh), 0
+                        weight = lu.nnz / lu.shape[0] / admm.REUSE_FILL
+                        weight = weight - admm.REUSE_ENTRY if assembled else weight / inst.d
+                    else:
+                        reused += 1
+                    if assembled and weight < 1:
+                        lu = None
+                        dropped += 1
+                    assert after is lu
+            assert next(fresh, None) is None
+    assert reused > 0 and refreshed > 0 and dropped > 0
 
 
 def test_reused_factors_still_give_a_descent_direction(monkeypatch):
-    """A direction preconditioned by the factors of L at an earlier Newton
-    point still solves H dX = -grad to rtol and descends."""
+    """A direction preconditioned by the factors of H or L at an earlier
+    Newton point still solves H dX = -grad to rtol and descends."""
+    # let the factors serve whatever reuse costs
+    monkeypatch.setattr(admm, "_reuse_weight", lambda ns: admm.MAX_CG)
     rng = np.random.default_rng(31)
     for _ in range(10):
         red, X, Z, sigma, tau = _newton_point(rng)
-        monkeypatch.setattr(admm, "EXACT_ENTRIES", 10**9)
+        _force(monkeypatch, True)
         exact = admm._NewtonSystem(red)
-        monkeypatch.setattr(admm, "EXACT_ENTRIES", 0)
-        operator = admm._NewtonSystem(red)
         V = red.inc.apply(X) + Z / sigma
         G = _grad_psi(red, X, Z, sigma, tau)
-        _, lu, _ = operator.direction(V, tau, sigma, G, 0.1)
-
         X1 = X + 0.5 * rng.standard_normal(X.shape)
         V1 = red.inc.apply(X1) + Z / sigma
         G1 = _grad_psi(red, X1, Z, sigma, tau)
         H1 = _unpermute(exact.matrix(V1, tau, sigma).toarray(), exact.order, X.shape[0])
-        for rtol in (0.5, 0.1, 1e-6):
-            dX, kept, _ = operator.direction(V1, tau, sigma, G1, rtol, lu)
-            assert kept is lu
-            res = np.linalg.norm(H1 @ _node_major(dX) + _node_major(G1))
-            assert res <= rtol * np.linalg.norm(G1)
-            assert np.vdot(G1, dX) < 0.0
+        for assembled in (True, False):
+            _force(monkeypatch, assembled)
+            ns = admm._NewtonSystem(red)
+            ns.direction(V, tau, sigma, G, 0.1)
+            lu = ns.lu
+            assert lu is not None
+            for rtol in (0.5, 0.1, 1e-6):
+                dX, _, factored = ns.direction(V1, tau, sigma, G1, rtol)
+                assert not factored and ns.lu is lu
+                res = np.linalg.norm(H1 @ _node_major(dX) + _node_major(G1))
+                assert res <= rtol * np.linalg.norm(G1)
+                assert np.vdot(G1, dX) < 0.0
 
 
-@pytest.mark.parametrize("budget", [10**9, 0], ids=["exact", "operator"])
-def test_newton_steps_never_increase_psi(monkeypatch, budget):
-    monkeypatch.setattr(admm, "EXACT_ENTRIES", budget)
+@pytest.mark.parametrize("assembled", [True, False], ids=["exact", "operator"])
+def test_newton_steps_never_increase_psi(monkeypatch, assembled):
+    """Psi after k Newton steps from one point never exceeds Psi after k - 1;
+    each run starts from a new system, so that no factors carry over."""
+    _force(monkeypatch, assembled)
     rng = np.random.default_rng(12)
     for _ in range(15):
         red, X0, Z, sigma, tau = _newton_point(rng, margin=0.0)
-        ns = admm._NewtonSystem(red)
         values = []
         for k in range(12):
+            ns = admm._NewtonSystem(red)
             X, V, _, steps, *_ = admm._newton(ns, X0, Z, sigma, 0.0, k)
             values.append(ns.psi_grad(X, V, tau, sigma)[0])
             if steps < k:
@@ -380,25 +482,42 @@ def test_newton_steps_never_increase_psi(monkeypatch, budget):
         assert np.all(np.diff(values) <= 1e-13 * np.abs(values[:-1]))
 
 
+def _moons_embedding(N, d, k):
+    """N moons points rotated into d dimensions plus 0.02 noise."""
+    rng = np.random.default_rng(5)
+    Q, _ = np.linalg.qr(rng.standard_normal((d, d)))
+    A = Q[:, :2] @ gen_two_half_moons(N, noise=0.1, seed=3)
+    return build_knn_graph(A + 0.02 * rng.standard_normal(A.shape), k=k)
+
+
 def _moons_in_20_dimensions():
     """50 moons points rotated into d = 20 dimensions plus 0.02 noise."""
-    rng = np.random.default_rng(5)
-    Q, _ = np.linalg.qr(rng.standard_normal((20, 20)))
-    A = Q[:, :2] @ gen_two_half_moons(50, noise=0.1, seed=3)
-    return build_knn_graph(A + 0.02 * rng.standard_normal(A.shape), k=5)
+    return _moons_embedding(50, 20, 5)
+
+
+def test_selector_assembles_planar_moons_and_applies_high_dimensional_ones():
+    """The full N = 1000 moons problem at d = 2 goes to the assembled H; the
+    same points rotated into d = 20 go to the operator. An assembled system
+    keeps no L, G or G^T, and an operator system no H."""
+    planar = build_knn_graph(gen_two_half_moons(1000, 0.1, 0), k=10)
+    for inst, assembled in ((planar, True), (_moons_embedding(1000, 20, 10), False)):
+        ns = admm._NewtonSystem(reduce_problem(inst, build_partition(inst.incidence, []), 1.0))
+        assert ns.assembled == assembled
+        assert hasattr(ns, "H") == assembled
+        assert all(hasattr(ns, a) != assembled for a in ("L", "G", "GT"))
 
 
 def test_high_dimension_solves_without_forming_the_hessian(monkeypatch):
     """With d = 20 features the Newton matrix would store 4 m d^2 entries;
-    the default budget sends the solve to the operator, which certifies the
-    same solution as the assembled matrix does."""
+    the selector sends the solve to the operator, which certifies the same
+    solution as the assembled matrix does."""
     inst = _moons_in_20_dimensions()
     red = reduce_problem(inst, build_partition(inst.incidence, []), 0.5)
-    assert not admm._NewtonSystem(red).exact
+    assert not admm._NewtonSystem(red).assembled
 
     triple, sub = solve_full(inst, 0.5, tol=1e-9)
     assert sub.converged and triple.residual_norm <= 1e-8
-    monkeypatch.setattr(admm, "EXACT_ENTRIES", 10**9)
+    _force(monkeypatch, True)
     ref, ref_sub = solve_full(inst, 0.5, tol=1e-9)
     assert ref_sub.converged
     F, F_ref = primal_objective(inst, 0.5, triple.x), primal_objective(inst, 0.5, ref.x)
@@ -406,17 +525,58 @@ def test_high_dimension_solves_without_forming_the_hessian(monkeypatch):
 
 
 def test_high_dimension_never_reuses_the_preconditioner(monkeypatch):
-    """At d = 20 > REUSE_WEIGHT every Newton step factors L afresh, so the
-    solve is bit for bit the one that never reuses factors."""
+    """At d = 20 a factorization of L weighs less than one CG step of the
+    operator (_reuse_weight < 1), so every Newton step factors L afresh and
+    the solve is bit for bit the one that never reuses factors."""
     inst = _moons_in_20_dimensions()
-    assert inst.d > admm.REUSE_WEIGHT
     triple, sub = solve_full(inst, 0.5, tol=1e-9)
-    monkeypatch.setattr(admm, "REUSE_WEIGHT", 0)
+    monkeypatch.setattr(admm, "REUSE_FILL", np.inf)
     ref, ref_sub = solve_full(inst, 0.5, tol=1e-9)
     assert sub.factorizations == sub.iterations == ref_sub.iterations
-    assert sub.cg_steps == ref_sub.cg_steps
+    assert sub.cg_steps == ref_sub.cg_steps > 0
     assert triple.x.tobytes() == ref.x.tobytes()
     assert triple.z.tobytes() == ref.z.tobytes()
+
+
+def _direct_path(inst, lambdas):
+    from sievepath import PathConfig, solve_path
+
+    return solve_path(inst, PathConfig(mode="direct", lambdas=lambdas))
+
+
+def test_direct_path_reuses_factors_across_lambdas(monkeypatch):
+    """On a small moons instance the direct path's one Newton system keeps
+    the factors of H from lambda to lambda: some lambda after the first
+    starts without factoring, fewer factorizations than Newton steps run in
+    all, and every lambda certifies."""
+    first = {}  # lam -> whether its first direction made new factors
+    direction = admm._NewtonSystem.direction
+
+    def recording(self, *args):
+        out = direction(self, *args)
+        first.setdefault(self.red.lam, out[2])
+        return out
+
+    monkeypatch.setattr(admm._NewtonSystem, "direction", recording)
+    inst = build_knn_graph(gen_two_half_moons(100, 0.1, 0), k=10)
+    res = _direct_path(inst, [2.0, 1.5, 1.0, 0.5])
+    assert res.all_converged
+    assert all(r.residual <= res.config.eps for r in res.records)
+    assert res.total_factorizations < res.total_newton_steps
+    assert first[2.0] and not all(first[lam] for lam in (1.5, 1.0, 0.5))
+
+
+def test_direct_path_repeats_exactly():
+    """The reuse rule reads counts, not clocks: two runs of one direct path
+    give the same Newton, CG and factorization counts and the same bytes."""
+    inst = build_knn_graph(gen_two_half_moons(100, 0.1, 0), k=10)
+    runs = [_direct_path(inst, [2.0, 1.0, 0.5]) for _ in range(2)]
+    work = [[(r.newton_steps, r.cg_steps, r.factorizations) for r in res.records]
+            for res in runs]
+    assert work[0] == work[1] and sum(c for _, c, _ in work[0]) > 0
+    for a, b in zip(*(res.records for res in runs)):
+        for name in ("x", "y", "z"):
+            assert getattr(a.triple, name).tobytes() == getattr(b.triple, name).tobytes()
 
 
 def test_parallel_edges_share_a_block_but_not_an_assembly_slot(monkeypatch):
@@ -430,11 +590,11 @@ def test_parallel_edges_share_a_block_but_not_an_assembly_slot(monkeypatch):
     fused = [l for l, e in enumerate(zip(inst.edge_i, inst.edge_j)) if e in edges[:2]]
     red = reduce_problem(inst, build_partition(inst.incidence, fused), 0.1)
     assert red.n_red == 2 and red.m_red == 3
-    monkeypatch.setattr(admm, "EXACT_ENTRIES", 4)
     monkeypatch.setattr(admm, "ASSEMBLY_ENTRIES", 12)
-    assert admm._NewtonSystem(red).exact
+    ns = admm._NewtonSystem(red)
+    assert ns.assembled and ns.H.nnz == 4
     monkeypatch.setattr(admm, "ASSEMBLY_ENTRIES", 11)
-    assert not admm._NewtonSystem(red).exact
+    assert not admm._NewtonSystem(red).assembled
 
 
 def test_singular_factorization_is_a_solver_error():

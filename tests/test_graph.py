@@ -237,6 +237,32 @@ def test_knn_window_covering_every_point(k):
     _assert_exact(A, k)
 
 
+def _knn_fixtures():
+    """The data sets of the k-NN tests above, each with its k."""
+    g = np.arange(6.0)
+    yield np.stack(np.meshgrid(g, g, g, indexing="ij")).reshape(3, -1), 10
+    yield np.repeat(np.random.default_rng(7).standard_normal((2, 25)), 12, axis=1), 5
+    for d in (1, 2, 20, 100):
+        for k in (1, 5, 10):
+            yield np.random.default_rng(10 * d + k).standard_normal((d, 300)), k
+    for k in range(1, 8):
+        yield np.random.default_rng(k).integers(0, 3, (2, 8)).astype(float), k
+
+
+def test_knn_edges_are_the_sorted_distinct_neighbor_pairs():
+    """The edge arrays are byte for byte np.unique of the pair keys
+    min(i, j) * N + max(i, j) of the neighbor rows, split by divmod."""
+    for A, k in _knn_fixtures():
+        N = A.shape[1]
+        nbrs = graph._knn_rows(A, k)
+        rows = np.arange(N)[:, None]
+        ei, ej = np.divmod(np.unique(np.minimum(nbrs, rows) * N + np.maximum(nbrs, rows)), N)
+        inst = build_knn_graph(A, k=k)
+        assert inst.edge_i.dtype == ei.dtype and inst.edge_j.dtype == ej.dtype
+        assert inst.edge_i.tobytes() == ei.tobytes()
+        assert inst.edge_j.tobytes() == ej.tobytes()
+
+
 def test_knn_rejects_data_without_features():
     with pytest.raises(GraphError, match="no feature rows"):
         build_knn_graph(np.zeros((0, 5)), k=2)

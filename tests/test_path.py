@@ -159,7 +159,7 @@ def test_lambda_records_count_cg_steps_and_factorizations(monkeypatch, mode):
         work[red.lam] = total + (sub.iterations, sub.cg_steps, sub.factorizations)
         return sub
 
-    monkeypatch.setattr(admm, "EXACT_ENTRIES", 0)
+    monkeypatch.setattr(admm, "ASSEMBLY_ENTRIES", 0)
     monkeypatch.setattr(admm, "solve_reduced_admm", counting)
     monkeypatch.setattr(sieve, "solve_reduced_admm", counting)
     A = np.random.default_rng(2).standard_normal((2, 30))
@@ -300,10 +300,17 @@ def _path_without_store(inst, pcfg):
 
 
 @pytest.mark.parametrize("mode", ["as", "eas", "direct"])
-def test_reused_structures_change_no_result(moons200, mode):
+def test_reused_structures_change_no_result(moons200, monkeypatch, mode):
     """A path that reuses the partitions, Newton systems and Gram factors of
     recurring candidate sets returns, bit for bit, what per-lambda solves
-    that build everything afresh return, with the same rounds and work."""
+    that build everything afresh return, with the same rounds and work.
+    Direct mode's one Newton system is large enough to also keep its
+    factors of H from lambda to lambda, which by design changes its
+    iterates; with that reuse off (REUSE_FILL infinite) it matches too."""
+    from sievepath import admm
+
+    if mode == "direct":
+        monkeypatch.setattr(admm, "REUSE_FILL", np.inf)
     pcfg = PathConfig(mode=mode)
     res = solve_path(moons200, pcfg)
     assert res.all_converged
