@@ -108,7 +108,9 @@ class SubSolution:
     """Reduced-space solution triple plus solver diagnostics; iterations
     counts Newton steps, cg_steps their conjugate-gradient steps and
     factorizations the SuperLU factorizations of Newton or preconditioner
-    matrices (the order probe not included)."""
+    matrices made by this solve (the order probe not included); it is 0
+    when every step reused factors that an earlier solve of the same
+    Newton system made."""
 
     x_red: np.ndarray
     y_red: np.ndarray

@@ -99,7 +99,7 @@ class LambdaRecord:
     error: str = None
     newton_steps: int = 0  # of every subsolve of this lambda
     cg_steps: int = 0  # likewise
-    factorizations: int = 0  # likewise; SuperLU, order probes not counted
+    factorizations: int = 0  # likewise; SuperLU, made here, order probes not counted
 
 
 @dataclass
