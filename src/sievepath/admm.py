@@ -57,30 +57,43 @@ ARMIJO = 1e-4  # sufficient-decrease fraction of the Newton line search
 # the line search judges a step by the gradient norm instead
 PSI_ROUNDOFF = 1e-15
 # H is assembled when the fill the order probe predicts for its factors,
-# fill * d^2, is affordable in total and per node. In total, it and the
-# 4 m d^2 entries the assembly sums (parallel edges make m much larger
-# than the pattern) are at most ASSEMBLY_ENTRIES, about 12 MB of factors.
-# Per node it is at most ASSEMBLY_NODE_FILL: with c = fill / n, a
+# fill * d^2, is affordable in total and per node, and the 4 m d^2 entries
+# the assembly sums (parallel edges make m much larger than the pattern)
+# are at most ASSEMBLY_ENTRIES. The total only bounds memory, at about
+# 12 bytes per entry: ASSEMBLY_FILL is 30 MB of factors. The full N = 10^4
+# moons problem (2.0e6) ran its 4-lambda direct path 1.9x faster
+# assembled, and the path's peak RSS was 150 MB against 137 MB on the
+# operator. Per node it is at most ASSEMBLY_NODE_FILL: with c = fill / n, a
 # factorization of H works about n d (d c)^2 and a CG step of the operator
 # about n d c, so their ratio is H's fill per node. On 9-lambda direct
 # moons paths (one BLAS thread) the assembled branch was 2.2x faster at
 # d = 2, N = 5000 (172 per node) and the operator 1.2x faster at d = 3,
-# N = 1000 (304) and 2.3x at d = 5 (623). Every d >= 10 problem with edges
-# goes to the operator.
+# N = 1000 (304) and 2.3x at d = 5 (623). Small systems cross over at
+# about the same fill per node: timed one by one, the subproblems of the
+# default-grid eas paths of N = 1000 moons rotated into d = 5 and d = 10
+# dimensions solved 1.2x faster assembled at 275 per node, as fast either
+# way at 267 to 333 and 2x faster by the operator at 415.
 ASSEMBLY_ENTRIES = 1_000_000
-ASSEMBLY_NODE_FILL = 200
+ASSEMBLY_FILL = 2_500_000
+ASSEMBLY_NODE_FILL = 300
 MAX_CG = 500  # conjugate-gradient steps per Newton direction
 # _reuse_weight. Measured with one BLAS thread on the d = 2 moons problems,
 # a factorization of H with c stored entries per column of its factors
 # took about c / 4 CG steps on H preconditioned by them (c = 15 to 100,
 # N = 70 to 10^4 nodes), and the same count puts a factorization of L at
-# N = 1000 at 7.5 one-column steps. A direction from stale factors of H
-# also pays for entering CG and for the Newton steps an inexact direction
-# adds; REUSE_ENTRY counts that as 4 steps, so factors with c < 20 per
-# column, every sieved subproblem of the N = 1000 moons paths among them
-# (c <= 16), are made afresh at every Newton step.
+# N = 1000 at 7.5 one-column steps. A CG step also costs about 20 us
+# whatever its size, as long as applying 8000 stored entries of factors
+# takes; below REUSE_MIN_FILL entries a factorization of H cost only 3 to
+# 7 CG steps (N = 20 to 40 at d = 2, 10 to 30 at d = 5), so such factors
+# are never reused. Reusing them on the sieved subproblems of the
+# N = 1000 moons eas paths (at most 2100 entries at d = 2, 4620 at d = 5)
+# took 20 to 36% more Newton time. Above it, charging each reusing direction k CG steps more,
+# for entering CG and the Newton steps an inexact direction adds, only
+# lost: with k = 0, 4 and 8 the N = 1000 direct path took 2.41, 2.75 and
+# 2.75 s and the N = 5000 eas path 13.6, 15.4 and 15.4 s of Newton steps
+# (never reusing: 16.2 s), so no such charge is made.
 REUSE_FILL = 4
-REUSE_ENTRY = 4
+REUSE_MIN_FILL = 8000
 
 
 class SingularSystemError(RuntimeError):
@@ -155,7 +168,7 @@ class _NewtonSystem:
     Stored, H has a dense d x d block per node and per pair of adjacent
     nodes, and factored in the node order about d^2 times the fill of a
     matrix with the graph's pattern, which the order probe measures. When
-    that predicted fill is affordable (ASSEMBLY_ENTRIES, ASSEMBLY_NODE_FILL),
+    that predicted fill is affordable (ASSEMBLY_FILL, ASSEMBLY_NODE_FILL),
     H is assembled on a fixed CSC pattern (the 4 d^2 entries of every edge
     summed by bincount) and factorized by SuperLU; L, G and G^T are not
     built. Otherwise H is never formed: three sparse products apply it in
@@ -189,7 +202,7 @@ class _NewtonSystem:
         # every matrix below is built with node order[p] in place p, so that
         # SuperLU factors it in the given order instead of finding one again
         self.order, rank, fill = _node_order(n, ri, rj)
-        self.assembled = (fill * d * d <= min(ASSEMBLY_ENTRIES, ASSEMBLY_NODE_FILL * n)
+        self.assembled = (fill * d * d <= min(ASSEMBLY_FILL, ASSEMBLY_NODE_FILL * n)
                           and 4 * len(ri) * d * d <= ASSEMBLY_ENTRIES)
         ri, rj, h = rank[ri], rank[rj], red.h[self.order]
         # the diagonal, then the entries (ri, ri), (rj, rj), (ri, rj), (rj, ri)
@@ -423,12 +436,12 @@ def _reuse_weight(ns):
     factorization pays, read off the fill of the factors: with c stored
     entries per column a factorization costs about c / REUSE_FILL CG steps
     that apply them to one column. A step of the operator applies factors
-    of L to d columns, and a direction from reused factors of H pays
-    REUSE_ENTRY steps more than a solve with fresh ones."""
+    of L to d columns; factors of H with fewer than REUSE_MIN_FILL entries
+    weigh nothing."""
     lu = ns.lu
     steps = lu.nnz / lu.shape[0] / REUSE_FILL
     if ns.assembled:
-        return steps - REUSE_ENTRY
+        return steps if lu.nnz >= REUSE_MIN_FILL else 0.0
     return steps / ns.red.C.shape[0]
 
 

@@ -168,6 +168,7 @@ def _force(monkeypatch, assembled):
     the operator, whatever its predicted fill."""
     cap = 10**12 if assembled else 0
     monkeypatch.setattr(admm, "ASSEMBLY_ENTRIES", cap)
+    monkeypatch.setattr(admm, "ASSEMBLY_FILL", cap)
     monkeypatch.setattr(admm, "ASSEMBLY_NODE_FILL", cap)
 
 
@@ -358,14 +359,14 @@ def test_preconditioner_is_refactored_once_extra_cg_steps_outweigh_it(monkeypatc
     """Replayed on the CG counts of every direction of direct paths, in
     both branches. Factors are reused while excess + 1 <= weight, weight
     being _reuse_weight of the factors when they were made: their stored
-    entries per column over REUSE_FILL, less REUSE_ENTRY for H and over d
-    for L; factors of H whose weight is below 1 are dropped after their
-    direction. Kept factors of H, made at any earlier step, inner solve or
-    lambda, run CG for at most weight - excess steps, and refactor in the
-    same direction when CG stops short; excess sums those steps. Factors of
-    L are made at the first direction of every inner solve, and excess sums
-    the CG steps of reusing directions beyond c0, the count of the
-    direction that made them."""
+    entries per column over REUSE_FILL, 0 for factors of H with fewer than
+    REUSE_MIN_FILL entries and over d for L; factors of H whose weight is
+    below 1 are dropped after their direction. Kept factors of H, made at
+    any earlier step, inner solve or lambda, run CG for at most weight -
+    excess steps, and refactor in the same direction when CG stops short;
+    excess sums those steps. Factors of L are made at the first direction
+    of every inner solve, and excess sums the CG steps of reusing
+    directions beyond c0, the count of the direction that made them."""
     from sievepath import PathConfig, solve_path
 
     calls, made = [], []
@@ -422,7 +423,10 @@ def test_preconditioner_is_refactored_once_extra_cg_steps_outweigh_it(monkeypatc
                         refreshed += lu is not None
                         lu, excess = next(fresh), 0
                         weight = lu.nnz / lu.shape[0] / admm.REUSE_FILL
-                        weight = weight - admm.REUSE_ENTRY if assembled else weight / inst.d
+                        if assembled:
+                            weight = weight if lu.nnz >= admm.REUSE_MIN_FILL else 0.0
+                        else:
+                            weight = weight / inst.d
                     else:
                         reused += 1
                     if assembled and weight < 1:
@@ -496,11 +500,13 @@ def _moons_in_20_dimensions():
 
 
 def test_selector_assembles_planar_moons_and_applies_high_dimensional_ones():
-    """The full N = 1000 moons problem at d = 2 goes to the assembled H; the
-    same points rotated into d = 20 go to the operator. An assembled system
-    keeps no L, G or G^T, and an operator system no H."""
+    """The full N = 1000 and N = 10^4 moons problems at d = 2 go to the
+    assembled H; the 1000 points rotated into d = 20 go to the operator. An
+    assembled system keeps no L, G or G^T, and an operator system no H."""
     planar = build_knn_graph(gen_two_half_moons(1000, 0.1, 0), k=10)
-    for inst, assembled in ((planar, True), (_moons_embedding(1000, 20, 10), False)):
+    large = build_knn_graph(gen_two_half_moons(10000, 0.1, 0), k=10)
+    for inst, assembled in ((planar, True), (large, True),
+                            (_moons_embedding(1000, 20, 10), False)):
         ns = admm._NewtonSystem(reduce_problem(inst, build_partition(inst.incidence, []), 1.0))
         assert ns.assembled == assembled
         assert hasattr(ns, "H") == assembled

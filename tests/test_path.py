@@ -323,6 +323,25 @@ def test_reused_structures_change_no_result(moons200, monkeypatch, mode):
             state.newton_steps, state.cg_steps, state.factorizations)
 
 
+def test_direct_path_with_kept_factors_agrees_with_fresh_solves(moons200):
+    """At default settings direct mode keeps its factors of H from lambda to
+    lambda, so its iterates differ from store-free solves in the last bits;
+    every lambda still certifies and its y fuses the points into the same
+    clusters. (num_fused is not compared: in direct mode it counts the
+    blocks of x Jr that are zero to the last bit, which round-off decides.)"""
+    from sievepath.labels import extract_labels
+
+    pcfg = PathConfig(mode="direct")
+    res = solve_path(moons200, pcfg)
+    fresh = _path_without_store(moons200, pcfg)
+    assert sum(rec.factorizations for rec in res.records) < sum(
+        state.factorizations for _, state in fresh)
+    for rec, (triple, _) in zip(res.records, fresh, strict=True):
+        assert rec.converged and rec.residual <= pcfg.eps
+        kept = extract_labels(moons200, rec.triple.y, pcfg.eps_hat).labels
+        assert np.array_equal(kept, extract_labels(moons200, triple.y, pcfg.eps_hat).labels)
+
+
 @pytest.mark.parametrize("mode", ["as", "eas", "direct"])
 def test_each_stored_candidate_set_is_built_once(moons200, monkeypatch, mode):
     """Partitions, Newton systems and Gram factors are built only by the
