@@ -177,12 +177,14 @@ class _NewtonSystem:
     sparsity and serves all d columns; H <= L (x) I_d, and the two differ by
     one rank-one term per edge.
 
-    The system keeps the factors it made last (lu; those of H only while
-    their reuse can pay), their reuse weight (_reuse_weight) and what
-    reusing them has cost (excess, in CG steps), so that factors of H
-    outlive the Newton step, the inner solve and the reduced problem that
-    made them; direction decides when to refactor, and _newton drops
-    factors of L before each inner solve.
+    The system keeps the factors it made last (lu) while their budget, the
+    CG steps beyond c0 that reusing them may still cost, is at least 1:
+    _refactor sets it to _reuse_weight, with c0 = 0 for H and, for L, the
+    CG steps of the direction that made them, and _cg spends it. Factors of
+    H thus outlive the Newton step, the inner solve and the reduced problem
+    that made them; begin drops factors of L at every inner solve. The
+    system counts its factorizations and CG steps; a solve reports the
+    difference.
 
     Both matrices are built once, in one fill-reducing order of the n nodes
     (_node_order), node order[p] in place p, so SuperLU factors them as
@@ -208,7 +210,8 @@ class _NewtonSystem:
         # the diagonal, then the entries (ri, ri), (rj, rj), (ri, rj), (rj, ri)
         L, slot = _pattern(np.concatenate([np.arange(n), ri, rj, ri, rj]),
                            np.concatenate([np.arange(n), ri, rj, rj, ri]), n)
-        self.lu, self.excess, self.weight, self.c0 = None, 0, 0.0, 0
+        self.lu, self.budget, self.c0 = None, 0.0, 0
+        self.factorizations = self.cg_steps = 0  # made and run over its lifetime
         if self.assembled:
             self.H, self._slot = _block_pattern(L, slot, d)
             self._hdiag = np.repeat(h, d)
@@ -281,62 +284,68 @@ class _NewtonSystem:
 
         return apply, L
 
+    def begin(self):
+        """Start an inner solve (one sigma and multiplier): factors of L,
+        which serve one inner solve (direction), go; factors of H stay."""
+        if not self.assembled:
+            self.lu = None
+
     def direction(self, V, tau, sigma, grad, rtol):
-        """Newton direction, H dX = -grad, as (dX, cg, factored): cg counts
-        its CG steps and factored says that it made new factors.
+        """Newton direction dX, H dX = -grad.
 
         Kept factors of H precondition conjugate gradients on H, run until
         the residual is at most rtol * ||grad||, but for no more steps than
-        the reuse weight has left; when none are left or kept, or CG stops
-        short of rtol, the system factors H at V and solves it. Factors of L
-        always precondition CG, run to rtol, and are made afresh once reuse
-        has cost the weight. Factors of H whose weight is below 1 are never
-        reused, so they are released as soon as the direction is found. Any
-        SPD preconditioner keeps every CG iterate a descent direction. Only
-        the right-hand side and the result are permuted."""
+        the budget; when none are kept, or CG stops short of rtol, the
+        system factors H at V and its fresh factors solve. Factors of L
+        always precondition CG, run to rtol, serve one inner solve, and are
+        made afresh when none are kept. Any SPD preconditioner keeps every
+        CG iterate a descent direction. Only the right-hand side and the
+        result are permuted.
+
+        L's rules were measured on 9-lambda direct paths of N = 1000 moons
+        rotated into d = 3, 4, 5 and 10 dimensions (10 interleaved CPU-time
+        pairs each, 2 vCPU, one BLAS thread). Against them, capping CG on L
+        at the budget as for H was 14 to 36% slower at d = 3 to 5 (9 or 10
+        of 10 pairs) and even at d = 10; never reusing L was 11 to 26%
+        slower at d = 3 to 5 and 4% at d = 10; keeping factors of L across
+        inner solves, as for H, was 8% slower at d = 4 (10 of 10 pairs),
+        though 3 to 6% faster in the median at d = 3 and d = 10."""
         r = -grad.T[self.order]
-        reuse = self.lu is not None and self.excess + 1 <= self.weight
         if self.assembled:
             H = self.matrix(V, tau, sigma)
-            cg, converged = 0, False
-            if reuse:
+            converged = False
+            if self.lu is not None:
                 # the factors solve the flat node-major vector
-                x, cg, converged = self._cg(H.dot, r.size, r, rtol,
-                                            int(self.weight - self.excess))
-                self.excess += cg
-            factored = not converged
-            if factored:
+                x, converged = self._cg(H.dot, r.size, r, rtol, int(self.budget))
+            if not converged:
                 self._refactor(H)
                 x = self.lu.solve(r.ravel())
         else:
             hess, L = self.operator(V, tau, sigma)
-            factored = not reuse
-            if factored:
+            if self.lu is None:
                 self._refactor(L)
             # the factors serve all d columns; an unconverged iterate still descends
-            x, cg, _ = self._cg(hess, r.shape, r, rtol, MAX_CG)
-            if factored:
-                self.c0 = cg
-            else:
-                self.excess += max(0, cg - self.c0)
-        if self.assembled and self.weight < 1:
-            # kept, such small factors fragment the heap: the N = 1000
-            # moons eas path peaked 2 MB higher
+            x, _ = self._cg(hess, r.shape, r, rtol, MAX_CG)
+        if self.budget < 1:
+            # kept, small factors of H fragment the heap: the N = 1000 moons
+            # eas path peaked 2 MB higher
             self.lu = None
         dX = np.empty_like(grad)
         dX[:, self.order] = x.reshape(r.shape).T
-        return dX, cg, factored
+        return dX
 
     def _refactor(self, A):
-        """Factor A, H or L at the current point, in place of lu."""
+        """Factor A, H or L at the current point, in place of lu; for L,
+        the CG run of the direction that made the factors sets c0."""
         self.lu = None  # the stale factors go before the new ones are made
         self.lu = _factor(A)
-        self.excess, self.weight = 0, _reuse_weight(self)
+        self.factorizations += 1
+        self.budget, self.c0 = _reuse_weight(self), 0 if self.assembled else None
 
     def _cg(self, hess, shape, r, rtol, maxiter):
         """scipy's conjugate gradients for hess(x) = r, preconditioned by
         lu, with x and r flattened node-major and hess and lu acting on
-        arrays of the given shape: (x, steps, converged)."""
+        arrays of the given shape: (x, converged)."""
         lu = self.lu
         H = sp.linalg.LinearOperator((r.size, r.size), dtype=np.float64,
                                      matvec=lambda p: hess(p.reshape(shape)).ravel())
@@ -345,7 +354,11 @@ class _NewtonSystem:
         iterates = []  # cg calls back once per step
         x, info = sp.linalg.cg(H, r.ravel(), rtol=rtol, maxiter=maxiter, M=P,
                                callback=iterates.append)
-        return x, len(iterates), info == 0
+        steps = len(iterates)
+        self.cg_steps += steps
+        self.c0 = steps if self.c0 is None else self.c0  # set by fresh factors of L
+        self.budget -= max(0, steps - self.c0)
+        return x, info == 0
 
 
 def _pattern(rows, cols, n):
@@ -448,28 +461,19 @@ def _reuse_weight(ns):
 def _newton(ns, X, Z, sigma, gtol, max_steps):
     """Semismooth Newton on Psi from X until ||grad Psi|| <= gtol.
 
-    Returns (X, V, grad, steps, stalled, cg_steps, factorizations); stalled
-    means no step along the Newton direction was acceptable, i.e. round-off
-    ended the descent. Each direction that reuses the system's factors adds
-    the CG steps it took beyond c0, the count of the direction that made
-    them (0 for fresh factors of H), to ns.excess, and the system makes new
-    ones once excess + 1 exceeds their reuse weight (_NewtonSystem.direction).
-    Factors of L are dropped first, so that they serve this call only;
-    factors of H carry over from earlier calls.
+    Returns (X, V, grad, steps, stalled); stalled means no step along the
+    Newton direction was acceptable, i.e. round-off ended the descent.
     """
     red = ns.red
     tau = (red.lam / sigma) * red.weights
     V = red.inc.apply(X) + Z / sigma
     psi, grad = ns.psi_grad(X, V, tau, sigma)
     gnorm = float(np.linalg.norm(grad))
-    steps = cg_steps = factorizations = 0
-    if not ns.assembled:
-        ns.lu = None  # factors of L serve one inner solve
+    steps = 0
+    ns.begin()
     while gnorm > gtol and steps < max_steps:
         # forcing term min(0.1, ||grad||^0.5): superlinear once ||grad|| is small
-        dX, cg, factored = ns.direction(V, tau, sigma, grad, min(0.1, np.sqrt(gnorm)))
-        cg_steps += cg
-        factorizations += factored
+        dX = ns.direction(V, tau, sigma, grad, min(0.1, np.sqrt(gnorm)))
         dV = red.inc.apply(dX)
         slope = float(np.dot(grad.ravel(), dX.ravel()))
         alpha = 1.0
@@ -484,10 +488,10 @@ def _newton(ns, X, Z, sigma, gtol, max_steps):
                 break
             alpha *= 0.5
         else:
-            return X, V, grad, steps, True, cg_steps, factorizations
+            return X, V, grad, steps, True
         X, V, psi, grad, gnorm = X_t, V_t, psi_t, grad_t, gnorm_t
         steps += 1
-    return X, V, grad, steps, False, cg_steps, factorizations
+    return X, V, grad, steps, False
 
 
 def solve_reduced_admm(red, tol, config=None, warm=None, system=None):
@@ -504,12 +508,11 @@ def solve_reduced_admm(red, tol, config=None, warm=None, system=None):
     """
     cfg = config or AdmmConfig()
     tol = float(tol)
-    d = red.C.shape[0]
     sigma = float(cfg.sigma if warm is None or len(warm) < 4 else warm[3])
 
     if red.m_red == 0:
         X = red.C / red.h
-        empty = np.zeros((d, 0))
+        empty = np.zeros((red.C.shape[0], 0))
         return SubSolution(X, empty.copy(), empty.copy(), 0, True, 0.0, 0.0, sigma)
 
     if warm is not None:
@@ -521,10 +524,11 @@ def solve_reduced_admm(red, tol, config=None, warm=None, system=None):
 
     ns = _NewtonSystem(red) if system is None else system(red)
     ns.red = red
+    made, cg_steps = ns.factorizations, ns.cg_steps  # the system counts its own work
     lw = red.lam * red.weights
     kkt = reduced_kkt_residual(red, X, Y, Z)
     gap = _relative_gap(red, X, Z) if kkt <= tol else np.inf
-    steps = cg_steps = factorizations = 0
+    steps = 0
     pinf_prev = np.inf
     best = kkt
     for _ in range(MAX_OUTER):
@@ -532,9 +536,8 @@ def solve_reduced_admm(red, tol, config=None, warm=None, system=None):
             break
         # the inner solve only needs to outpace the infeasibility it leaves
         gtol = max(0.5 * tol, min(0.1 * pinf_prev, 1.0))
-        X, V, grad, n, stalled, cg, factored = _newton(ns, X, Z, sigma, gtol,
-                                                       cfg.max_iter - steps)
-        steps, cg_steps, factorizations = steps + n, cg_steps + cg, factorizations + factored
+        X, V, grad, n, stalled = _newton(ns, X, Z, sigma, gtol, cfg.max_iter - steps)
+        steps += n
         Y = prox_columns(V, lw / sigma)
         Z = sigma * (V - Y)
         R = red.inc.apply(X) - Y
@@ -556,7 +559,8 @@ def solve_reduced_admm(red, tol, config=None, warm=None, system=None):
             "SSNAL stopped after %d Newton steps with residual %.3e, gap %.3e > tol %.3e",
             steps, kkt, gap, tol,
         )
-    return SubSolution(X, Y, Z, steps, converged, kkt, gap, sigma, cg_steps, factorizations)
+    return SubSolution(X, Y, Z, steps, converged, kkt, gap, sigma,
+                       ns.cg_steps - cg_steps, ns.factorizations - made)
 
 
 def solve_full(inst, lam, tol, config=None, warm=None):

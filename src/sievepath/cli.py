@@ -4,30 +4,34 @@ import argparse
 import logging
 import os
 import sys
+from dataclasses import fields
 
 from .admm import AdmmConfig
 from .data_io import DataError, RunManifest, gen_two_half_moons, load_matrix, save_matrix
 from .graph import GraphError, build_knn_graph
 from .labels import extract_labels
-from .path import MODES, PathConfig, parse_lambda_spec, solve_path
+from .path import MODES, PathConfig, default_lambda_grid, parse_lambda_spec, solve_path
 from .report import emit_report, load_path_state, save_path_state
 from .sieve import ApgConfig
 
 
 def _add_common_solver_flags(p):
-    p.add_argument("--k", type=int, default=10, help="neighbors per point (default 10)")
-    p.add_argument("--eps", type=float, default=1e-6, help="KKT tolerance (default 1e-6)")
-    p.add_argument("--eps-hat", type=float, default=2e-16,
-                   help="zero-block detection threshold (default 2e-16)")
-    p.add_argument("--mode", choices=MODES, default="as")
-    p.add_argument("--sigma", type=float, default=1.0,
+    """The solver flags of solve and path, defaulting to RunManifest's
+    fields, which default to the library's settings."""
+    d = RunManifest()
+    p.add_argument("--k", type=int, default=d.k, help="neighbors per point (default %(default)s)")
+    p.add_argument("--eps", type=float, default=d.eps, help="KKT tolerance (default %(default)s)")
+    p.add_argument("--eps-hat", type=float, default=d.eps_hat,
+                   help="zero-block detection threshold (default %(default)s)")
+    p.add_argument("--mode", choices=MODES, default=d.mode)
+    p.add_argument("--sigma", type=float, default=d.sigma,
                    help="subsolver penalty of a cold start; warm starts keep the last one")
-    p.add_argument("--admm-max-iter", type=int, default=50000,
-                   help="cap on the subsolver's Newton steps per solve (default 50000)")
-    p.add_argument("--admm-tol", type=float, default=None,
+    p.add_argument("--admm-max-iter", type=int, default=d.admm_max_iter,
+                   help="cap on the subsolver's Newton steps per solve (default %(default)s)")
+    p.add_argument("--admm-tol", type=float, default=d.admm_tol,
                    help="tolerance of a lambda's first subsolve, retightened 100x up to "
                         "3 times while it misses eps (default: eps/2)")
-    p.add_argument("--apg-maxiter", type=int, default=ApgConfig().maxiter,
+    p.add_argument("--apg-maxiter", type=int, default=d.apg_maxiter,
                    help="cap on the dual-recovery APG steps per call (default %(default)s)")
 
 
@@ -51,9 +55,9 @@ def build_parser():
 
     p_path = sub.add_parser("path", help="run the full lambda path and emit reports")
     p_path.add_argument("--input", help="CSV matrix, rows = features")
-    p_path.add_argument("--grid", default="10:-0.2:1",
-                        help="lambda grid 'start:step:stop' or comma list")
-    p_path.add_argument("--out", help="report output directory")
+    p_path.add_argument("--grid", help="lambda grid 'start:step:stop' or comma list "
+                        "(default: PathConfig's, 10 down to 1 in steps of 0.2)")
+    p_path.add_argument("--out", dest="outdir", help="report output directory")
     p_path.add_argument("--state", help="also save the solved path state here (an .npz archive)")
     p_path.add_argument("--manifest", help="JSON manifest; overrides other flags")
     p_path.add_argument("--save-manifest", help="write the effective manifest here")
@@ -101,12 +105,7 @@ def cmd_solve(args):
 
 
 def cmd_path(args):
-    manifest = RunManifest(
-        input=args.input, k=args.k, grid=args.grid, eps=args.eps,
-        eps_hat=args.eps_hat, mode=args.mode, sigma=args.sigma,
-        admm_max_iter=args.admm_max_iter, admm_tol=args.admm_tol,
-        apg_maxiter=args.apg_maxiter, outdir=args.out,
-    )
+    manifest = RunManifest(**{f.name: getattr(args, f.name) for f in fields(RunManifest)})
     if args.manifest:
         manifest = RunManifest.load(args.manifest)
     if manifest.input is None:
@@ -117,7 +116,8 @@ def cmd_path(args):
 
     A = load_matrix(manifest.input)
     inst = build_knn_graph(A, k=manifest.k)
-    result = solve_path(inst, _path_config(manifest, parse_lambda_spec(manifest.grid)))
+    grid = default_lambda_grid() if manifest.grid is None else parse_lambda_spec(manifest.grid)
+    result = solve_path(inst, _path_config(manifest, grid))
     if args.state:
         save_path_state(result, args.state)
     if manifest.outdir:

@@ -1,11 +1,15 @@
 """Dataset ingestion, synthetic data, and the run manifest."""
 
+import inspect
 import json
 import math
-from dataclasses import dataclass, asdict, field
+from dataclasses import dataclass, asdict
 
 import numpy as np
 
+from .admm import AdmmConfig
+from .graph import build_knn_graph
+from .path import PathConfig
 from .sieve import ApgConfig
 
 
@@ -101,18 +105,20 @@ def moon_labels(n):
 
 @dataclass
 class RunManifest:
-    """Serializable description of a path run (flags mirror the CLI)."""
+    """Serializable description of a path run (flags mirror the CLI). Every
+    solver setting defaults to the library's own default; grid None is
+    PathConfig's default grid."""
 
     input: str = None
-    k: int = 10
-    grid: str = "10:-0.2:1"
-    eps: float = 1e-6
-    eps_hat: float = 2e-16
-    mode: str = "as"
-    sigma: float = 1.0
-    admm_max_iter: int = 50000
-    admm_tol: float = None
-    apg_maxiter: int = ApgConfig().maxiter
+    k: int = inspect.signature(build_knn_graph).parameters["k"].default
+    grid: str = None
+    eps: float = PathConfig.eps
+    eps_hat: float = PathConfig.eps_hat
+    mode: str = PathConfig.mode
+    sigma: float = AdmmConfig.sigma
+    admm_max_iter: int = AdmmConfig.max_iter
+    admm_tol: float = AdmmConfig.tol
+    apg_maxiter: int = ApgConfig.maxiter
     outdir: str = None
 
     def to_json(self):

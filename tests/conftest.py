@@ -31,6 +31,16 @@ def random_instance(rng, N=None, d=None, k=None):
     return build_knn_graph(A, k=k)
 
 
+def force_newton_branch(monkeypatch, assembled):
+    """Send every Newton system built from here on to H (assembled) or to
+    the operator, whatever its predicted fill."""
+    from sievepath import admm
+
+    cap = 10**12 if assembled else 0
+    for name in ("ASSEMBLY_ENTRIES", "ASSEMBLY_FILL", "ASSEMBLY_NODE_FILL"):
+        monkeypatch.setattr(admm, name, cap)
+
+
 def paper_partition(part):
     """The paper's (alpha, beta, M) of an IndexPartition, from rep, pos and
     gamma: alpha are the reps of the columns that hold gamma nodes, beta the

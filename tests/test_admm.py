@@ -16,7 +16,7 @@ from sievepath import admm
 from sievepath._kernels import column_norms, project_columns
 from sievepath.model import primal_objective
 
-from conftest import random_instance
+from conftest import force_newton_branch, random_instance
 
 
 def test_fully_fused_t1(t1_inst):
@@ -163,15 +163,6 @@ def _unpermute(A, order, d=1):
     return A[idx][:, idx]
 
 
-def _force(monkeypatch, assembled):
-    """Send every Newton system built from here on to H (assembled) or to
-    the operator, whatever its predicted fill."""
-    cap = 10**12 if assembled else 0
-    monkeypatch.setattr(admm, "ASSEMBLY_ENTRIES", cap)
-    monkeypatch.setattr(admm, "ASSEMBLY_FILL", cap)
-    monkeypatch.setattr(admm, "ASSEMBLY_NODE_FILL", cap)
-
-
 def test_newton_hessian_matches_gradient_differences(monkeypatch):
     """The assembled Hessian and the operator agree with each other and with
     differences of grad Psi; the preconditioner bounds H from above; the
@@ -182,9 +173,9 @@ def test_newton_hessian_matches_gradient_differences(monkeypatch):
         red, X, Z, sigma, tau = _newton_point(rng)
         V = red.inc.apply(X) + Z / sigma
         d = X.shape[0]
-        _force(monkeypatch, True)
+        force_newton_branch(monkeypatch, True)
         exact = admm._NewtonSystem(red)
-        _force(monkeypatch, False)
+        force_newton_branch(monkeypatch, False)
         operator = admm._NewtonSystem(red)
         assert exact.assembled and not operator.assembled
 
@@ -206,14 +197,14 @@ def test_newton_hessian_matches_gradient_differences(monkeypatch):
 
         G = _grad_psi(red, X, Z, sigma, tau)
         scale = 1.0 + np.abs(G).max()
-        dX, cg, factored = exact.direction(V, tau, sigma, G, 0.1)
-        assert factored and cg == 0
+        dX = exact.direction(V, tau, sigma, G, 0.1)
+        assert exact.factorizations == 1 and exact.cg_steps == 0
         assert np.allclose(H @ _node_major(dX), -_node_major(G), rtol=0, atol=1e-9 * scale)
-        dX, cg, factored = operator.direction(V, tau, sigma, G, 1e-12)
-        assert factored and cg > 0
+        dX = operator.direction(V, tau, sigma, G, 1e-12)
+        assert operator.factorizations == 1 and operator.cg_steps > 0
         assert np.allclose(H @ _node_major(dX), -_node_major(G), rtol=0, atol=1e-9 * scale)
         # a loose PCG solve stops at its tolerance and still descends
-        dX, _, _ = operator.direction(V, tau, sigma, G, 0.5)
+        dX = operator.direction(V, tau, sigma, G, 0.5)
         res = np.linalg.norm(H @ _node_major(dX) + _node_major(G))
         assert res <= 0.5 * np.linalg.norm(G)
         assert np.vdot(G, dX) < 0.0
@@ -236,7 +227,7 @@ def test_node_order_is_a_permutation_with_minimum_degree_fill(monkeypatch, assem
     import scipy.sparse as sp
     from sievepath import build_knn_graph
 
-    _force(monkeypatch, assembled)
+    force_newton_branch(monkeypatch, assembled)
     rng = np.random.default_rng(21)
     for _ in range(10):
         d = int(rng.integers(1, 4))
@@ -310,8 +301,9 @@ def test_one_order_per_subsolve_and_one_factorization_per_newton_step(monkeypatc
     fresh factors solve without CG. Elsewhere, L at d = 2 on the same
     system and either matrix on a larger one, factors outlive some steps:
     at most one factorization per direction, fewer than the Newton steps,
-    and L at least once per inner solve. SubSolution.factorizations counts
-    the factorizations, not the probe."""
+    and L at least once per inner solve. SubSolution.factorizations and
+    cg_steps count what the system made and ran during the solve, not the
+    probe."""
     import scipy.sparse.linalg as spla
 
     specs = []
@@ -325,9 +317,10 @@ def test_one_order_per_subsolve_and_one_factorization_per_newton_step(monkeypatc
     newton = admm._newton
     inner = []  # (directions, factorizations) of every inner solve
 
-    def recording(*args):
-        out = newton(*args)
-        inner.append((out[3] + out[4], out[6]))
+    def recording(ns, *args):
+        made = ns.factorizations
+        out = newton(ns, *args)
+        inner.append((out[3] + out[4], ns.factorizations - made))
         return out
 
     monkeypatch.setattr(admm, "_newton", recording)
@@ -335,17 +328,19 @@ def test_one_order_per_subsolve_and_one_factorization_per_newton_step(monkeypatc
     large = build_knn_graph(gen_two_half_moons(100, 0.1, 0), k=10)
     for inst in (small, large):
         for assembled in (True, False):
-            _force(monkeypatch, assembled)
+            force_newton_branch(monkeypatch, assembled)
             red = reduce_problem(inst, build_partition(inst.incidence, []), 0.4)
             specs.clear()
             inner.clear()
-            sub = solve_reduced_admm(red, tol=1e-8)
+            ns = admm._NewtonSystem(red)
+            sub = solve_reduced_admm(red, tol=1e-8, system=lambda red: ns)
             assert sub.converged and sub.iterations > 0
             assert specs.count("MMD_AT_PLUS_A") == 1
             assert len(specs) == sub.factorizations + 1
-            assert specs.count("NATURAL") == sub.factorizations
+            assert specs.count("NATURAL") == sub.factorizations == ns.factorizations
+            assert sub.cg_steps == ns.cg_steps
             assert sum(f for _, f in inner) == sub.factorizations
-            assert all(f <= n for n, f in inner)
+            assert all(f <= n for n, f in inner) and inner[0][1] >= 1
             if assembled and inst is small:
                 assert sub.factorizations == sub.iterations and sub.cg_steps == 0
             else:
@@ -357,82 +352,83 @@ def test_one_order_per_subsolve_and_one_factorization_per_newton_step(monkeypatc
 
 def test_preconditioner_is_refactored_once_extra_cg_steps_outweigh_it(monkeypatch):
     """Replayed on the CG counts of every direction of direct paths, in
-    both branches. Factors are reused while excess + 1 <= weight, weight
-    being _reuse_weight of the factors when they were made: their stored
-    entries per column over REUSE_FILL, 0 for factors of H with fewer than
-    REUSE_MIN_FILL entries and over d for L; factors of H whose weight is
-    below 1 are dropped after their direction. Kept factors of H, made at
-    any earlier step, inner solve or lambda, run CG for at most weight -
-    excess steps, and refactor in the same direction when CG stops short;
-    excess sums those steps. Factors of L are made at the first direction
-    of every inner solve, and excess sums the CG steps of reusing
-    directions beyond c0, the count of the direction that made them."""
+    both branches. The system keeps its factors exactly while their budget
+    is at least 1: a factorization sets it to _reuse_weight of the new
+    factors (their stored entries per column over REUSE_FILL, 0 for factors
+    of H with fewer than REUSE_MIN_FILL entries and over d for L), and
+    reuse spends it. Kept factors of H, made at any earlier step, inner
+    solve or lambda, run CG for at most the budget's whole steps, spend
+    every step, and refactor in the same direction when CG stops short;
+    fresh ones solve without CG. Factors of L are dropped when an inner
+    solve begins and made when none are kept, and a direction spends its
+    CG steps beyond c0, the count of the direction that made them."""
     from sievepath import PathConfig, solve_path
 
-    calls, made = [], []
-    direction, newton, factor = admm._NewtonSystem.direction, admm._newton, admm._factor
+    calls, made = [], []  # calls: a direction's record, or None as an inner solve begins
+    begin, direction, factor = (admm._NewtonSystem.begin, admm._NewtonSystem.direction,
+                                admm._factor)
+
+    def beginning(self):
+        calls.append(None)
+        begin(self)
 
     def recording(self, *args):
-        kept = self.lu
+        kept, cg, factorizations = self.lu, self.cg_steps, self.factorizations
         out = direction(self, *args)
-        calls[-1].append((kept, out[1], out[2], self.lu))
+        calls.append((kept, self.cg_steps - cg, self.factorizations - factorizations,
+                      self.lu, self.budget))
         return out
-
-    def per_solve(*args):
-        calls.append([])
-        return newton(*args)
 
     def factoring(A):
         made.append(factor(A))
         return made[-1]
 
+    monkeypatch.setattr(admm._NewtonSystem, "begin", beginning)
     monkeypatch.setattr(admm._NewtonSystem, "direction", recording)
-    monkeypatch.setattr(admm, "_newton", per_solve)
     monkeypatch.setattr(admm, "_factor", factoring)
     small = random_instance(np.random.default_rng(3), N=30, d=2, k=4)
     large = build_knn_graph(gen_two_half_moons(100, 0.1, 0), k=10)
     reused = refreshed = dropped = 0
     for inst in (small, large):
         for assembled in (True, False):
-            _force(monkeypatch, assembled)
+            force_newton_branch(monkeypatch, assembled)
             calls.clear()
             made.clear()
             lams = [2.0, 1.0, 0.5]
             assert solve_path(inst, PathConfig(mode="direct", lambdas=lams)).all_converged
-            lu, excess, weight = None, 0, 0.0
+            lu, budget, c0 = None, 0.0, 0
             fresh = iter(made)
-            for solve in calls:
+            for call in calls:
+                if call is None:
+                    lu = lu if assembled else None
+                    continue
+                kept, cg, factored, after, left = call
+                assert kept is lu and factored in (0, 1)
+                if assembled and lu is not None:
+                    cap = int(budget)
+                    assert cg <= cap and (cg == cap or not factored)
+                    budget -= cg
+                elif assembled:
+                    assert factored and cg == 0
+                else:
+                    assert factored == (lu is None)
+                if factored:
+                    refreshed += lu is not None
+                    lu, c0 = next(fresh), 0 if assembled else cg
+                    budget = lu.nnz / lu.shape[0] / admm.REUSE_FILL
+                    if assembled:
+                        budget = budget if lu.nnz >= admm.REUSE_MIN_FILL else 0.0
+                    else:
+                        budget = budget / inst.d
+                else:
+                    reused += 1
                 if not assembled:
+                    budget -= max(0, cg - c0)
+                if budget < 1:
                     lu = None
-                for kept, cg, factored, after in solve:
-                    assert kept is lu
-                    reuse = lu is not None and excess + 1 <= weight
-                    if assembled and reuse:
-                        cap = int(weight - excess)
-                        assert cg <= cap and (cg == cap or not factored)
-                        excess += cg
-                    elif assembled:
-                        assert factored and cg == 0
-                    else:
-                        assert factored == (not reuse)
-                        if reuse:
-                            excess += max(0, cg - c0)
-                        else:
-                            c0 = cg
-                    if factored:
-                        refreshed += lu is not None
-                        lu, excess = next(fresh), 0
-                        weight = lu.nnz / lu.shape[0] / admm.REUSE_FILL
-                        if assembled:
-                            weight = weight if lu.nnz >= admm.REUSE_MIN_FILL else 0.0
-                        else:
-                            weight = weight / inst.d
-                    else:
-                        reused += 1
-                    if assembled and weight < 1:
-                        lu = None
-                        dropped += 1
-                    assert after is lu
+                    dropped += 1
+                assert after is lu and left == budget
+                assert (after is not None) == (left >= 1)
             assert next(fresh, None) is None
     assert reused > 0 and refreshed > 0 and dropped > 0
 
@@ -445,7 +441,7 @@ def test_reused_factors_still_give_a_descent_direction(monkeypatch):
     rng = np.random.default_rng(31)
     for _ in range(10):
         red, X, Z, sigma, tau = _newton_point(rng)
-        _force(monkeypatch, True)
+        force_newton_branch(monkeypatch, True)
         exact = admm._NewtonSystem(red)
         V = red.inc.apply(X) + Z / sigma
         G = _grad_psi(red, X, Z, sigma, tau)
@@ -454,14 +450,14 @@ def test_reused_factors_still_give_a_descent_direction(monkeypatch):
         G1 = _grad_psi(red, X1, Z, sigma, tau)
         H1 = _unpermute(exact.matrix(V1, tau, sigma).toarray(), exact.order, X.shape[0])
         for assembled in (True, False):
-            _force(monkeypatch, assembled)
+            force_newton_branch(monkeypatch, assembled)
             ns = admm._NewtonSystem(red)
             ns.direction(V, tau, sigma, G, 0.1)
             lu = ns.lu
-            assert lu is not None
+            assert lu is not None and ns.factorizations == 1
             for rtol in (0.5, 0.1, 1e-6):
-                dX, _, factored = ns.direction(V1, tau, sigma, G1, rtol)
-                assert not factored and ns.lu is lu
+                dX = ns.direction(V1, tau, sigma, G1, rtol)
+                assert ns.factorizations == 1 and ns.lu is lu
                 res = np.linalg.norm(H1 @ _node_major(dX) + _node_major(G1))
                 assert res <= rtol * np.linalg.norm(G1)
                 assert np.vdot(G1, dX) < 0.0
@@ -471,7 +467,7 @@ def test_reused_factors_still_give_a_descent_direction(monkeypatch):
 def test_newton_steps_never_increase_psi(monkeypatch, assembled):
     """Psi after k Newton steps from one point never exceeds Psi after k - 1;
     each run starts from a new system, so that no factors carry over."""
-    _force(monkeypatch, assembled)
+    force_newton_branch(monkeypatch, assembled)
     rng = np.random.default_rng(12)
     for _ in range(15):
         red, X0, Z, sigma, tau = _newton_point(rng, margin=0.0)
@@ -523,7 +519,7 @@ def test_high_dimension_solves_without_forming_the_hessian(monkeypatch):
 
     triple, sub = solve_full(inst, 0.5, tol=1e-9)
     assert sub.converged and triple.residual_norm <= 1e-8
-    _force(monkeypatch, True)
+    force_newton_branch(monkeypatch, True)
     ref, ref_sub = solve_full(inst, 0.5, tol=1e-9)
     assert ref_sub.converged
     F, F_ref = primal_objective(inst, 0.5, triple.x), primal_objective(inst, 0.5, ref.x)
@@ -559,8 +555,9 @@ def test_direct_path_reuses_factors_across_lambdas(monkeypatch):
     direction = admm._NewtonSystem.direction
 
     def recording(self, *args):
+        made = self.factorizations
         out = direction(self, *args)
-        first.setdefault(self.red.lam, out[2])
+        first.setdefault(self.red.lam, self.factorizations > made)
         return out
 
     monkeypatch.setattr(admm._NewtonSystem, "direction", recording)

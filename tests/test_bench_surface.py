@@ -66,3 +66,29 @@ def test_layer_wrappers_count_a_solved_path(monkeypatch, mode):
     for owner, attr, original in patched:
         current = owner.__dict__[attr] if isinstance(owner, type) else getattr(owner, attr)
         assert current is original, (owner, attr)
+
+
+def test_benchmark_gate_runs_on_a_small_path(monkeypatch, tmp_path):
+    """The benchmark's own gate on a 3-lambda path of 120 moons points: the
+    environment record, one unit of path and report, the recomputed
+    residuals, the cross-check against the other solver family in both
+    directions (eas against solve_full, direct against eas_solve) and a
+    fingerprint that repeats. A change to the library surface the gate uses
+    must fail here rather than as a failed benchmark run."""
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    import bench
+
+    from sievepath import gen_two_half_moons
+
+    env = bench.environment()
+    assert env["kernel_lane"] in ("numpy", "numba") and env["nproc"] >= 1
+    inst = build_knn_graph(gen_two_half_moons(120, bench.NOISE, 0), bench.K)
+    for mode, other in (("eas", "direct"), ("direct", "eas")):
+        pcfg = bench.path_config({"grid": "2:-0.5:1", "mode": mode})
+        result, _, _, clusters = bench.run_path(inst, pcfg, tmp_path, 1)
+        assert len(result.records) == 3
+        assert bench.certify(inst, pcfg, result) == [True] * 3
+        messages, worst = bench.cross_check(inst, pcfg, result, other)
+        assert messages == [None] * 3 and worst <= bench.OBJECTIVE_RTOL
+        again = bench.run_path(inst, pcfg, tmp_path, 1)
+        assert bench.fingerprint(result, clusters) == bench.fingerprint(again[0], again[3])

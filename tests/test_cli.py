@@ -201,10 +201,44 @@ def test_solver_error_exit_one(small_csv, monkeypatch, capsys):
     assert "FAILED: SingularSystemError" in capsys.readouterr().err
 
 
-def test_apg_budget_has_one_default():
-    """The CLI flag, the manifest field and the library share ApgConfig's
-    budget; a saved manifest that names another budget keeps it."""
-    args = build_parser().parse_args(["path"])
-    assert args.apg_maxiter == RunManifest().apg_maxiter == ApgConfig().maxiter
+def test_apg_budget_has_one_default(small_csv, monkeypatch):
+    """Every common solver flag, of solve and of path, defaults to its
+    manifest field, which defaults to the library's own setting: k to
+    build_knn_graph's, eps, eps_hat and mode to PathConfig's, sigma,
+    admm_max_iter and admm_tol to AdmmConfig's and apg_maxiter to
+    ApgConfig's budget. The grid defaults to None in both, and a path run
+    without one solves PathConfig's default grid. A saved manifest that
+    names another budget keeps it."""
+    import inspect
+
+    from sievepath import AdmmConfig, PathConfig, build_knn_graph, cli
+
+    path, admm = PathConfig(), AdmmConfig()
+    library = {
+        "k": inspect.signature(build_knn_graph).parameters["k"].default,
+        "eps": path.eps, "eps_hat": path.eps_hat, "mode": path.mode,
+        "sigma": admm.sigma, "admm_max_iter": admm.max_iter, "admm_tol": admm.tol,
+        "apg_maxiter": ApgConfig().maxiter,
+    }
+    manifest = RunManifest()
+    parser = build_parser()
+    solve = vars(parser.parse_args(["solve", "--input", "a.csv", "--lam", "1"]))
+    assert set(solve) - {"command", "input", "lam"} == set(library)
+    path_args = parser.parse_args(["path"])
+    for name, value in library.items():
+        assert solve[name] == getattr(path_args, name) == getattr(manifest, name) == value, name
+    assert path_args.grid is manifest.grid is None
+
+    class Solved(Exception):
+        pass
+
+    def solving(inst, pcfg):
+        raise Solved(pcfg)
+
+    monkeypatch.setattr(cli, "solve_path", solving)
+    with pytest.raises(Solved) as solved:
+        main(["path", "--input", str(small_csv), "--k", "5"])
+    assert np.array_equal(solved.value.args[0].lambdas, path.lambdas)
+
     old = RunManifest.from_json('{"apg_maxiter": 10}')
     assert _path_config(old, [1.0]).apg.maxiter == 10

@@ -342,6 +342,48 @@ def test_direct_path_with_kept_factors_agrees_with_fresh_solves(moons200):
         assert np.array_equal(kept, extract_labels(moons200, triple.y, pcfg.eps_hat).labels)
 
 
+def test_direct_path_with_kept_factors_of_l_agrees_with_fresh_solves(moons200, monkeypatch):
+    """The same on the operator: forced there, direct mode reuses its
+    factors of L within an inner solve and drops them when the next one
+    begins, so no factors cross a lambda. Every lambda certifies with the
+    x, y and z of store-free solves, bit for bit, and so with their
+    clusters and num_fused."""
+    from conftest import force_newton_branch
+    from sievepath import admm
+    from sievepath.labels import extract_labels
+    from sievepath.model import fused_blocks
+
+    force_newton_branch(monkeypatch, False)
+    directions = []  # per inner solve, whether each direction reused kept factors
+    newton, direction = admm._newton, admm._NewtonSystem.direction
+
+    def per_solve(*args):
+        directions.append([])
+        return newton(*args)
+
+    def recording(self, *args):
+        made = self.factorizations
+        out = direction(self, *args)
+        directions[-1].append(self.factorizations == made)
+        return out
+
+    monkeypatch.setattr(admm, "_newton", per_solve)
+    monkeypatch.setattr(admm._NewtonSystem, "direction", recording)
+    pcfg = PathConfig(mode="direct", lambdas=[2.0, 1.0, 0.5])
+    res = solve_path(moons200, pcfg)
+    assert any(any(solve) for solve in directions)
+    assert not any(solve[0] for solve in directions if solve)
+    fresh = _path_without_store(moons200, pcfg)
+    for rec, (triple, _) in zip(res.records, fresh, strict=True):
+        assert rec.converged and rec.residual <= pcfg.eps
+        for name in ("x", "y", "z"):
+            assert getattr(rec.triple, name).tobytes() == getattr(triple, name).tobytes()
+        kept = extract_labels(moons200, rec.triple.y, pcfg.eps_hat).labels
+        assert np.array_equal(kept, extract_labels(moons200, triple.y, pcfg.eps_hat).labels)
+        fused = fused_blocks(moons200.incidence.apply(triple.x), pcfg.eps_hat)
+        assert rec.num_fused == np.count_nonzero(fused)
+
+
 @pytest.mark.parametrize("mode", ["as", "eas", "direct"])
 def test_each_stored_candidate_set_is_built_once(moons200, monkeypatch, mode):
     """Partitions, Newton systems and Gram factors are built only by the
