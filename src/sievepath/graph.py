@@ -217,10 +217,6 @@ class ReducedProblem:
         self.weights = inst.weights[I_c]
 
     @property
-    def n_red(self):
-        return len(self.h)
-
-    @property
     def m_red(self):
         return len(self.weights)
 

@@ -5,7 +5,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._kernels import union_find_min_labels
-from .model import fused_blocks
+from .model import SolveConfig, fused_blocks
 
 
 @dataclass
@@ -14,7 +14,7 @@ class ClusterLabels:
     num_clusters: int
 
 
-def extract_labels(inst, y, eps_hat=2e-16):
+def extract_labels(inst, y, eps_hat=SolveConfig.eps_hat):
     """Group points connected by near-zero y-blocks.
 
     Two points share a cluster iff they are joined by a chain of edges whose

@@ -60,8 +60,8 @@ def parse_lambda_spec(spec):
 @dataclass
 class PathConfig:
     lambdas: np.ndarray = field(default_factory=default_lambda_grid)
-    eps: float = 1e-6
-    eps_hat: float = 2e-16
+    eps: float = SolveConfig.eps
+    eps_hat: float = SolveConfig.eps_hat
     mode: str = "as"
     admm: object = None
     apg: object = None
@@ -196,11 +196,11 @@ def solve_path(inst, pcfg=None):
         # solve that raised any other error has none
         rounds, work, avg_n, avg_m = 0, {}, float(inst.N), float(m)
         if state is not None:
-            rounds = state.round
-            work = {"newton_steps": state.newton_steps, "cg_steps": state.cg_steps,
-                    "factorizations": state.factorizations}
-            avg_n = float(np.mean([r["n_reduced"] for r in state.records]))
-            avg_m = float(np.mean([r["m_reduced"] for r in state.records]))
+            rounds, recs = state.round, state.records
+            work = {key: sum(r[key] for r in recs)
+                    for key in ("newton_steps", "cg_steps", "factorizations")}
+            avg_n = float(np.mean([r["n_reduced"] for r in recs]))
+            avg_m = float(np.mean([r["m_reduced"] for r in recs]))
 
         residual = gap = objective = np.inf
         num_fused = 0
@@ -209,9 +209,9 @@ def solve_path(inst, pcfg=None):
         else:
             fused = fused_blocks(inst.incidence.apply(triple.x), pcfg.eps_hat)
             residual, gap = triple.residual_norm, triple.gap
-            objective = state.records[-1]["objective"]  # F at triple.x, from the loop
+            objective = recs[-1]["objective"]  # F at triple.x, from the loop
             num_fused = int(np.count_nonzero(fused))
-            carry = (triple.x, triple.z, state.sub.sigma)
+            carry = (triple.x, triple.z, recs[-1]["sigma"])
             if pcfg.mode != "direct":
                 I0 = np.flatnonzero(fused)
             log.info(

@@ -1,34 +1,30 @@
 """Adaptive sieving: dual recovery, violation screening, and the sieve loops.
 
-The sieve guesses an index set I of zero blocks, solves the reduced problem,
-recovers a full-space dual candidate u (minimum-violation choice via an
-accelerated projected-gradient refinement on the null space of B_{I gamma}^T,
-which stops as soon as u is within the APG tolerance of the balls on I), and
-removes the blocks whose dual certificate lands outside its subdifferential
-ball. The enhanced variant additionally tries to certify optimality on the
-enlarged zero set of the current iterate once the objective stalls, which can
-stop the loop before the plain violation test would. With I empty the
-reduced problem is the full one and there is nothing to sieve: that run is
-the unsieved baseline, the path's direct mode.
+The sieve guesses an index set I of zero blocks and runs rounds. A round
+solves the reduced problem, recovers a full-space dual candidate u (the
+particular stationarity solution, refined by accelerated projected gradient
+on the null space of B_{I gamma}^T until u is within the APG tolerance of
+the balls on I), and either certifies the point or removes from I the
+blocks whose dual lands outside its subdifferential ball. Once the
+objective stalls, the enhanced variant first tries to certify the iterate on
+its own enlarged zero set. A round that finds no violation yet misses eps
+solves again with a subsolver tolerance 100x tighter, up to three times,
+starting from AdmmConfig.tol (eps/2 when None). Each round appends one
+record, with the work of all its subsolves, to the run's SieveState. A run
+returns a triple whose recomputed KKT residual is <= eps or raises
+SieveLimitError, never an uncertified point. With I empty there is nothing
+to sieve: the reduced problem is the full one, the path's direct mode.
 
-A round that finds no violation yet misses eps solves again with a subsolver
-tolerance 100x tighter, up to three times, starting from AdmmConfig.tol
-(eps/2 when None). A sieve run either returns a triple whose recomputed KKT
-residual is <= eps or raises SieveLimitError; it never returns an
-uncertified point.
-
-What depends on the candidate set I alone is built once per set and kept in
-a BuildStore: the IndexPartition, the subsolver's Newton system (node
-order, CSC pattern and slots) and, on first use, the GammaSystem's Gram
-factors. Every round, retightening or later lambda that solves a stored I
-again reuses them; lam, sigma and every numeric value are recomputed, so
-reuse changes no iterate, except through the SuperLU factors of an
-assembled Newton matrix, which the system keeps: on one large enough for
-reuse to pay (admm's _reuse_weight) they precondition the next solve's
-first directions. The
-path keeps one store for all its lambdas; seeding each lambda from the
-fused blocks of Bx makes I alternate between two sets, so the store keeps
-the two most recently used ones. A run without a store gets its own.
+What depends on I alone (the IndexPartition, the subsolver's Newton system:
+node order, CSC pattern and slots, and on first use the GammaSystem's Gram
+factors) is built once per set and kept in a BuildStore, and every round,
+retightening or later lambda that solves a stored I again reuses it. lam,
+sigma and every numeric value are recomputed, so reuse changes no iterate,
+except through the SuperLU factors that an assembled Newton matrix keeps: on
+one large enough for reuse to pay (admm's _reuse_weight) they precondition
+the next solve's first directions. Seeding each lambda from the fused blocks
+of Bx makes I alternate between two sets, so the path's one store keeps the
+two most recently used; a run without a store gets its own.
 """
 
 import logging
@@ -41,7 +37,7 @@ import scipy.sparse as sp
 from ._kernels import column_norms, frobenius_norm, project_columns
 from .admm import AdmmConfig, _NewtonSystem, solve_reduced_admm
 from .graph import build_partition, recover_primal, reduce_problem, unique_indices
-from .model import KktTriple, duality_gap, fused_blocks, kkt_residual, primal_objective
+from .model import KktTriple, SolveConfig, duality_gap, fused_blocks, kkt_residual, primal_objective
 
 log = logging.getLogger(__name__)
 
@@ -50,7 +46,8 @@ VIOLATION_SLACK = 1e-8  # relative slack of the ball-membership test
 
 class SieveLimitError(RuntimeError):
     """The sieve ran out of rounds or retightenings; state is its SieveState,
-    whose rounds, Newton steps and round records the path reports."""
+    whose round count and records, each with its round's work, the path
+    reports."""
 
     def __init__(self, message, state):
         super().__init__(message)
@@ -59,7 +56,7 @@ class SieveLimitError(RuntimeError):
 
 @dataclass
 class ApgConfig:
-    eps: float = None  # falls back to half the caller's outer tolerance
+    eps: float = None  # None: eps/2 in a sieve run, SolveConfig.eps in apg_minimize alone
     maxiter: int = 30
 
     def __post_init__(self):
@@ -80,14 +77,15 @@ class ApgResult:
 
 @dataclass
 class SieveState:
-    """Bookkeeping for one sieve run; sub is the last round's subsolve."""
+    """One sieve run: the rounds it has started and one record per round.
+    A record is a dict: round, n_reduced, m_reduced, built (the round built
+    its set's structures), kkt_residual, objective, certified_early,
+    violations (the blocks removed from I), subsolver_tol (of the last
+    subsolve), sigma (the last subsolve ended with), retightenings, and the
+    newton_steps, cg_steps and factorizations of all the round's subsolves."""
 
-    round: int
-    sub: object = None
+    round: int = 0
     records: list = field(default_factory=list)
-    newton_steps: int = 0  # of every subsolve, retightenings included
-    cg_steps: int = 0  # likewise
-    factorizations: int = 0  # likewise
 
 
 class GammaSystem:
@@ -185,7 +183,7 @@ def apg_minimize(u0, radii, null_project, cfg=None, track_history=False):
     cfg.maxiter = 0 it takes no step and reports h(0).
     """
     cfg = cfg or ApgConfig()
-    eps = 1e-6 if cfg.eps is None else float(cfg.eps)
+    eps = SolveConfig.eps if cfg.eps is None else float(cfg.eps)
     d = np.zeros_like(u0)
     d_hat = d
     t = 1.0
@@ -285,7 +283,7 @@ def _fill_bound(partition, g):
     return float(np.sum(np.einsum("ij,ij->j", S, S) / np.bincount(partition.pos)))
 
 
-def eas_certify(inst, lam, x_bar, eps, eps_hat=2e-16, apg_cfg=None):
+def eas_certify(inst, lam, x_bar, eps, eps_hat=SolveConfig.eps_hat, apg_cfg=None):
     """Try to certify x_bar as optimal via its own zero pattern.
 
     Rebuilds the index machinery on the enlarged set of near-zero blocks of
@@ -331,108 +329,79 @@ def _sieve_loop(inst, cfg, I0, enhanced, warm=None, store=None):
     elif store.inst is not inst:
         raise ValueError("the build store belongs to another instance")
     lam = cfg.lam
-    m = inst.m_blocks
-    I = np.arange(m, dtype=np.int64) if I0 is None else unique_indices(I0)
+    I = np.arange(inst.m_blocks, dtype=np.int64) if I0 is None else unique_indices(I0)
     # a round that does not certify shrinks I, so this limit is never hit
     max_rounds = len(I) + 1
     admm_cfg = cfg.admm or AdmmConfig()
     apg_base = cfg.apg or ApgConfig()
     sub_tol = 0.5 * cfg.eps if admm_cfg.tol is None else float(admm_cfg.tol)
     apg_eps = apg_base.eps if apg_base.eps is not None else 0.5 * cfg.eps
-    apg_iter = apg_base.maxiter
 
-    state = SieveState(round=0)
+    state = SieveState()
     carry = warm  # (x_full, z_full[, sigma]) from the caller or the last round
     F_prev = None  # objective at the end of the previous round
 
-    for rnd in range(max_rounds):
-        state.round = rnd + 1
+    for rnd in range(1, max_rounds + 1):
+        state.round = rnd
         built, fresh = store.get(I)
         partition = built.partition
         red = reduce_problem(inst, partition, lam)
-        warm_red = None
-        if carry is not None:
-            warm_red = _restricted_warm(carry, partition, red)
-
-        tol_cur, apg_cur = sub_tol, apg_iter
-        for attempt in range(4):
+        warm_red = None if carry is None else _restricted_warm(carry, partition, red)
+        tol_cur, apg_iter = sub_tol, apg_base.maxiter
+        work = dict.fromkeys(("newton_steps", "cg_steps", "factorizations"), 0)
+        triple, early = None, False
+        for retightenings in range(4):
+            if retightenings:  # no violation, yet eps missed: the subsolve was too loose
+                tol_cur *= 0.01
+                apg_iter *= 10
+                warm_red = sub.warm_start()
+                log.info("round %d: no violations at residual %.3e, retightening to %.1e",
+                         rnd, res, tol_cur)
+            apg_cfg = ApgConfig(eps=apg_eps, maxiter=apg_iter)
             sub = solve_reduced_admm(red, tol_cur, admm_cfg, warm=warm_red,
                                      system=built.newton_system)
-            state.newton_steps += sub.iterations
-            state.cg_steps += sub.cg_steps
-            state.factorizations += sub.factorizations
+            work["newton_steps"] += sub.iterations
+            work["cg_steps"] += sub.cg_steps
+            work["factorizations"] += sub.factorizations
             x_bar, y_bar = recover_primal(partition, sub.x_red, sub.y_red)
             F_val = primal_objective(inst, lam, x_bar)
-            state.sub = sub
 
             if enhanced and F_prev is not None and abs(F_val - F_prev) <= cfg.eps:
-                cert = eas_certify(
-                    inst, lam, x_bar, cfg.eps, cfg.eps_hat,
-                    ApgConfig(eps=apg_eps, maxiter=apg_cur),
-                )
-                if cert is not None:
-                    state.records.append(_record(rnd, partition, sub, cert.residual_norm, F_val, 0, tol_cur, True, fresh))
-                    log.info("round %d: certified early, residual %.3e", rnd + 1, cert.residual_norm)
-                    return cert, state
-
-            u = recover_dual(
-                inst, lam, partition, sub,
-                ApgConfig(eps=apg_eps, maxiter=apg_cur), x_bar=x_bar,
-                gram=built.gram_system,
-            )
+                triple = eas_certify(inst, lam, x_bar, cfg.eps, cfg.eps_hat, apg_cfg)
+                if triple is not None:
+                    early, res = True, triple.residual_norm
+                    break
+            u = recover_dual(inst, lam, partition, sub, apg_cfg, x_bar=x_bar,
+                             gram=built.gram_system)
             res = kkt_residual(inst, lam, x_bar, y_bar, u)
             if res <= cfg.eps:
-                state.records.append(_record(rnd, partition, sub, res, F_val, 0, tol_cur, False, fresh))
-                log.info("round %d: residual %.3e <= eps", rnd + 1, res)
-                gap = duality_gap(inst, lam, x_bar, u)
-                return KktTriple(x=x_bar, y=y_bar, z=u, residual_norm=res, gap=gap), state
-
+                triple = KktTriple(x=x_bar, y=y_bar, z=u, residual_norm=res,
+                                   gap=duality_gap(inst, lam, x_bar, u))
+                break
             J = violation_set(partition, lam, inst, u)
             if len(J):
                 break
-            # no violations yet residual too large: the subsolve was too
-            # loose, so tighten within the same round
-            tol_cur *= 0.01
-            apg_cur *= 10
-            warm_red = sub.warm_start()
-            log.info(
-                "round %d: no violations at residual %.3e, retightening to %.1e",
-                rnd + 1, res, tol_cur,
-            )
-        else:
-            state.records.append(_record(rnd, partition, sub, res, F_val, 0, tol_cur, False, fresh))
-            raise SieveLimitError(
-                f"no violations but residual {res:.3e} > eps after retightening", state
-            )
 
-        state.records.append(_record(rnd, partition, sub, res, F_val, len(J), tol_cur, False, fresh))
-        log.info(
-            "round %d: residual %.3e, removing %d of %d candidate blocks",
-            rnd + 1, res, len(J), len(I),
-        )
+        state.records.append(dict(
+            round=rnd, n_reduced=partition.n_reduced, m_reduced=len(partition.I_c),
+            built=fresh, kkt_residual=res, objective=F_val, certified_early=early,
+            violations=0 if triple is not None else len(J), subsolver_tol=tol_cur,
+            retightenings=retightenings, sigma=sub.sigma, **work,
+        ))
+        if triple is not None:
+            log.info("round %d: %s, residual %.3e", rnd,
+                     "certified early" if early else "certified", res)
+            return triple, state
+        if not len(J):
+            raise SieveLimitError(f"no violations but residual {res:.3e} > eps after "
+                                  "retightening", state)
+        log.info("round %d: residual %.3e, removing %d of %d candidate blocks",
+                 rnd, res, len(J), len(I))
         I = np.setdiff1d(I, J, assume_unique=True)
         carry = (x_bar, u, sub.sigma)
         F_prev = F_val
 
     raise SieveLimitError(f"sieve did not certify within {max_rounds} rounds", state)
-
-
-def _record(rnd, partition, sub, res, F_val, n_viol, tol, certified, built):
-    """One round's record; built says that the round's candidate set was
-    not stored, so the round built its partition (and the Newton system and
-    Gram factors that it used)."""
-    return {
-        "round": rnd + 1,
-        "n_reduced": partition.n_reduced,
-        "m_reduced": len(partition.I_c),
-        "admm_iterations": sub.iterations,
-        "kkt_residual": res,
-        "objective": F_val,
-        "violations": n_viol,
-        "subsolver_tol": tol,
-        "certified_early": certified,
-        "built": built,
-    }
 
 
 def as_solve(inst, cfg, I0=None, warm=None, store=None):

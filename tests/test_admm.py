@@ -237,7 +237,7 @@ def test_node_order_is_a_permutation_with_minimum_degree_fill(monkeypatch, assem
         red = reduce_problem(inst, build_partition(inst.incidence, I), 0.3)
         ns = admm._NewtonSystem(red)
         assert ns.assembled == assembled
-        assert np.array_equal(np.sort(ns.order), np.arange(red.n_red))
+        assert np.array_equal(np.sort(ns.order), np.arange(len(red.h)))
 
         sigma = 2.0
         tau = red.lam * red.weights / sigma
@@ -247,7 +247,7 @@ def test_node_order_is_a_permutation_with_minimum_degree_fill(monkeypatch, assem
         else:
             A, per, slack = ns.operator(V, tau, sigma)[1], 1, 1.0
             keep = ns.keep
-            probe = admm._node_order(red.n_red, red.inc.edge_i[keep], red.inc.edge_j[keep])
+            probe = admm._node_order(len(red.h), red.inc.edge_i[keep], red.inc.edge_j[keep])
             assert probe[2] == admm._factor(A).nnz
         own = _unpermute(A, ns.order, per).tocsc()
         mmd = sp.linalg.splu(own, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
@@ -272,7 +272,7 @@ def test_block_pattern_is_the_pattern_of_the_per_edge_entries():
     for inst, I in cases:
         red = reduce_problem(inst, build_partition(inst.incidence, I), 0.5)
         ns = admm._NewtonSystem(red)
-        n, d = red.n_red, inst.d
+        n, d = len(red.h), inst.d
         ri, rj = red.inc.edge_i[ns.keep], red.inc.edge_j[ns.keep]
         rank = np.argsort(ns.order)
         ri, rj = rank[ri], rank[rj]
@@ -592,7 +592,7 @@ def test_parallel_edges_share_a_block_but_not_an_assembly_slot(monkeypatch):
     inst = ProblemInstance.from_edges(np.array([[0.0, 1.0, 0.1, 0.9]]), edges)
     fused = [l for l, e in enumerate(zip(inst.edge_i, inst.edge_j)) if e in edges[:2]]
     red = reduce_problem(inst, build_partition(inst.incidence, fused), 0.1)
-    assert red.n_red == 2 and red.m_red == 3
+    assert len(red.h) == 2 and red.m_red == 3
     monkeypatch.setattr(admm, "ASSEMBLY_ENTRIES", 12)
     ns = admm._NewtonSystem(red)
     assert ns.assembled and ns.H.nnz == 4

@@ -63,6 +63,11 @@ def test_layer_wrappers_count_a_solved_path(monkeypatch, mode):
     assert len(records) == res.total_rounds
     # a candidate set is partitioned only by the round that first solves it
     assert counts["graph.partition.calls"] == sum(r["built"] for r in records) >= 1
+    # the records count the work the wrappers count
+    assert sum(r["newton_steps"] for r in records) == counts["admm.iters"]
+    assert (sum(r["retightenings"] for r in records)
+            == counts["sieve.admm_calls"] - counts["sieve.rounds"])
+    assert sum(r["violations"] for r in records) == counts["sieve.blocks_removed"]
     for owner, attr, original in patched:
         current = owner.__dict__[attr] if isinstance(owner, type) else getattr(owner, attr)
         assert current is original, (owner, attr)

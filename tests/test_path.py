@@ -293,7 +293,7 @@ def _path_without_store(inst, pcfg):
         cfg = SolveConfig(lam=float(lam), eps=pcfg.eps, eps_hat=pcfg.eps_hat)
         triple, state = solver(inst, cfg, I0=I0, warm=carry)
         out.append((triple, state))
-        carry = (triple.x, triple.z, state.sub.sigma)
+        carry = (triple.x, triple.z, state.records[-1]["sigma"])
         if pcfg.mode != "direct":
             I0 = np.flatnonzero(fused_blocks(inst.incidence.apply(triple.x), pcfg.eps_hat))
     return out
@@ -319,8 +319,9 @@ def test_reused_structures_change_no_result(moons200, monkeypatch, mode):
         for name in ("x", "y", "z"):
             assert getattr(rec.triple, name).tobytes() == getattr(triple, name).tobytes()
         assert rec.rounds == state.round
-        assert (rec.newton_steps, rec.cg_steps, rec.factorizations) == (
-            state.newton_steps, state.cg_steps, state.factorizations)
+        assert (rec.newton_steps, rec.cg_steps, rec.factorizations) == tuple(
+            sum(r[key] for r in state.records)
+            for key in ("newton_steps", "cg_steps", "factorizations"))
 
 
 def test_direct_path_with_kept_factors_agrees_with_fresh_solves(moons200):
@@ -335,7 +336,7 @@ def test_direct_path_with_kept_factors_agrees_with_fresh_solves(moons200):
     res = solve_path(moons200, pcfg)
     fresh = _path_without_store(moons200, pcfg)
     assert sum(rec.factorizations for rec in res.records) < sum(
-        state.factorizations for _, state in fresh)
+        r["factorizations"] for _, state in fresh for r in state.records)
     for rec, (triple, _) in zip(res.records, fresh, strict=True):
         assert rec.converged and rec.residual <= pcfg.eps
         kept = extract_labels(moons200, rec.triple.y, pcfg.eps_hat).labels

@@ -251,6 +251,33 @@ def test_admm_tol_is_the_first_tolerance_and_retightening_goes_on():
     assert state.records[-1]["subsolver_tol"] < 1e-3
 
 
+def test_a_retightened_round_records_the_work_of_all_its_subsolves(monkeypatch):
+    """Each round appends one record with the Newton steps, CG steps and
+    factorizations of every subsolve it ran, how often it retightened and
+    the sigma its last subsolve ended with; on this instance a round
+    retightens."""
+    subs = []
+
+    def recording(*args, _solve=sieve.solve_reduced_admm, **kwargs):
+        subs.append(_solve(*args, **kwargs))
+        return subs[-1]
+
+    monkeypatch.setattr(sieve, "solve_reduced_admm", recording)
+    inst = build_knn_graph(np.random.default_rng(2).standard_normal((2, 40)), k=4)
+    _, state = as_solve(inst, SolveConfig(lam=0.2, eps=1e-8, admm=AdmmConfig(tol=1e-3)))
+    assert len(state.records) == state.round
+    assert max(r["retightenings"] for r in state.records) >= 1
+    start = 0
+    for rec in state.records:
+        own = subs[start:start + 1 + rec["retightenings"]]
+        start += len(own)
+        assert rec["newton_steps"] == sum(s.iterations for s in own)
+        assert rec["cg_steps"] == sum(s.cg_steps for s in own)
+        assert rec["factorizations"] == sum(s.factorizations for s in own)
+        assert rec["sigma"] == own[-1].sigma
+    assert start == len(subs)
+
+
 def test_as_solve_random_agrees_with_direct():
     rng = np.random.default_rng(13)
     for _ in range(5):
