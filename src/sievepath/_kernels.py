@@ -19,11 +19,12 @@ def column_norms(V):
 
 
 def frobenius_norm(X):
-    """sqrt(sum(X**2)) of a 2-d array. np.linalg.norm would call BLAS ddot,
+    """sqrt(sum(X**2)) of an array. np.linalg.norm would call BLAS ddot,
     which OpenBLAS splits across threads above 10,000 entries; on a 2-vCPU
     machine that took 40 us a call instead of 12 us single-threaded, and
     milliseconds on its first calls in a process, against 14 us here."""
-    return float(np.sqrt(np.einsum("ij,ij->", X, X)))
+    x = np.ravel(X)
+    return float(np.sqrt(np.einsum("i,i->", x, x)))
 
 
 def prox_columns(V, tau):

@@ -199,8 +199,10 @@ class _NewtonSystem:
         self.red = red
         d, n = red.C.shape
         ri, rj = red.inc.edge_i, red.inc.edge_j
-        self.keep = ri != rj  # an edge inside one component adds nothing
-        ri, rj = ri[self.keep], rj[self.keep]
+        keep = ri != rj  # an edge inside one component adds nothing
+        ri, rj = ri[keep], rj[keep]
+        # a slice views V in curvature, where a mask would copy it
+        self.keep = slice(None) if keep.all() else keep
         # every matrix below is built with node order[p] in place p, so that
         # SuperLU factors it in the given order instead of finding one again
         self.order, rank, fill = _node_order(n, ri, rj)

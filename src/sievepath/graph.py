@@ -52,8 +52,12 @@ class IncidenceMap:
         return np.take(X, self.edge_i, axis=1) - np.take(X, self.edge_j, axis=1)
 
     def adjoint(self, Z):
-        """B*(Z) = Z J^T."""
-        return (self.J @ Z.T).T
+        """B*(Z) = Z J^T, one CSR row product per row of Z: (J Z^T)^T bit
+        for bit, without copying Z^T into row order."""
+        out = np.empty((Z.shape[0], self.N))
+        for k, row in enumerate(Z):
+            out[k] = self.J @ row
+        return out
 
 
 def build_knn_graph(A, k=10):

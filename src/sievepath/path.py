@@ -4,11 +4,14 @@ Every mode runs the one sieve loop; direct mode is that loop with an empty
 candidate set at every lambda, so its reduced problem is the full one and
 there is nothing to sieve. Each lambda ends in one of two ways. It
 certifies: its triple has a recomputed KKT residual <= eps. Its fused
-blocks then seed the next lambda's candidate set (as and eas), and the
+blocks then seed the next lambda's candidate set (as and eas), and its
 full-space primal/dual pair, with the subsolver penalty sigma it ended on,
-warm-starts the next subsolver. Or it fails: its record has no triple, an
-error "<Type>: <message>" and inf residual, gap and objective, and the next
-lambda starts from the last certified one.
+warm-starts the next subsolver. Once two lambdas have certified, that pair
+is extrapolated along the secant through the last two certified pairs
+(secant_start), which starts the subsolver O(dlambda^2) rather than
+O(dlambda) from a smooth stretch of the path. Or it fails: its record has
+no triple, an error "<Type>: <message>" and inf residual, gap and
+objective, and the next lambda starts from the last certified ones.
 """
 
 import logging
@@ -162,21 +165,36 @@ class PathResult:
         }
 
 
+def secant_start(lam, last, prev=None):
+    """The (x, z) that warm-starts lam: the last certified (lam, x, z),
+    extrapolated along the secant through the one certified before it when
+    there is one, x + s (x - x_prev) with s = (lam - lam_k) / (lam_k -
+    lam_prev), and z likewise."""
+    lam_k, x, z = last
+    if prev is None:
+        return x, z
+    lam_p, x_p, z_p = prev
+    s = (lam - lam_k) / (lam_k - lam_p)
+    return x + s * (x - x_p), z + s * (z - z_p)
+
+
 def solve_path(inst, pcfg=None):
     """Run the lambda sweep; per-lambda failures are recorded, not raised.
 
     as and eas start each lambda from the fused blocks of the last certified
-    one (all blocks at first); direct keeps the candidate set empty. A
-    lambda whose solve raises one of SOLVER_ERRORS gets a record with triple
-    None and the error; the next lambda starts from the candidate set and
-    warm start of the last certified one.
+    one (all blocks at first); direct keeps the candidate set empty. Every
+    mode warm-starts the subsolver from secant_start of the last two
+    certified lambdas, with the sigma the last one ended on. A lambda whose
+    solve raises one of SOLVER_ERRORS gets a record with triple None and
+    the error; the next lambda starts from the candidate set and warm start
+    of the last certified ones.
     """
     pcfg = pcfg or PathConfig()
     result = PathResult(inst=inst, config=pcfg)
     m = inst.m_blocks
     solver = eas_solve if pcfg.mode == "eas" else as_solve
     I0 = np.arange(0 if pcfg.mode == "direct" else m, dtype=np.int64)
-    carry = None
+    certified, sigma = [], None  # the last two certified (lam, x, z), newest first
     store = BuildStore(inst)  # candidate sets recur across lambdas
 
     for lam in pcfg.lambdas:
@@ -185,6 +203,9 @@ def solve_path(inst, pcfg=None):
         )
         t0 = time.perf_counter()
         triple = state = error = None
+        carry = None
+        if certified:
+            carry = (*secant_start(cfg.lam, *certified), sigma)
         try:
             triple, state = solver(inst, cfg, I0=I0, warm=carry, store=store)
         except SOLVER_ERRORS as exc:
@@ -211,7 +232,8 @@ def solve_path(inst, pcfg=None):
             residual, gap = triple.residual_norm, triple.gap
             objective = recs[-1]["objective"]  # F at triple.x, from the loop
             num_fused = int(np.count_nonzero(fused))
-            carry = (triple.x, triple.z, recs[-1]["sigma"])
+            certified = [(cfg.lam, triple.x, triple.z), *certified[:1]]
+            sigma = recs[-1]["sigma"]
             if pcfg.mode != "direct":
                 I0 = np.flatnonzero(fused)
             log.info(

@@ -5,26 +5,32 @@ solves the reduced problem, recovers a full-space dual candidate u (the
 particular stationarity solution, refined by accelerated projected gradient
 on the null space of B_{I gamma}^T until u is within the APG tolerance of
 the balls on I), and either certifies the point or removes from I the
-blocks whose dual lands outside its subdifferential ball. Once the
-objective stalls, the enhanced variant first tries to certify the iterate on
-its own enlarged zero set. A round that finds no violation yet misses eps
-solves again with a subsolver tolerance 100x tighter, up to three times,
-starting from AdmmConfig.tol (eps/2 when None). Each round appends one
-record, with the work of all its subsolves, to the run's SieveState. A run
-returns a triple whose recomputed KKT residual is <= eps or raises
-SieveLimitError, never an uncertified point. With I empty there is nothing
-to sieve: the reduced problem is the full one, the path's direct mode.
+blocks whose dual lands outside its subdifferential ball. The projection
+onto that null space (GammaSystem) solves with the Gram factors of
+B_{I gamma} and reads both of its products off the ends of the I edges.
+Once the objective stalls, the enhanced variant first tries to certify the
+iterate on its own enlarged zero set. A round that finds no violation yet
+misses eps solves again with a subsolver tolerance 100x tighter, up to
+three times, starting from AdmmConfig.tol (eps/2 when None). Each round
+appends one record, with the work of all its subsolves and APG runs, to
+the run's SieveState. A run returns a triple whose recomputed KKT residual
+is <= eps or raises SieveLimitError, never an uncertified point. With I
+empty there is nothing to sieve: the reduced problem is the full one, the
+path's direct mode.
 
-What depends on I alone (the IndexPartition, the subsolver's Newton system:
-node order, CSC pattern and slots, and on first use the GammaSystem's Gram
-factors) is built once per set and kept in a BuildStore, and every round,
-retightening or later lambda that solves a stored I again reuses it. lam,
-sigma and every numeric value are recomputed, so reuse changes no iterate,
-except through the SuperLU factors that an assembled Newton matrix keeps: on
-one large enough for reuse to pay (admm's _reuse_weight) they precondition
-the next solve's first directions. Seeding each lambda from the fused blocks
-of Bx makes I alternate between two sets, so the path's one store keeps the
-two most recently used; a run without a store gets its own.
+What depends on I alone (the IndexPartition, the reduced problem, whose lam
+is rebound at every round, the subsolver's Newton system: node order, CSC
+pattern and slots, and on first use the GammaSystem's Gram factors) is
+built once per set and kept in a BuildStore, and every round, retightening
+or later lambda that solves a stored I again reuses it. lam, sigma and
+every numeric value are recomputed, so reuse changes no iterate, except
+through the SuperLU factors that an assembled Newton matrix keeps: on one
+large enough for reuse to pay (admm's _reuse_weight) they precondition the
+next solve's first directions. Seeding each lambda from the fused blocks of
+Bx makes I alternate between two sets, so the path's one store keeps the
+two most recently used; a run without a store gets its own. The warm start
+is the caller's: a path passes the secant prediction from its last two
+certified lambdas (path.secant_start), once it has two.
 """
 
 import logging
@@ -81,8 +87,11 @@ class SieveState:
     A record is a dict: round, n_reduced, m_reduced, built (the round built
     its set's structures), kkt_residual, objective, certified_early,
     violations (the blocks removed from I), subsolver_tol (of the last
-    subsolve), sigma (the last subsolve ended with), retightenings, and the
-    newton_steps, cg_steps and factorizations of all the round's subsolves."""
+    subsolve), sigma (the last subsolve ended with), retightenings, the
+    newton_steps, cg_steps and factorizations of all the round's subsolves,
+    apg_iterations (of all its APG runs, eas_certify's included) and
+    apg_converged (whether the last recover_dual APG converged; None when
+    no recover_dual of the round ran one)."""
 
     round: int = 0
     records: list = field(default_factory=list)
@@ -95,37 +104,71 @@ class GammaSystem:
     With the incidence convention B = J^T, B_{I gamma} is Jg^T where
     Jg = J[gamma, I], and B_{I gamma}^T B_{I gamma} = Jg Jg^T is SPD because
     the non-root rows of a connected component's incidence are independent.
+
+    The products read the incidence structure: D Jg^T is one sparse row
+    product per row of D, and (Jg^T S)_l, for an edge l of I with ends i and
+    j, is row i of S minus row j, where a root, which has no gamma row,
+    reads as a zero row. Both equal the sparse-matrix products bit for bit.
     """
 
     def __init__(self, inst, partition):
-        self.Jg = inst.incidence.J[partition.gamma][:, partition.I].tocsc()
-        self._JgT = self.Jg.T  # a CSR view, built once for the APG loop
-        gram = (self.Jg @ self._JgT).tocsc()
+        gamma, I = partition.gamma, partition.I
+        self.Jg = inst.incidence.J[gamma][:, I].tocsc()
+        gram = (self.Jg @ self.Jg.T).tocsc()
         # SPD, so a symmetric minimum-degree order and no pivoting suffice
         self._factor = sp.linalg.splu(
             gram, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
             options={"SymmetricMode": True},
         )
+        # each end of an I edge as its gamma row; a root as row len(gamma)
+        row = np.full(inst.N, len(gamma), dtype=np.int64)
+        row[gamma] = np.arange(len(gamma))
+        self._ends = row[inst.edge_i[I]], row[inst.edge_j[I]]
+
+    def _spread(self, R):
+        """(Jg^T S)^T for the solution S of Jg Jg^T S = R^T."""
+        # the solve returns S in column order, so S^T is rows of coordinates
+        S = self._factor.solve(R.T).T
+        S = np.concatenate([S, np.zeros((len(S), 1))], axis=1)
+        ei, ej = self._ends
+        U = np.take(S, ei, axis=1)
+        U -= np.take(S, ej, axis=1)
+        # the sparse product sums from +0.0, so it never returns -0.0
+        U += 0.0
+        return U
 
     def particular(self, R):
         """Min-norm solution U of U Jg^T = -R (stationarity on gamma rows)."""
-        S = self._factor.solve(np.ascontiguousarray(R.T))
-        return -(self._JgT @ S).T
+        U = self._spread(R)
+        return np.negative(U, out=U)
 
     def null_project(self, D):
         """Project block matrix D onto {D : D Jg^T = 0}."""
-        return D + self.particular((self.Jg @ D.T).T)
+        # CSC rows sum their entries in column order, as the matrix product does
+        DJ = np.empty((len(D), self.Jg.shape[0]))
+        for k, row in enumerate(D):
+            DJ[k] = self.Jg @ row
+        # D - V is D + (-V) to the bit, so this is D + particular(DJ)
+        return D - self._spread(DJ)
 
 
 class _Built:
     """The structures of one candidate set I: its partition, and, built
-    when a round first needs them, the Newton system of its reduced problem
-    and its GammaSystem."""
+    when a round first needs them, its reduced problem, the Newton system
+    of that problem and its GammaSystem."""
 
     def __init__(self, inst, I):
         self.inst = inst
         self.partition = build_partition(inst.incidence, I)
-        self._newton = self._gram = None
+        self._red = self._newton = self._gram = None
+
+    def reduced(self, lam):
+        """The reduced problem of the set at lam: h, C, inc and weights
+        depend on I alone, so it is built once and lam is rebound."""
+        if self._red is None:
+            self._red = reduce_problem(self.inst, self.partition, lam)
+        self._red.lam = float(lam)
+        return self._red
 
     def newton_system(self, red):
         """The Newton system of red, a reduced problem of this set."""
@@ -193,9 +236,9 @@ def apg_minimize(u0, radii, null_project, cfg=None, track_history=False):
     k = 0
     for k in range(1, cfg.maxiter + 1):
         v = u0 + d_hat
-        grad = v - project_columns(v, radii)
+        grad = np.subtract(v, project_columns(v, radii), out=v)
         d_prev, h_prev = d, h_val
-        d = null_project(d_hat - grad)
+        d = null_project(np.subtract(d_hat, grad, out=grad))
         dist = _ball_distance(u0 + d, radii)
         h_val = 0.5 * dist * dist
         if track_history:
@@ -216,18 +259,24 @@ def apg_minimize(u0, radii, null_project, cfg=None, track_history=False):
 
 
 def _ball_distance(v, radii):
-    """dist(v, K) for K the product of column balls with the given radii."""
-    return frobenius_norm(v - project_columns(v, radii))
+    """dist(v, K) for K the product of column balls with the given radii:
+    the norm of each column's excess over its radius, so no projection of v
+    is formed."""
+    excess = column_norms(v)
+    excess -= radii
+    return frobenius_norm(np.maximum(excess, 0.0, out=excess))
 
 
-def recover_dual(inst, lam, partition, sub, apg_cfg=None, x_bar=None, gram=None):
+def recover_dual(inst, lam, partition, sub, apg_cfg=None, x_bar=None, gram=None,
+                 apg_log=None):
     """Build the full-space dual candidate u, a (d, m) array, from a reduced
     solution.
 
     On I^c, u is the subsolver multiplier bit for bit; on I it is the
     particular stationarity solution plus its APG null-space refinement.
     gram(), when given, returns the GammaSystem of partition (the sieve
-    keeps one per candidate set); by default it is built here.
+    keeps one per candidate set); by default it is built here. apg_log, a
+    list when given, gets the ApgResult of the APG run, if one ran.
     """
     if x_bar is None:
         x_bar, _ = recover_primal(partition, sub.x_red, sub.y_red)
@@ -236,22 +285,25 @@ def recover_dual(inst, lam, partition, sub, apg_cfg=None, x_bar=None, gram=None)
     if len(partition.gamma):  # I is nonempty exactly when gamma is
         g = (x_bar - inst.A) + inst.incidence.adjoint(u)
         gs = GammaSystem(inst, partition) if gram is None else gram()
-        _complete_dual(inst, lam, partition, gs, g, u, apg_cfg)
+        _complete_dual(inst, lam, partition, gs, g, u, apg_cfg, apg_log)
     return u
 
 
-def _complete_dual(inst, lam, partition, gs, g, v, apg_cfg):
+def _complete_dual(inst, lam, partition, gs, g, v, apg_cfg, apg_log=None):
     """Fill the I blocks of the dual v, whose I^c blocks are already set and
     whose I blocks are zero; g = (x - A) + B*(v) is the stationarity
     residual of that v and gs the GammaSystem of partition.
 
     The fill is the min-norm solution of stationarity on the gamma rows plus
-    its APG refinement on the null space of B_{I gamma}^T.
+    its APG refinement on the null space of B_{I gamma}^T. apg_log, a list
+    when given, gets the APG's ApgResult.
     """
     v0 = gs.particular(g[:, partition.gamma])
     radii = lam * inst.weights[partition.I]
     apg = apg_minimize(v0, radii, gs.null_project, apg_cfg)
     v[:, partition.I] = v0 + apg.d
+    if apg_log is not None:
+        apg_log.append(apg)
 
 
 def violation_set(partition, lam, inst, u, slack=VIOLATION_SLACK):
@@ -283,7 +335,8 @@ def _fill_bound(partition, g):
     return float(np.sum(np.einsum("ij,ij->j", S, S) / np.bincount(partition.pos)))
 
 
-def eas_certify(inst, lam, x_bar, eps, eps_hat=SolveConfig.eps_hat, apg_cfg=None):
+def eas_certify(inst, lam, x_bar, eps, eps_hat=SolveConfig.eps_hat, apg_cfg=None,
+                apg_log=None):
     """Try to certify x_bar as optimal via its own zero pattern.
 
     Rebuilds the index machinery on the enlarged set of near-zero blocks of
@@ -293,7 +346,8 @@ def eas_certify(inst, lam, x_bar, eps, eps_hat=SolveConfig.eps_hat, apg_cfg=None
     fill can bring the residual of the pinned dual down to eps
     (_fill_bound, read off the partition), it rejects before computing the
     fill. Returns None when certification fails, in which case sieving
-    continues on the violation test.
+    continues on the violation test. apg_log, a list when given, gets the
+    ApgResult of the APG run, if one ran.
     """
     y_t = inst.incidence.apply(x_bar)
     fused = fused_blocks(y_t, eps_hat)
@@ -308,7 +362,8 @@ def eas_certify(inst, lam, x_bar, eps, eps_hat=SolveConfig.eps_hat, apg_cfg=None
         return None
     if len(I_t):
         y_t[:, I_t] = 0.0
-        _complete_dual(inst, lam, partition, GammaSystem(inst, partition), g, v, apg_cfg)
+        _complete_dual(inst, lam, partition, GammaSystem(inst, partition), g, v, apg_cfg,
+                       apg_log)
     if kkt_residual(inst, lam, x_bar, y_t, v) <= eps:
         return KktTriple.from_point(inst, lam, x_bar, y_t, v)
     return None
@@ -345,10 +400,11 @@ def _sieve_loop(inst, cfg, I0, enhanced, warm=None, store=None):
         state.round = rnd
         built, fresh = store.get(I)
         partition = built.partition
-        red = reduce_problem(inst, partition, lam)
+        red = built.reduced(lam)
         warm_red = None if carry is None else _restricted_warm(carry, partition, red)
         tol_cur, apg_iter = sub_tol, apg_base.maxiter
         work = dict.fromkeys(("newton_steps", "cg_steps", "factorizations"), 0)
+        eas_apg, dual_apg = [], []  # the ApgResults of the round's APG runs
         triple, early = None, False
         for retightenings in range(4):
             if retightenings:  # no violation, yet eps missed: the subsolve was too loose
@@ -367,12 +423,13 @@ def _sieve_loop(inst, cfg, I0, enhanced, warm=None, store=None):
             F_val = primal_objective(inst, lam, x_bar)
 
             if enhanced and F_prev is not None and abs(F_val - F_prev) <= cfg.eps:
-                triple = eas_certify(inst, lam, x_bar, cfg.eps, cfg.eps_hat, apg_cfg)
+                triple = eas_certify(inst, lam, x_bar, cfg.eps, cfg.eps_hat, apg_cfg,
+                                     apg_log=eas_apg)
                 if triple is not None:
                     early, res = True, triple.residual_norm
                     break
             u = recover_dual(inst, lam, partition, sub, apg_cfg, x_bar=x_bar,
-                             gram=built.gram_system)
+                             gram=built.gram_system, apg_log=dual_apg)
             res = kkt_residual(inst, lam, x_bar, y_bar, u)
             if res <= cfg.eps:
                 triple = KktTriple(x=x_bar, y=y_bar, z=u, residual_norm=res,
@@ -387,6 +444,8 @@ def _sieve_loop(inst, cfg, I0, enhanced, warm=None, store=None):
             built=fresh, kkt_residual=res, objective=F_val, certified_early=early,
             violations=0 if triple is not None else len(J), subsolver_tol=tol_cur,
             retightenings=retightenings, sigma=sub.sigma, **work,
+            apg_iterations=sum(r.iterations for r in eas_apg + dual_apg),
+            apg_converged=dual_apg[-1].converged if dual_apg else None,
         ))
         if triple is not None:
             log.info("round %d: %s, residual %.3e", rnd,

@@ -68,6 +68,9 @@ def test_layer_wrappers_count_a_solved_path(monkeypatch, mode):
     assert (sum(r["retightenings"] for r in records)
             == counts["sieve.admm_calls"] - counts["sieve.rounds"])
     assert sum(r["violations"] for r in records) == counts["sieve.blocks_removed"]
+    # every APG run, eas_certify's included; direct mode runs none
+    assert sum(r["apg_iterations"] for r in records) == counts.get("sieve.apg_iters", 0)
+    assert (mode == "direct") == all(r["apg_converged"] is None for r in records)
     for owner, attr, original in patched:
         current = owner.__dict__[attr] if isinstance(owner, type) else getattr(owner, attr)
         assert current is original, (owner, attr)

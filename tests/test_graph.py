@@ -60,6 +60,19 @@ def test_incidence_apply_adjoint():
     assert np.all(np.abs(J).sum(axis=0) == 2)
 
 
+def test_adjoint_equals_the_sparse_product_byte_for_byte():
+    """One CSR row product per row of Z gives (J Z^T)^T to the last bit, on
+    a C-ordered Z and on a transposed view, with an edge whose two ends
+    coincide (an empty column of J) and exact zeros in Z."""
+    rng = np.random.default_rng(5)
+    inc = IncidenceMap(6, [0, 1, 2, 2, 4, 0], [1, 2, 0, 2, 5, 5])
+    for d in (1, 2, 5):
+        W = rng.standard_normal((inc.m, d))
+        W[1] = 0.0
+        for Z in (np.ascontiguousarray(W.T), W.T):
+            assert inc.adjoint(Z).tobytes() == np.ascontiguousarray((inc.J @ Z.T).T).tobytes()
+
+
 def _reduced_incidence_reference(inst, part):
     """[J_alpha + M J_gamma; J_beta] restricted to the columns I^c."""
     alpha, beta, M = paper_partition(part)

@@ -100,6 +100,43 @@ def test_recover_dual_gamma_stationarity():
         assert np.linalg.norm(stat[:, part.gamma]) <= 1e-8
 
 
+def test_structured_gamma_products_equal_the_sparse_forms():
+    """GammaSystem's particular solution and null-space projector equal the
+    sparse-matrix forms -(Jg^T S)^T and D + particular((Jg D^T)^T) byte for
+    byte: on a partition with a cycle, a path, a single edge and singletons,
+    and on random ones, with zeros of both signs in the data (a sum of
+    zeros is -0.0 only when all its terms are)."""
+    rng = np.random.default_rng(17)
+    edges = [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (6, 7),  # I: a cycle, a path, an edge
+             (2, 3), (5, 6), (7, 8), (8, 9), (1, 9)]  # I^c; 8 and 9 stay singletons
+    cases = []
+    for d in (1, 2, 5):
+        inst = ProblemInstance.from_edges(rng.standard_normal((d, 10)), edges)
+        part = build_partition(inst.incidence, np.arange(6))
+        assert len(part.gamma) == 5 and part.n_reduced == 5
+        cases.append((inst, part))
+        inst = random_instance(rng, N=20, d=d, k=3)
+        part = build_partition(inst.incidence, rng.choice(inst.m_blocks, inst.m_blocks // 2,
+                                                          replace=False))
+        cases.append((inst, part))
+    for inst, part in cases:
+        gs = sieve.GammaSystem(inst, part)
+        Jg = inst.incidence.J[part.gamma][:, part.I].tocsc()
+
+        def particular(R):
+            return -(Jg.T @ gs._factor.solve(np.ascontiguousarray(R.T))).T
+
+        for _ in range(5):
+            R = rng.standard_normal((inst.d, len(part.gamma)))
+            D = rng.standard_normal((inst.d, len(part.I)))
+            R[0] = np.copysign(0.0, R[0])
+            D[0, ::2] = np.copysign(0.0, D[0, ::2])
+            assert gs.particular(R).tobytes() == particular(R).tobytes()
+            ref = D + particular((Jg @ D.T).T)
+            assert gs.null_project(D).tobytes() == ref.tobytes()
+            assert np.abs((Jg @ gs.null_project(D).T)).max() <= 1e-12
+
+
 # ---------------------------------------------------------------- apg_minimize
 
 
