@@ -5,7 +5,11 @@ solves the reduced problem, recovers a full-space dual candidate u (the
 particular stationarity solution, refined by accelerated projected gradient
 on the null space of B_{I gamma}^T until u is within the APG tolerance of
 the balls on I), and either certifies the point or removes from I the
-blocks whose dual lands outside its subdifferential ball. The projection
+blocks whose dual lands outside its subdifferential ball. The APG discards
+a step that raises its objective and restarts its momentum from the kept
+iterate; it stops as plateaued after two discarded steps in a row or a
+kept step that gains less than 0.1%. An overshoot left in u would remove
+blocks that never violated. The projection
 onto that null space (GammaSystem) solves with the Gram factors of
 B_{I gamma} and reads both of its products off the ends of the I edges.
 Once the objective stalls, the enhanced variant first tries to certify the
@@ -78,7 +82,8 @@ class ApgResult:
     iterations: int
     objective: float  # final h value, 0.5 * dist(u0 + d, K)^2
     converged: bool
-    history: list = None
+    history: list = None  # the kept iterate's h after every step, when tracked
+    restarts: int = 0  # discarded steps, each followed by a momentum restart
 
 
 @dataclass
@@ -89,9 +94,10 @@ class SieveState:
     violations (the blocks removed from I), subsolver_tol (of the last
     subsolve), sigma (the last subsolve ended with), retightenings, the
     newton_steps, cg_steps and factorizations of all the round's subsolves,
-    apg_iterations (of all its APG runs, eas_certify's included) and
-    apg_converged (whether the last recover_dual APG converged; None when
-    no recover_dual of the round ran one)."""
+    apg_iterations and apg_restarts (the steps and the discarded steps of
+    all its APG runs, eas_certify's included) and apg_converged (whether
+    the last recover_dual APG converged; None when no recover_dual of the
+    round ran one)."""
 
     round: int = 0
     records: list = field(default_factory=list)
@@ -220,42 +226,63 @@ def apg_minimize(u0, radii, null_project, cfg=None, track_history=False):
     needs no line search. Stops at the first step whose distance to K is
     at most cfg.eps, the one quantity certification reads: on I the
     recovered primal is zero, so that distance is the I-part of the KKT
-    residual, and further steps could only move the iterate. Also stops
-    when h plateaus above that level, or at cfg.maxiter; non-convergence is
-    a normal outcome meaning the current index set is wrong. With
-    cfg.maxiter = 0 it takes no step and reports h(0).
+    residual, and further steps could only move the iterate.
+
+    A step that raises h above the kept iterate's is discarded and the
+    momentum restarts from the kept iterate (function-value adaptive
+    restart): FISTA overshoots without having plateaued, and the step after
+    a restart is a plain projected-gradient step, which cannot raise h. So
+    two discarded steps in a row, or a kept step that lowers h by less than
+    0.1% from the third step on, mean h has plateaued above the certifiable
+    level, and the run stops there; with cfg.eps = 0 it never stops early.
+    Otherwise it stops at cfg.maxiter, which counts discarded steps too,
+    since each costs a projection. Non-convergence is a normal outcome
+    meaning the current index set is wrong. With cfg.maxiter = 0 it takes
+    no step and reports h(0).
+
+    The returned d is the kept iterate, restarts the number of discarded
+    steps, and history, when tracked, holds the kept iterate's h after
+    every step, so it never rises and has one entry per iteration.
     """
     cfg = cfg or ApgConfig()
     eps = SolveConfig.eps if cfg.eps is None else float(cfg.eps)
     d = np.zeros_like(u0)
-    d_hat = d
+    d_prev = d_hat = d
     t = 1.0
     history = [] if track_history else None
-    h_val = np.inf
+    h_val = h_prev = np.inf
     converged = False
-    k = 0
+    k = restarts = discarded = 0  # discarded: steps discarded in a row
     for k in range(1, cfg.maxiter + 1):
         v = u0 + d_hat
         grad = np.subtract(v, project_columns(v, radii), out=v)
-        d_prev, h_prev = d, h_val
-        d = null_project(np.subtract(d_hat, grad, out=grad))
-        dist = _ball_distance(u0 + d, radii)
-        h_val = 0.5 * dist * dist
+        d_new = null_project(np.subtract(d_hat, grad, out=grad))
+        dist = _ball_distance(u0 + d_new, radii)
+        h_new = 0.5 * dist * dist
+        # the kept iterate is farther than eps from K, so a step that raises h is too
+        discarded = discarded + 1 if h_new > h_val else 0
+        if discarded:  # momentum overshot: keep d and restart from it
+            restarts += 1
+            d_hat, t = d, 1.0
+        else:
+            d_prev, h_prev, d, h_val = d, h_val, d_new, h_new
         if track_history:
             history.append(h_val)
         if dist <= eps:
             converged = True
             break
         # plateauing above the certifiable level cannot recover; bail out
-        if eps > 0.0 and k >= 3 and h_val > 0.999 * h_prev:
+        if eps > 0.0 and (discarded == 2 or (
+                not discarded and k >= 3 and h_val > 0.999 * h_prev)):
             break
-        t_next = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * t * t))
-        d_hat = d + ((t - 1.0) / t_next) * (d - d_prev)
-        t = t_next
+        if not discarded:
+            t_next = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * t * t))
+            d_hat = d + ((t - 1.0) / t_next) * (d - d_prev)
+            t = t_next
     if k == 0:
         dist = _ball_distance(u0, radii)
         h_val, converged = 0.5 * dist * dist, dist <= eps
-    return ApgResult(d, k, h_val, converged, history)
+    return ApgResult(d, k, h_val, converged, history, restarts)
 
 
 def _ball_distance(v, radii):
@@ -445,6 +472,7 @@ def _sieve_loop(inst, cfg, I0, enhanced, warm=None, store=None):
             violations=0 if triple is not None else len(J), subsolver_tol=tol_cur,
             retightenings=retightenings, sigma=sub.sigma, **work,
             apg_iterations=sum(r.iterations for r in eas_apg + dual_apg),
+            apg_restarts=sum(r.restarts for r in eas_apg + dual_apg),
             apg_converged=dual_apg[-1].converged if dual_apg else None,
         ))
         if triple is not None:

@@ -299,15 +299,27 @@ def test_secant_start_extrapolates_the_last_two_certified_points():
     assert np.allclose(x, point[1.0][1]) and np.allclose(z, point[1.0][2])
 
 
-@pytest.mark.parametrize("mode", ["direct", "eas"])
-def test_secant_start_saves_newton_steps(moons200, monkeypatch, mode):
+@pytest.fixture(scope="module")
+def moons500():
+    from sievepath import gen_two_half_moons
+
+    return build_knn_graph(gen_two_half_moons(500, 0.1, seed=0), k=10)
+
+
+@pytest.mark.parametrize("mode, points", [
+    pytest.param("direct", "moons200", id="direct"),
+    pytest.param("eas", "moons200", id="eas"),
+    pytest.param("eas", "moons500", id="eas-moons500"),
+])
+def test_secant_start_saves_newton_steps(request, monkeypatch, mode, points):
     """On the default grid the secant start takes strictly fewer Newton
     steps than the same path warm-started from the last certified point."""
     from sievepath import path
 
-    secant = solve_path(moons200, PathConfig(mode=mode))
+    inst = request.getfixturevalue(points)
+    secant = solve_path(inst, PathConfig(mode=mode))
     monkeypatch.setattr(path, "secant_start", lambda lam, last, prev=None: last[1:])
-    plain = solve_path(moons200, PathConfig(mode=mode))
+    plain = solve_path(inst, PathConfig(mode=mode))
     assert secant.all_converged and plain.all_converged
     assert secant.total_newton_steps < plain.total_newton_steps
 

@@ -208,6 +208,22 @@ def test_apg_stops_at_first_step_inside_the_balls():
     assert np.allclose(v @ np.ones(2), u0 @ np.ones(2), atol=1e-12)
 
 
+def test_apg_restarts_after_an_overshoot_instead_of_stopping():
+    """The same two blocks with a fixed sum: momentum carries the iterate
+    from h = 1.1e-6 up to 8.3e-4 at step 6. That step is discarded and the
+    momentum restarts from the kept iterate, which then converges; the
+    history holds the kept iterate's h, so it never rises."""
+    u0 = np.array([[-1.3, 3.7]])
+    radii = np.array([2.0, 0.5])
+    P = np.eye(2) - 0.5  # projector onto {D : D[:, 0] + D[:, 1] = 0}
+    res = apg_minimize(u0, radii, lambda D: D @ P, ApgConfig(eps=1e-6), track_history=True)
+    assert res.converged
+    assert res.restarts >= 1
+    assert len(res.history) == res.iterations
+    assert np.all(np.diff(res.history) <= 0.0)
+    assert res.history[-1] == res.objective
+
+
 def test_apg_zero_budget_reports_distance_of_start():
     u0 = np.array([[10.0]])
     radii = np.array([1.0])
@@ -313,6 +329,52 @@ def test_a_retightened_round_records_the_work_of_all_its_subsolves(monkeypatch):
         assert rec["factorizations"] == sum(s.factorizations for s in own)
         assert rec["sigma"] == own[-1].sigma
     assert start == len(subs)
+
+
+@pytest.mark.parametrize("mode", ["eas", "direct"])
+def test_a_round_records_the_restarts_of_all_its_apg_runs(monkeypatch, mode):
+    """A round's apg_restarts is the sum of the restarts of every APG run it
+    made, eas_certify's included, as its apg_iterations sums their steps;
+    direct mode runs no APG and records none. A round runs 1 + retightenings
+    subsolves, and its APG runs are those that follow them."""
+    from sievepath import PathConfig, gen_two_half_moons, path, solve_path
+
+    events, states = [], []  # ("sub" | "apg", result) in the order they ran
+
+    def recording(kind, _run):
+        def run(*args, **kwargs):
+            events.append((kind, _run(*args, **kwargs)))
+            return events[-1][1]
+        return run
+
+    solver = "eas_solve" if mode == "eas" else "as_solve"
+
+    def solve_recording(*args, _solve=getattr(path, solver), **kwargs):
+        triple, state = _solve(*args, **kwargs)
+        states.append(state)
+        return triple, state
+
+    monkeypatch.setattr(sieve, "solve_reduced_admm", recording("sub", sieve.solve_reduced_admm))
+    monkeypatch.setattr(sieve, "apg_minimize", recording("apg", sieve.apg_minimize))
+    monkeypatch.setattr(path, solver, solve_recording)
+    inst = build_knn_graph(gen_two_half_moons(200, 0.1, seed=0), k=10)
+    assert solve_path(inst, PathConfig(mode=mode)).all_converged
+    # the APG runs that follow each subsolve
+    after_sub = []
+    for kind, res in events:
+        if kind == "sub":
+            after_sub.append([])
+        else:
+            after_sub[-1].append(res)
+    records = [rec for state in states for rec in state.records]
+    for rec in records:
+        own = [res for runs in after_sub[:1 + rec["retightenings"]] for res in runs]
+        del after_sub[:1 + rec["retightenings"]]
+        assert rec["apg_iterations"] == sum(res.iterations for res in own)
+        assert rec["apg_restarts"] == sum(res.restarts for res in own)
+    assert not after_sub
+    restarts = sum(rec["apg_restarts"] for rec in records)
+    assert restarts == 0 if mode == "direct" else restarts >= 1
 
 
 def test_as_solve_random_agrees_with_direct():
