@@ -131,7 +131,6 @@ class SubSolution:
     iterations: int
     converged: bool
     kkt_red: float
-    gap: float
     sigma: float
     cg_steps: int = 0
     factorizations: int = 0
@@ -170,12 +169,14 @@ class _NewtonSystem:
     matrix with the graph's pattern, which the order probe measures. When
     that predicted fill is affordable (ASSEMBLY_FILL, ASSEMBLY_NODE_FILL),
     H is assembled on a fixed CSC pattern (the 4 d^2 entries of every edge
-    summed by bincount) and factorized by SuperLU; L, G and G^T are not
-    built. Otherwise H is never formed: three sparse products apply it in
-    O(m d), and scipy's conjugate gradients solve the Newton system
-    preconditioned by L (x) I_d, whose factorization keeps the graph's
-    sparsity and serves all d columns; H <= L (x) I_d, and the two differ by
-    one rank-one term per edge.
+    summed by _assemble, as L's are) and factorized by SuperLU; L, G and
+    G^T are not built. Otherwise H is never formed: three sparse products
+    apply it in O(m d), and scipy's conjugate gradients solve the Newton
+    system preconditioned by L (x) I_d, whose factorization keeps the
+    graph's sparsity and serves all d columns; H <= L (x) I_d, and the two
+    differ by one rank-one term per edge. G and G^T take the edge
+    differences that red.inc would: a CG step through red.inc took 1.5 to
+    1.8x as long at d = 3 to 20.
 
     The system keeps the factors it made last (lu) while their budget, the
     CG steps beyond c0 that reusing them may still cost, is at least 1:
@@ -261,24 +262,14 @@ class _NewtonSystem:
                 np.multiply(U[a], U[b], out=sQ[a, b])
         np.subtract(np.eye(d)[:, :, None], sQ, out=sQ)
         sQ *= sc
-        sQ = sQ.ravel()
-        nQ = -sQ
-        self.H.data = np.bincount(
-            self._slot, weights=np.concatenate([self._hdiag, sQ, sQ, nQ, nQ]),
-            minlength=self.H.nnz,
-        )
-        return self.H
+        return _assemble(self.H, self._slot, self._hdiag, sQ.ravel())
 
     def operator(self, V, tau, sigma):
         """H at V as a function of a node-major n x d direction, and the
         preconditioner L, assembled, both in the node order (operator mode
         only)."""
         sc, U = self.curvature(V, tau, sigma)
-        L, G, GT = self.L, self.G, self.GT
-        L.data = np.bincount(
-            self._slot, weights=np.concatenate([self._h, sc, sc, -sc, -sc]),
-            minlength=L.nnz,
-        )
+        L, G, GT = _assemble(self.L, self._slot, self._h, sc), self.G, self.GT
         GT.data[:] = np.hstack([U.T, -U.T]).ravel()
 
         def apply(P):
@@ -361,6 +352,15 @@ class _NewtonSystem:
         self.c0 = steps if self.c0 is None else self.c0  # set by fresh factors of L
         self.budget -= max(0, steps - self.c0)
         return x, info == 0
+
+
+def _assemble(A, slot, diag, q):
+    """Fill H or L: each stored entry of A sums, in list order, the terms
+    of the diagonal diag and of q, q, -q, -q at (ri, ri), (rj, rj),
+    (ri, rj) and (rj, ri) of every kept edge that slot sends to it."""
+    nq = -q
+    A.data = np.bincount(slot, weights=np.concatenate([diag, q, q, nq, nq]), minlength=A.nnz)
+    return A
 
 
 def _pattern(rows, cols, n):
@@ -515,7 +515,7 @@ def solve_reduced_admm(red, tol, config=None, warm=None, system=None):
     if red.m_red == 0:
         X = red.C / red.h
         empty = np.zeros((red.C.shape[0], 0))
-        return SubSolution(X, empty.copy(), empty.copy(), 0, True, 0.0, 0.0, sigma)
+        return SubSolution(X, empty.copy(), empty.copy(), 0, True, 0.0, sigma)
 
     if warm is not None:
         X, Y, Z = (np.array(v, dtype=np.float64) for v in warm[:3])
@@ -561,7 +561,7 @@ def solve_reduced_admm(red, tol, config=None, warm=None, system=None):
             "SSNAL stopped after %d Newton steps with residual %.3e, gap %.3e > tol %.3e",
             steps, kkt, gap, tol,
         )
-    return SubSolution(X, Y, Z, steps, converged, kkt, gap, sigma,
+    return SubSolution(X, Y, Z, steps, converged, kkt, sigma,
                        ns.cg_steps - cg_steps, ns.factorizations - made)
 
 

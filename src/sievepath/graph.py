@@ -37,11 +37,11 @@ class IncidenceMap:
         self.edge_i = ei = np.asarray(edge_i, dtype=np.int64)
         self.edge_j = ej = np.asarray(edge_j, dtype=np.int64)
         keep = ei != ej
-        cols = np.flatnonzero(keep)
-        rows = np.concatenate([ei[keep], ej[keep]])
-        data = np.concatenate([np.ones(len(cols)), -np.ones(len(cols))])
-        self.J = sp.csr_matrix((data, (rows, np.concatenate([cols, cols]))),
-                               shape=(N, len(ei)))
+        # laid out by column, whose conversion lists each row in column order
+        indptr = np.concatenate([[0], np.cumsum(2 * keep)])
+        self.J = sp.csc_matrix((np.tile([1.0, -1.0], np.count_nonzero(keep)),
+                                np.stack([ei[keep], ej[keep]], axis=1).ravel(), indptr),
+                               shape=(N, len(ei))).tocsr()
 
     @property
     def m(self):
@@ -49,7 +49,9 @@ class IncidenceMap:
 
     def apply(self, X):
         """B(X) = XJ, column l of the result is X_{:i} - X_{:j}."""
-        return np.take(X, self.edge_i, axis=1) - np.take(X, self.edge_j, axis=1)
+        out = np.take(X, self.edge_i, axis=1)
+        out -= np.take(X, self.edge_j, axis=1)
+        return out
 
     def adjoint(self, Z):
         """B*(Z) = Z J^T, one CSR row product per row of Z: (J Z^T)^T bit

@@ -11,7 +11,7 @@ iterate; it stops as plateaued after two discarded steps in a row or a
 kept step that gains less than 0.1%. An overshoot left in u would remove
 blocks that never violated. The projection
 onto that null space (GammaSystem) solves with the Gram factors of
-B_{I gamma} and reads both of its products off the ends of the I edges.
+B_{I gamma} and applies B_{I gamma} through an IncidenceMap of the I edges.
 Once the objective stalls, the enhanced variant first tries to certify the
 iterate on its own enlarged zero set. A round that finds no violation yet
 misses eps solves again with a subsolver tolerance 100x tighter, up to
@@ -46,7 +46,7 @@ import scipy.sparse as sp
 
 from ._kernels import column_norms, frobenius_norm, project_columns
 from .admm import AdmmConfig, _NewtonSystem, solve_reduced_admm
-from .graph import build_partition, recover_primal, reduce_problem, unique_indices
+from .graph import IncidenceMap, build_partition, recover_primal, reduce_problem, unique_indices
 from .model import KktTriple, SolveConfig, duality_gap, fused_blocks, kkt_residual, primal_objective
 
 log = logging.getLogger(__name__)
@@ -56,8 +56,7 @@ VIOLATION_SLACK = 1e-8  # relative slack of the ball-membership test
 
 class SieveLimitError(RuntimeError):
     """The sieve ran out of rounds or retightenings; state is its SieveState,
-    whose round count and records, each with its round's work, the path
-    reports."""
+    whose records, one per round with its round's work, the path reports."""
 
     def __init__(self, message, state):
         super().__init__(message)
@@ -88,19 +87,23 @@ class ApgResult:
 
 @dataclass
 class SieveState:
-    """One sieve run: the rounds it has started and one record per round.
-    A record is a dict: round, n_reduced, m_reduced, built (the round built
-    its set's structures), kkt_residual, objective, certified_early,
-    violations (the blocks removed from I), subsolver_tol (of the last
-    subsolve), sigma (the last subsolve ended with), retightenings, the
-    newton_steps, cg_steps and factorizations of all the round's subsolves,
+    """One sieve run: one record per round it has started, appended before
+    the round returns or raises; round is their count. A record is a dict:
+    round, n_reduced, m_reduced, built (the round built its set's
+    structures), kkt_residual, objective, certified_early, violations (the
+    blocks removed from I), subsolver_tol (of the last subsolve), sigma
+    (the last subsolve ended with), retightenings, the newton_steps,
+    cg_steps and factorizations of all the round's subsolves,
     apg_iterations and apg_restarts (the steps and the discarded steps of
     all its APG runs, eas_certify's included) and apg_converged (whether
     the last recover_dual APG converged; None when no recover_dual of the
     round ran one)."""
 
-    round: int = 0
     records: list = field(default_factory=list)
+
+    @property
+    def round(self):
+        return len(self.records)
 
 
 class GammaSystem:
@@ -111,34 +114,31 @@ class GammaSystem:
     Jg = J[gamma, I], and B_{I gamma}^T B_{I gamma} = Jg Jg^T is SPD because
     the non-root rows of a connected component's incidence are independent.
 
-    The products read the incidence structure: D Jg^T is one sparse row
-    product per row of D, and (Jg^T S)_l, for an edge l of I with ends i and
-    j, is row i of S minus row j, where a root, which has no gamma row,
-    reads as a zero row. Both equal the sparse-matrix products bit for bit.
+    Both products go through inc, the IncidenceMap of the I edges over the
+    gamma rows plus one ground row that stands for every root: Jg is its J
+    without the ground row, so D Jg^T is inc.adjoint(D) without the ground
+    column, and Jg^T S is inc.apply of S with a zero ground column. Both
+    equal the sparse-matrix products bit for bit.
     """
 
     def __init__(self, inst, partition):
         gamma, I = partition.gamma, partition.I
-        self.Jg = inst.incidence.J[gamma][:, I].tocsc()
-        gram = (self.Jg @ self.Jg.T).tocsc()
-        # SPD, so a symmetric minimum-degree order and no pivoting suffice
-        self._factor = sp.linalg.splu(
-            gram, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
-            options={"SymmetricMode": True},
-        )
-        # each end of an I edge as its gamma row; a root as row len(gamma)
+        # each end of an I edge as its gamma row; a root as the ground row
         row = np.full(inst.N, len(gamma), dtype=np.int64)
         row[gamma] = np.arange(len(gamma))
-        self._ends = row[inst.edge_i[I]], row[inst.edge_j[I]]
+        self.inc = IncidenceMap(len(gamma) + 1, row[inst.edge_i[I]], row[inst.edge_j[I]])
+        Jg = self.inc.J[:-1].tocsc()
+        # SPD, so a symmetric minimum-degree order and no pivoting suffice
+        self._factor = sp.linalg.splu(
+            (Jg @ Jg.T).tocsc(), permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
+            options={"SymmetricMode": True},
+        )
 
     def _spread(self, R):
         """(Jg^T S)^T for the solution S of Jg Jg^T S = R^T."""
         # the solve returns S in column order, so S^T is rows of coordinates
         S = self._factor.solve(R.T).T
-        S = np.concatenate([S, np.zeros((len(S), 1))], axis=1)
-        ei, ej = self._ends
-        U = np.take(S, ei, axis=1)
-        U -= np.take(S, ej, axis=1)
+        U = self.inc.apply(np.concatenate([S, np.zeros((len(S), 1))], axis=1))
         # the sparse product sums from +0.0, so it never returns -0.0
         U += 0.0
         return U
@@ -150,12 +150,8 @@ class GammaSystem:
 
     def null_project(self, D):
         """Project block matrix D onto {D : D Jg^T = 0}."""
-        # CSC rows sum their entries in column order, as the matrix product does
-        DJ = np.empty((len(D), self.Jg.shape[0]))
-        for k, row in enumerate(D):
-            DJ[k] = self.Jg @ row
-        # D - V is D + (-V) to the bit, so this is D + particular(DJ)
-        return D - self._spread(DJ)
+        # D - V is D + (-V) to the bit, so this is D + particular(D Jg^T)
+        return D - self._spread(self.inc.adjoint(D)[:, :-1])
 
 
 class _Built:
@@ -333,19 +329,19 @@ def _complete_dual(inst, lam, partition, gs, g, v, apg_cfg, apg_log=None):
         apg_log.append(apg)
 
 
-def violation_set(partition, lam, inst, u, slack=VIOLATION_SLACK):
+def violation_set(partition, lam, inst, u):
     """Edges of I whose dual candidate u falls outside its subdifferential
     ball.
 
     The recovered primal is zero on I by construction, so each ball has
-    radius lam * w_j; the relative slack keeps boundary blocks from
-    thrashing in and out.
+    radius lam * w_j; the relative slack VIOLATION_SLACK keeps boundary
+    blocks from thrashing in and out.
     """
     I = partition.I
     if len(I) == 0:
         return np.empty(0, dtype=np.int64)
     norms = column_norms(np.ascontiguousarray(u[:, I]))
-    return I[norms > lam * inst.weights[I] * (1.0 + slack)]
+    return I[norms > lam * inst.weights[I] * (1.0 + VIOLATION_SLACK)]
 
 
 def _fill_bound(partition, g):
@@ -391,8 +387,10 @@ def eas_certify(inst, lam, x_bar, eps, eps_hat=SolveConfig.eps_hat, apg_cfg=None
         y_t[:, I_t] = 0.0
         _complete_dual(inst, lam, partition, GammaSystem(inst, partition), g, v, apg_cfg,
                        apg_log)
-    if kkt_residual(inst, lam, x_bar, y_t, v) <= eps:
-        return KktTriple.from_point(inst, lam, x_bar, y_t, v)
+    res = kkt_residual(inst, lam, x_bar, y_t, v)
+    if res <= eps:
+        return KktTriple(x=x_bar, y=y_t, z=v, residual_norm=res,
+                         gap=duality_gap(inst, lam, x_bar, v))
     return None
 
 
@@ -424,7 +422,6 @@ def _sieve_loop(inst, cfg, I0, enhanced, warm=None, store=None):
     F_prev = None  # objective at the end of the previous round
 
     for rnd in range(1, max_rounds + 1):
-        state.round = rnd
         built, fresh = store.get(I)
         partition = built.partition
         red = built.reduced(lam)

@@ -71,6 +71,13 @@ def test_layer_wrappers_count_a_solved_path(monkeypatch, mode):
     # every APG run, eas_certify's included; direct mode runs none
     assert sum(r["apg_iterations"] for r in records) == counts.get("sieve.apg_iters", 0)
     assert (mode == "direct") == all(r["apg_converged"] is None for r in records)
+    if mode != "eas":  # eas_certify factors a Gram matrix of its own set
+        # a set's order probe and Gram factors are made by the round that builds it
+        built = [r for r in records if r["built"]]
+        assert counts["graph.factor.calls"] == (
+            sum(r["factorizations"] for r in records)
+            + sum(r["m_reduced"] > 0 for r in built)
+            + sum(r["m_reduced"] < inst.m_blocks for r in built))
     for owner, attr, original in patched:
         current = owner.__dict__[attr] if isinstance(owner, type) else getattr(owner, attr)
         assert current is original, (owner, attr)
