@@ -26,15 +26,16 @@ What depends on I alone (the IndexPartition, the reduced problem, whose lam
 is rebound at every round, the subsolver's Newton system: node order, CSC
 pattern and slots, and on first use the GammaSystem's Gram factors) is
 built once per set and kept in a BuildStore, and every round, retightening
-or later lambda that solves a stored I again reuses it. lam, sigma and
-every numeric value are recomputed, so reuse changes no iterate, except
-through the SuperLU factors that an assembled Newton matrix keeps: on one
-large enough for reuse to pay (admm's _reuse_weight) they precondition the
-next solve's first directions. Seeding each lambda from the fused blocks of
-Bx makes I alternate between two sets, so the path's one store keeps the
-two most recently used; a run without a store gets its own. The warm start
-is the caller's: a path passes the secant prediction from its last two
-certified lambdas (path.secant_start), once it has two.
+or next lambda that solves the same I again reuses it. The store holds one
+set: a new I drops the old set's structures, and so frees their factors,
+before its own are built. lam, sigma and every numeric value are
+recomputed, so reuse changes no iterate, except through the SuperLU
+factors that an assembled Newton matrix keeps: on one large enough for
+reuse to pay (admm's _reuse_weight) they precondition the next solve's
+first directions. A path shares one store across its lambdas; a run
+without a store gets its own. The warm start is the caller's: a path
+passes the secant prediction from its last two certified lambdas
+(path.secant_start), once it has two.
 """
 
 import logging
@@ -154,15 +155,25 @@ class GammaSystem:
         return D - self._spread(self.inc.adjoint(D)[:, :-1])
 
 
-class _Built:
-    """The structures of one candidate set I: its partition, and, built
-    when a round first needs them, its reduced problem, the Newton system
-    of that problem and its GammaSystem."""
+class BuildStore:
+    """The structures of one instance's current candidate set I: its
+    partition, and, built when a round first needs them, its reduced
+    problem, the Newton system of that problem and its GammaSystem."""
 
-    def __init__(self, inst, I):
+    def __init__(self, inst):
         self.inst = inst
-        self.partition = build_partition(inst.incidence, I)
-        self._red = self._newton = self._gram = None
+        self.partition = self._red = self._newton = self._gram = None
+
+    def get(self, I):
+        """Make the sorted index array I the current set; True (fresh) when
+        it differs from the last one, whose structures are then dropped
+        before the new partition is built, so that its factors are freed
+        first."""
+        fresh = self.partition is None or not np.array_equal(I, self.partition.I)
+        if fresh:
+            self.partition = self._red = self._newton = self._gram = None
+            self.partition = build_partition(self.inst.incidence, I)
+        return fresh
 
     def reduced(self, lam):
         """The reduced problem of the set at lam: h, C, inc and weights
@@ -183,34 +194,6 @@ class _Built:
         if self._gram is None:
             self._gram = GammaSystem(self.inst, self.partition)
         return self._gram
-
-
-class BuildStore:
-    """The built structures of the SIZE most recently used candidate sets
-    of one instance, keyed by the exact set."""
-
-    SIZE = 2
-
-    def __init__(self, inst):
-        self.inst = inst
-        self._sets = {}  # I.tobytes() -> _Built, least recently used first
-
-    def __len__(self):
-        return len(self._sets)
-
-    def get(self, I):
-        """(built, fresh) for the sorted index array I: its stored
-        structures, or new ones (fresh True) after evicting the least
-        recently used set."""
-        key = I.tobytes()
-        built = self._sets.pop(key, None)
-        fresh = built is None
-        if fresh:
-            if len(self._sets) == self.SIZE:
-                del self._sets[next(iter(self._sets))]
-            built = _Built(self.inst, I)
-        self._sets[key] = built
-        return built, fresh
 
 
 def apg_minimize(u0, radii, null_project, cfg=None, track_history=False):
@@ -422,9 +405,9 @@ def _sieve_loop(inst, cfg, I0, enhanced, warm=None, store=None):
     F_prev = None  # objective at the end of the previous round
 
     for rnd in range(1, max_rounds + 1):
-        built, fresh = store.get(I)
-        partition = built.partition
-        red = built.reduced(lam)
+        fresh = store.get(I)
+        partition = store.partition
+        red = store.reduced(lam)
         warm_red = None if carry is None else _restricted_warm(carry, partition, red)
         tol_cur, apg_iter = sub_tol, apg_base.maxiter
         work = dict.fromkeys(("newton_steps", "cg_steps", "factorizations"), 0)
@@ -439,7 +422,7 @@ def _sieve_loop(inst, cfg, I0, enhanced, warm=None, store=None):
                          rnd, res, tol_cur)
             apg_cfg = ApgConfig(eps=apg_eps, maxiter=apg_iter)
             sub = solve_reduced_admm(red, tol_cur, admm_cfg, warm=warm_red,
-                                     system=built.newton_system)
+                                     system=store.newton_system)
             work["newton_steps"] += sub.iterations
             work["cg_steps"] += sub.cg_steps
             work["factorizations"] += sub.factorizations
@@ -453,7 +436,7 @@ def _sieve_loop(inst, cfg, I0, enhanced, warm=None, store=None):
                     early, res = True, triple.residual_norm
                     break
             u = recover_dual(inst, lam, partition, sub, apg_cfg, x_bar=x_bar,
-                             gram=built.gram_system, apg_log=dual_apg)
+                             gram=store.gram_system, apg_log=dual_apg)
             res = kkt_residual(inst, lam, x_bar, y_bar, u)
             if res <= cfg.eps:
                 triple = KktTriple(x=x_bar, y=y_bar, z=u, residual_norm=res,

@@ -434,25 +434,30 @@ def test_direct_path_with_kept_factors_of_l_agrees_with_fresh_solves(moons200, m
         assert rec.num_fused == np.count_nonzero(fused)
 
 
-@pytest.mark.parametrize("mode", ["as", "eas", "direct"])
-def test_each_stored_candidate_set_is_built_once(moons200, monkeypatch, mode):
-    """Partitions, Newton systems and Gram factors are built only by the
-    rounds whose record says built, at most two sets' structures are alive
-    at once, and direct mode builds one partition and one Newton system per
-    path. eas_certify builds its own, which are not counted here."""
+def _track_sieve_builds(monkeypatch, on_build):
+    """Count the partitions, Newton systems and GammaSystems that sieve runs
+    build, eas_certify's own excepted, and keep a weak reference to each
+    such Newton system and GammaSystem; on_build(name) is called after each
+    counted build. Returns (builds, made): the counts by name, and the
+    (name, weakref) pairs of the systems in build order."""
     import weakref
 
-    from sievepath import path, sieve
+    from sievepath import sieve
 
     builds = {"build_partition": 0, "_NewtonSystem": 0, "GammaSystem": 0}
-    in_eas = []
+    made, in_eas = [], []
 
     def counting(name):
         real = getattr(sieve, name)
 
         def build(*args):
-            builds[name] += not in_eas
-            return real(*args)
+            out = real(*args)
+            if not in_eas:
+                builds[name] += 1
+                if name != "build_partition":
+                    made.append((name, weakref.ref(out)))
+                on_build(name)
+            return out
 
         monkeypatch.setattr(sieve, name, build)
 
@@ -468,16 +473,34 @@ def test_each_stored_candidate_set_is_built_once(moons200, monkeypatch, mode):
             in_eas.pop()
 
     monkeypatch.setattr(sieve, "eas_certify", eas)
-    alive, most = weakref.WeakSet(), []
-    real_built = sieve._Built
+    return builds, made
 
-    def tracked(*args):
-        built = real_built(*args)
-        alive.add(built)
-        most.append(len(alive))
-        return built
 
-    monkeypatch.setattr(sieve, "_Built", tracked)
+def _alive(made):
+    """The names of the tracked systems that a collection leaves alive."""
+    import gc
+
+    gc.collect()
+    return [name for name, ref in made if ref() is not None]
+
+
+@pytest.mark.parametrize("mode", ["as", "eas", "direct"])
+def test_each_stored_candidate_set_is_built_once(moons200, monkeypatch, mode):
+    """Partitions, Newton systems and Gram factors are built only by the
+    rounds whose record says built, at most one Newton system and one
+    GammaSystem are alive at once, and direct mode builds one partition and
+    one Newton system per path. eas_certify builds its own, which are not
+    counted here."""
+    from collections import Counter
+
+    from sievepath import path
+
+    most = Counter()  # the most systems of each kind alive after a build
+
+    def on_build(name):
+        most.update(Counter(_alive(made)) - most)  # raises each count to the larger
+
+    builds, made = _track_sieve_builds(monkeypatch, on_build)
     records = []
     for name in ("as_solve", "eas_solve"):
         real_solve = getattr(path, name)
@@ -498,9 +521,28 @@ def test_each_stored_candidate_set_is_built_once(moons200, monkeypatch, mode):
     # and an empty I (m_reduced = m) needs no Gram factors
     assert builds["_NewtonSystem"] == sum(r["m_reduced"] > 0 for r in built)
     assert builds["GammaSystem"] == sum(r["m_reduced"] < moons200.m_blocks for r in built)
-    assert max(most) <= sieve.BuildStore.SIZE
+    assert max(most.values()) == 1
     if mode == "direct":
         assert builds["build_partition"] == builds["_NewtonSystem"] == 1
         assert builds["GammaSystem"] == 0
     else:
         assert len(built) < len(records) / 2  # candidate sets recur
+
+
+@pytest.mark.parametrize("mode", ["as", "eas"])
+def test_a_new_candidate_set_frees_the_systems_of_the_last(moons200, monkeypatch, mode):
+    """Whenever the path's store partitions a new candidate set, no Newton
+    system or GammaSystem that it made for an earlier set is reachable: the
+    store holds one set, so the old set's factors are freed before the new
+    set's are made. eas_certify's own builds are not tracked."""
+    reachable = []  # per new partition, the tracked systems still alive
+
+    def on_build(name):
+        if name == "build_partition":
+            reachable.append(_alive(made))
+
+    builds, made = _track_sieve_builds(monkeypatch, on_build)
+    res = solve_path(moons200, PathConfig(mode=mode))
+    assert res.all_converged
+    assert builds["_NewtonSystem"] > 1 and len(reachable) == builds["build_partition"]
+    assert not any(reachable)

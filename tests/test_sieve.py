@@ -483,19 +483,18 @@ def test_eas_certify_rejects_by_the_bound_before_building_the_fill(t1_inst, monk
 # ----------------------------------------------------------------- BuildStore
 
 
-def test_build_store_keys_on_the_exact_set_and_keeps_the_two_last_used(t1_inst):
+def test_build_store_keys_on_the_exact_set_and_holds_one(t1_inst):
     store = sieve.BuildStore(t1_inst)
-    a, fresh_a = store.get(np.array([0], dtype=np.int64))
-    b, fresh_b = store.get(np.array([1], dtype=np.int64))  # same size, another set
-    assert fresh_a and fresh_b and b is not a
-    assert a.partition.I.tolist() == [0] and b.partition.I.tolist() == [1]
-    again, fresh = store.get(np.array([0], dtype=np.int64))
-    assert again is a and not fresh
-    store.get(np.array([0, 1], dtype=np.int64))  # evicts [1], used least recently
-    assert len(store) == 2
-    assert store.get(np.array([0], dtype=np.int64)) == (a, False)
-    rebuilt, fresh = store.get(np.array([1], dtype=np.int64))
-    assert fresh and rebuilt is not b
+    assert store.get(np.array([0], dtype=np.int64))
+    a = store.partition, store.reduced(1.0), store.newton_system(store.reduced(1.0))
+    assert a[0].I.tolist() == [0]
+    assert not store.get(np.array([0], dtype=np.int64))  # the same set again
+    assert (store.partition, store.reduced(2.0), store.newton_system(store.reduced(2.0))) == a
+    assert store.reduced(2.0).lam == 2.0
+    assert store.get(np.array([1], dtype=np.int64))  # same size, another set
+    assert store.partition.I.tolist() == [1] and store.reduced(1.0) is not a[1]
+    assert store.get(np.array([0], dtype=np.int64))  # the first set is gone
+    assert store.partition is not a[0] and store.partition.I.tolist() == [0]
 
 
 def test_a_build_store_serves_one_instance(t1_inst):
