@@ -53,8 +53,9 @@ SIGMA_GROWTH = 3.0  # raise sigma by this factor when infeasibility stalls
 SIGMA_MAX = 1e4
 MAX_OUTER = 500  # multiplier updates per solve; guards the round-off floor
 ARMIJO = 1e-4  # sufficient-decrease fraction of the Newton line search
-# below this fraction of |Psi| a decrease of Psi is lost in round-off, so
-# the line search judges a step by the gradient norm instead
+# below this fraction of |Psi| + kappa a decrease of Psi is lost in
+# round-off (Psi sums terms of order kappa), so the line search judges a
+# step by the gradient norm instead
 PSI_ROUNDOFF = 1e-15
 # H is assembled when the fill the order probe predicts for its factors,
 # fill * d^2, is affordable in total and per node, and the 4 m d^2 entries
@@ -486,7 +487,7 @@ def _newton(ns, X, Z, sigma, gtol, max_steps):
             gnorm_t = float(np.linalg.norm(grad_t))
             if psi_t <= psi + ARMIJO * alpha * slope:
                 break
-            if -alpha * slope <= PSI_ROUNDOFF * abs(psi) and gnorm_t < gnorm:
+            if -alpha * slope <= PSI_ROUNDOFF * (abs(psi) + red.kappa) and gnorm_t < gnorm:
                 break
             alpha *= 0.5
         else:

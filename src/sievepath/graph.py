@@ -66,9 +66,11 @@ def build_knn_graph(A, k=10):
     """Gaussian-weighted k-nearest-neighbor instance from data columns.
 
     An undirected edge (i, j) exists when either point is among the other's
-    k nearest neighbors; its weight is exp(-0.5 ||A_:i - A_:j||^2). Distance
-    ties are broken toward the smaller index, where a distance is the sum of
-    squared coordinate differences.
+    k nearest neighbors; its weight is exp(-0.5 ||A_:i - A_:j||^2). An edge
+    whose weight underflows to 0.0 (distance above about 38.6) adds nothing
+    to the objective and is dropped, so the graph may be disconnected or
+    edgeless. Distance ties are broken toward the smaller index, where a
+    distance is the sum of squared coordinate differences.
 
     A k-d tree proposes k + 1 + _SPARE candidates per point, O(N log N)
     expected time (Friedman, Bentley & Finkel, 1977). The candidates'
@@ -99,7 +101,8 @@ def build_knn_graph(A, k=10):
     ei, ej = np.divmod(unique_indices(keys), N)
     diff = A[:, ei] - A[:, ej]
     w = np.exp(-0.5 * np.einsum("ij,ij->j", diff, diff))
-    return ProblemInstance(A, ei, ej, w)
+    keep = w > 0.0
+    return ProblemInstance(A, ei[keep], ej[keep], w[keep])
 
 
 _SPARE = 4  # candidates queried beyond k + 1, so that few windows end in a tie

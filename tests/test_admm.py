@@ -5,11 +5,13 @@ import scipy.sparse as sp
 from sievepath import (
     AdmmConfig,
     build_knn_graph,
+    PathConfig,
     build_partition,
     gen_two_half_moons,
     reduce_problem,
     reduced_kkt_residual,
     solve_full,
+    solve_path,
     solve_reduced_admm,
 )
 from sievepath import admm
@@ -622,3 +624,17 @@ def test_admm_config_rejects_settings_no_solve_can_run(kwargs):
 def test_admm_config_accepts_its_edge_values():
     AdmmConfig(sigma=1e-12, max_iter=1, tol=0.0)
     AdmmConfig(tol=None)
+
+
+def test_line_search_measures_round_off_on_the_scale_of_kappa():
+    """Psi sums terms of order kappa, so with the solution within 1e-6 of
+    near-duplicate data |Psi| is about 1e-11 while its round-off is about
+    1e-15. Measured by |Psi| alone, round-off decided which tiny steps
+    Armijo accepted, and the solve ran into its step cap; measured by
+    |Psi| + kappa, the lambda certifies in a few Newton steps."""
+    rng = np.random.default_rng(0)
+    A = np.repeat([[-1.2, 0.3, 2.0]], 7, axis=1) + 1e-6 * rng.standard_normal((1, 21))
+    pcfg = PathConfig(mode="direct", lambdas=[50.0], eps=1e-8,
+                      admm=AdmmConfig(max_iter=1000))
+    res = solve_path(build_knn_graph(A, k=3), pcfg)
+    assert res.all_converged and res.records[0].newton_steps <= 50

@@ -121,6 +121,20 @@ def test_path_end_to_end(small_csv, tmp_path, capsys):
     assert m.grid == "5:-2:1" and m.k == 5
 
 
+def test_path_on_points_too_far_apart_to_weigh(tmp_path, capsys):
+    """Points 0, 1, 40 and 41: each point's second neighbor lies 39 or more
+    away, where the edge weight exp(-0.5 * 39^2) underflows to 0.0. The
+    builder drops those edges, and the two-component graph solves."""
+    data = tmp_path / "four.csv"
+    data.write_text("0,1,40,41\n")
+    outdir = tmp_path / "report"
+    rc = main(["path", "--input", str(data), "--k", "2", "--out", str(outdir)])
+    assert rc == 0
+    assert "certified   : True" in capsys.readouterr().out
+    summary = json.loads((outdir / "summary.json").read_text())
+    assert summary["all_converged"] and summary["failed_lambdas"] == []
+
+
 def test_path_manifest_overrides_flags(small_csv, tmp_path):
     man = tmp_path / "run.json"
     RunManifest(input=str(small_csv), k=5, grid="4,2", mode="eas").save(man)

@@ -276,6 +276,30 @@ def test_knn_edges_are_the_sorted_distinct_neighbor_pairs():
         assert inst.edge_j.tobytes() == ej.tobytes()
 
 
+def test_knn_keeps_exactly_the_neighbor_pairs_of_nonzero_weight():
+    """A neighbor pair about 38.6 or more apart weighs exp(-0.5 d^2) = 0.0
+    and adds nothing to the objective, so it is dropped: the edges are the
+    distinct neighbor pairs of nonzero weight, which may leave the graph
+    disconnected or edgeless."""
+    spread = np.random.default_rng(3).standard_normal((1, 40)) * 200.0  # drops 39 of 107
+    fixtures = [(np.array([[0.0, 1.0, 40.0, 41.0]]), 2), (np.array([[0.0, 50.0]]), 1),
+                (spread, 4), *_knn_fixtures()]
+    for A, k in fixtures:
+        N = A.shape[1]
+        rows = np.arange(N)[:, None]
+        nbrs = graph._knn_rows(A, k)
+        ei, ej = np.divmod(np.unique(np.minimum(nbrs, rows) * N + np.maximum(nbrs, rows)), N)
+        diff = A[:, ei] - A[:, ej]
+        w = np.exp(-0.5 * np.einsum("ij,ij->j", diff, diff))
+        kept = w > 0.0
+        inst = build_knn_graph(A, k=k)
+        assert np.array_equal(inst.edge_i, ei[kept]) and np.array_equal(inst.edge_j, ej[kept])
+        assert np.array_equal(inst.weights, w[kept])
+    four = build_knn_graph(fixtures[0][0], k=2)
+    assert list(zip(four.edge_i.tolist(), four.edge_j.tolist())) == [(0, 1), (2, 3)]
+    assert build_knn_graph(fixtures[1][0], k=1).m_blocks == 0
+
+
 def test_knn_rejects_data_without_features():
     with pytest.raises(GraphError, match="no feature rows"):
         build_knn_graph(np.zeros((0, 5)), k=2)

@@ -546,3 +546,47 @@ def test_a_new_candidate_set_frees_the_systems_of_the_last(moons200, monkeypatch
     assert res.all_converged
     assert builds["_NewtonSystem"] > 1 and len(reachable) == builds["build_partition"]
     assert not any(reachable)
+
+
+def _family_instance(rng, family):
+    """A small k-NN instance of one of four data families: Gaussian,
+    near-duplicate clusters (three centers with 1e-6 jitter), Gaussian
+    scaled by 10^3, and integer-lattice data with exact duplicate points."""
+    d = int(rng.choice([1, 2, 3, 7]))
+    N = int(rng.integers(6, 90))
+    k = int(rng.integers(1, min(12, N - 1) + 1))
+    if family == "gaussian":
+        A = rng.standard_normal((d, N))
+    elif family == "near-duplicate":
+        centers = rng.standard_normal((d, 3))
+        A = centers[:, rng.integers(0, 3, N)] + 1e-6 * rng.standard_normal((d, N))
+    elif family == "scaled":
+        A = 1e3 * rng.standard_normal((d, N))
+    else:  # N points drawn from N // 3 lattice points, so some coincide
+        P = rng.integers(0, 3, (d, max(2, N // 3))).astype(float)
+        A = P[:, rng.integers(0, P.shape[1], N)]
+    return build_knn_graph(A, k=k)
+
+
+def test_instance_families_certify_or_fail_as_solver_errors():
+    """60 seeded instances, 15 of each family, on a 7-lambda geometric grid
+    from 50 max|A| down to 1e-3, at eps 1e-6 or 1e-8, in every mode: each
+    lambda certifies with a recomputed KKT residual <= eps, or fails with a
+    class in SOLVER_ERRORS."""
+    from sievepath.model import kkt_residual
+    from sievepath.path import MODES, SOLVER_ERRORS
+
+    rng = np.random.default_rng(0)
+    solver_errors = {cls.__name__ for cls in SOLVER_ERRORS}
+    for family in ("gaussian", "near-duplicate", "scaled", "lattice") * 15:
+        inst = _family_instance(rng, family)
+        lambdas = np.geomspace(50.0 * np.abs(inst.A).max(), 1e-3, 7)
+        eps = float(rng.choice([1e-6, 1e-8]))
+        for mode in MODES:
+            res = solve_path(inst, PathConfig(mode=mode, lambdas=lambdas, eps=eps))
+            for rec in res.records:
+                if rec.converged:
+                    t = rec.triple
+                    assert kkt_residual(inst, rec.lam, t.x, t.y, t.z) <= eps
+                else:
+                    assert rec.error.split(":")[0] in solver_errors
