@@ -485,16 +485,18 @@ def test_eas_certify_rejects_by_the_bound_before_building_the_fill(t1_inst, monk
 
 def test_build_store_keys_on_the_exact_set_and_holds_one(t1_inst):
     store = sieve.BuildStore(t1_inst)
-    assert store.get(np.array([0], dtype=np.int64))
-    a = store.partition, store.reduced(1.0), store.newton_system(store.reduced(1.0))
-    assert a[0].I.tolist() == [0]
-    assert not store.get(np.array([0], dtype=np.int64))  # the same set again
-    assert (store.partition, store.reduced(2.0), store.newton_system(store.reduced(2.0))) == a
-    assert store.reduced(2.0).lam == 2.0
+    first = np.array([0], dtype=np.int64)
+    assert store.get(first)
+    part, red, gram = store.partition, store.reduced(1.0), store.gram_system()
+    newton = store.newton_system(red)
+    assert part.I.tolist() == [0]
+    assert not store.get(first.copy())  # the same set again
+    assert store.partition is part and store.reduced(2.0) is red and red.lam == 2.0
+    assert store.newton_system(red) is newton and store.gram_system() is gram
     assert store.get(np.array([1], dtype=np.int64))  # same size, another set
-    assert store.partition.I.tolist() == [1] and store.reduced(1.0) is not a[1]
-    assert store.get(np.array([0], dtype=np.int64))  # the first set is gone
-    assert store.partition is not a[0] and store.partition.I.tolist() == [0]
+    assert store.partition.I.tolist() == [1] and store.reduced(1.0) is not red
+    assert store.get(first)  # the first set is gone
+    assert store.partition is not part and store.partition.I.tolist() == [0]
 
 
 def test_a_build_store_serves_one_instance(t1_inst):
