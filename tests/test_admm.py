@@ -4,8 +4,8 @@ import scipy.sparse as sp
 
 from sievepath import (
     AdmmConfig,
-    build_knn_graph,
     PathConfig,
+    build_knn_graph,
     build_partition,
     gen_two_half_moons,
     reduce_problem,
