@@ -16,7 +16,7 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.spatial import cKDTree
 
-from ._kernels import column_norms, union_find_min_labels
+from ._kernels import union_find_min_labels
 from .model import ProblemInstance
 
 
@@ -238,15 +238,6 @@ class ReducedProblem:
 
     def grad_phi(self, X):
         return X * self.h - self.C
-
-    def primal_objective(self, X):
-        BX = self.inc.apply(X)
-        return self.phi(X) + self.lam * float(np.dot(self.weights, column_norms(BX)))
-
-    def dual_objective(self, xi):
-        """Value at a block-feasible multiplier (project first if inexact)."""
-        W = self.C - self.inc.adjoint(xi)
-        return self.kappa - 0.5 * float(np.sum(W * W / self.h))
 
 
 def reduce_problem(inst, partition, lam):

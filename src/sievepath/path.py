@@ -157,9 +157,9 @@ class PathResult:
                 float(np.mean([r.avg_reduced_m for r in self.records])) if n else 0.0
             ),
             "total_seconds": self.total_seconds,
-            "max_residual": (
-                float(max(r.residual for r in self.records)) if n else 0.0
-            ),
+            # over certified lambdas: a failed one's inf is not JSON
+            "max_residual": max((r.residual for r in self.records if r.converged),
+                                default=None),
             "all_converged": self.all_converged,
             "failed_lambdas": [r.lam for r in self.records if not r.converged],
         }

@@ -75,7 +75,7 @@ def _emit(result, outdir):
     summary["num_clusters"] = cluster_counts
     summary_json = outdir / "summary.json"
     with open(summary_json, "w", encoding="utf-8") as fh:
-        json.dump(summary, fh, indent=2, sort_keys=True)
+        json.dump(summary, fh, indent=2, sort_keys=True, allow_nan=False)
         fh.write("\n")
     written.append(summary_json)
 

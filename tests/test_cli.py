@@ -191,9 +191,16 @@ def test_report_from_a_file_that_is_not_a_state_exit_two(small_csv, tmp_path, ca
 def test_path_failure_exit_one(small_csv, tmp_path, capsys):
     # starve the subsolver so certification fails
     rc = main(["path", "--input", str(small_csv), "--grid", "2,1", "--k", "5",
-               "--admm-max-iter", "2", "--eps", "1e-12"])
+               "--admm-max-iter", "2", "--eps", "1e-12", "--out", str(tmp_path)])
     assert rc == 1
     assert "failed at" in capsys.readouterr().err
+
+    def reject(literal):
+        raise ValueError(f"summary.json holds {literal}")
+
+    # a failed lambda's residual is inf, which strict JSON has no literal for
+    summary = json.loads((tmp_path / "summary.json").read_text(), parse_constant=reject)
+    assert summary["failed_lambdas"] and not summary["all_converged"]
 
 def test_solver_error_exit_one(small_csv, monkeypatch, capsys):
     """A subsolver failure is a failed solve (exit 1), not bad input (2)."""

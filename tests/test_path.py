@@ -548,10 +548,11 @@ def test_a_new_candidate_set_frees_the_systems_of_the_last(moons200, monkeypatch
     assert not any(reachable)
 
 
-def _family_instance(rng, family):
-    """A small k-NN instance of one of four data families: Gaussian,
-    near-duplicate clusters (three centers with 1e-6 jitter), Gaussian
-    scaled by 10^3, and integer-lattice data with exact duplicate points."""
+def _family_data(rng, family):
+    """Data and k of a small k-NN instance of one of four data families:
+    Gaussian, near-duplicate clusters (three centers with 1e-6 jitter),
+    Gaussian scaled by 10^3, and integer-lattice data with exact duplicate
+    points."""
     d = int(rng.choice([1, 2, 3, 7]))
     N = int(rng.integers(6, 90))
     k = int(rng.integers(1, min(12, N - 1) + 1))
@@ -565,23 +566,34 @@ def _family_instance(rng, family):
     else:  # N points drawn from N // 3 lattice points, so some coincide
         P = rng.integers(0, 3, (d, max(2, N // 3))).astype(float)
         A = P[:, rng.integers(0, P.shape[1], N)]
-    return build_knn_graph(A, k=k)
+    return A, k
 
 
-def test_instance_families_certify_or_fail_as_solver_errors():
+def test_instance_families_certify_or_fail_as_solver_errors(tmp_path):
     """60 seeded instances, 15 of each family, on a 7-lambda geometric grid
     from 50 max|A| down to 1e-3, at eps 1e-6 or 1e-8, in every mode: each
     lambda certifies with a recomputed KKT residual <= eps, or fails with a
-    class in SOLVER_ERRORS."""
+    class in SOLVER_ERRORS. For the first instance of each family, the CLI
+    run on the same data exits 0 exactly when every lambda certified and 1
+    otherwise, never 2 (bad input), and its summary.json agrees."""
+    import json
+
+    from sievepath.cli import main
+    from sievepath.data_io import save_matrix
     from sievepath.model import kkt_residual
     from sievepath.path import MODES, SOLVER_ERRORS
 
     rng = np.random.default_rng(0)
     solver_errors = {cls.__name__ for cls in SOLVER_ERRORS}
-    for family in ("gaussian", "near-duplicate", "scaled", "lattice") * 15:
-        inst = _family_instance(rng, family)
+    for i, family in enumerate(("gaussian", "near-duplicate", "scaled", "lattice") * 15):
+        A, k = _family_data(rng, family)
+        inst = build_knn_graph(A, k=k)
         lambdas = np.geomspace(50.0 * np.abs(inst.A).max(), 1e-3, 7)
         eps = float(rng.choice([1e-6, 1e-8]))
+        if i < 4:  # savetxt writes 18 significant digits: the CLI reads A back exactly
+            data = tmp_path / f"{family}.csv"
+            save_matrix(A, data)
+            grid = ",".join(repr(float(lam)) for lam in lambdas)
         for mode in MODES:
             res = solve_path(inst, PathConfig(mode=mode, lambdas=lambdas, eps=eps))
             for rec in res.records:
@@ -590,3 +602,10 @@ def test_instance_families_certify_or_fail_as_solver_errors():
                     assert kkt_residual(inst, rec.lam, t.x, t.y, t.z) <= eps
                 else:
                     assert rec.error.split(":")[0] in solver_errors
+            if i < 4:
+                out = tmp_path / f"{family}-{mode}"
+                rc = main(["path", "--input", str(data), "--k", str(k), "--grid", grid,
+                           "--eps", repr(eps), "--mode", mode, "--out", str(out)])
+                assert rc == (0 if res.all_converged else 1)
+                summary = json.loads((out / "summary.json").read_text())
+                assert summary["all_converged"] == res.all_converged
