@@ -4,26 +4,25 @@ The reduced problem min phi(X) + lam * q(Y) s.t. X Jr = Y, with Jr the
 matrix of red.inc, is solved by an augmented Lagrangian loop with multiplier
 Z and penalty sigma. Each inner step minimises Psi(X) = phi(X) + sigma *
 e_tau(X Jr + Z / sigma), with e_tau the Moreau envelope of the block norms
-scaled by tau = lam * w / sigma, by a semismooth Newton method. Its
-generalised Hessian H has the sparsity of the graph with a d x d block per
-pair of adjacent nodes. The order probe, which finds the fill-reducing
+scaled by tau = lam * w / sigma, by a semismooth Newton method whose line
+search halves the step until Armijo's decrease holds or, once that
+decrease is within round-off of |Psi| + kappa, the gradient norm falls.
+Its generalised Hessian H has the sparsity of the graph with a dense
+d x d block per node entry. The order probe, which finds the fill-reducing
 node order, also counts the fill of the graph's factors in it; times d^2
 that predicts the fill of H's factors. When that is affordable, in total
 and per node, H is assembled and factorized by SuperLU; otherwise
 it is only applied, and scipy's conjugate gradients, preconditioned by a
 factorized n x n graph matrix L, solve the Newton system, so that memory
 and work per step grow linearly in d. Factors are reused until the CG
-steps the reuse costs would pay for a new factorization, a count read off
-the factors' fill (_reuse_weight): factors of H stay on the system for
-later Newton steps, inner solves and lambdas, giving the direction in one
-solve while fresh and preconditioning CG on H once stale; factors of L
-serve one inner solve. The pattern depends on the candidate set alone, so
-one node order, the CSC pattern and each entry's slot in it
-(_NewtonSystem) are computed once per set: a standalone subsolve builds
-them when it starts, and the sieve passes the system it keeps for a set to
-every subsolve of that set, its retightenings and later lambdas included;
-direct mode thus orders its one full-problem system once per path. Every
-factorization reuses that order.
+steps the reuse costs would pay for a new factorization (_reuse_weight;
+_NewtonSystem states how long each kind lives). The pattern depends on the
+candidate set alone, so one node order, the CSC pattern and each entry's
+slot in it (_NewtonSystem) are computed once per set: a standalone
+subsolve builds them when it starts, and the sieve passes the system it
+keeps for a set to every subsolve of that set, its retightenings and later
+lambdas included; direct mode thus orders its one full-problem system once
+per path. Every factorization reuses that order.
 The multiplier step Z = sigma * Pi_tau(V) keeps Z inside the dual balls, so
 Y = prox(Y + Z) holds exactly and the reduced KKT residual is the inner
 gradient plus the primal infeasibility. Warm starts carry sigma over
@@ -32,7 +31,7 @@ residual alone, as SSNAL (Sun, Toh & Yuan, JMLR 2021) stops and as the
 sieve's convergence theory measures inexactness; it matches the full-space
 residual contribution of the retained blocks after recovery and, unlike a
 gap between objectives that carry kappa = ||A||^2 / 2, does not move when
-the data are translated.
+the data are translated. A solve stopped short warns with its cause.
 
 The module, AdmmConfig, solve_reduced_admm and the --admm-* flags keep the
 names of the ADMM subsolver this replaced, because the benchmark's layer
@@ -57,8 +56,8 @@ SIGMA_MAX = 1e4
 MAX_OUTER = 500  # multiplier updates per solve; guards the round-off floor
 ARMIJO = 1e-4  # sufficient-decrease fraction of the Newton line search
 # below this fraction of |Psi| + kappa a decrease of Psi is lost in
-# round-off (Psi sums terms of order kappa), so the line search judges a
-# step by the gradient norm instead
+# round-off (Psi sums terms of order kappa), where Armijo passes on noise,
+# so the line search accepts a step there only if it lowers the gradient norm
 PSI_ROUNDOFF = 1e-15
 # H is assembled when the fill the order probe predicts for its factors,
 # fill * d^2, is affordable in total and per node, and the 4 m d^2 entries
@@ -162,19 +161,19 @@ class _NewtonSystem:
     where L = diag(h) + sigma Jr diag(c) Jr^T is an n x n graph matrix and
     row l of G is a_l (x) u_l.
 
-    Stored, H has a dense d x d block per node and per pair of adjacent
-    nodes, and factored in the node order about d^2 times the fill of a
-    matrix with the graph's pattern, which the order probe measures. When
-    that predicted fill is affordable (ASSEMBLY_FILL, ASSEMBLY_NODE_FILL),
-    H is assembled on a fixed CSC pattern (the 4 d^2 entries of every edge
-    summed by _assemble, as L's are) and factorized by SuperLU; L, G and
-    G^T are not built. Otherwise H is never formed: three sparse products
-    apply it in O(m d), and scipy's conjugate gradients solve the Newton
-    system preconditioned by L (x) I_d, whose factorization keeps the
-    graph's sparsity and serves all d columns; H <= L (x) I_d, and the two
-    differ by one rank-one term per edge. G and G^T take the edge
-    differences that red.inc would: a CG step through red.inc took 1.5 to
-    1.8x as long at d = 3 to 20.
+    Stored, H has a dense d x d block per node entry (per node, edges or
+    not, and per pair of adjacent nodes; _block_pattern), and factored in
+    the node order about d^2 times the fill of a matrix with the graph's
+    pattern, which the order probe measures. When that predicted fill is
+    affordable (ASSEMBLY_FILL, ASSEMBLY_NODE_FILL), H is assembled on a
+    fixed CSC pattern (the 4 d^2 entries of every edge summed by _assemble,
+    as L's are) and factorized by SuperLU; L, G and G^T are not built.
+    Otherwise H is never formed: three sparse products apply it in O(m d),
+    and scipy's conjugate gradients solve the Newton system preconditioned
+    by L (x) I_d, whose factorization keeps the graph's sparsity and serves
+    all d columns; H <= L (x) I_d, and the two differ by one rank-one term
+    per edge. G and G^T take the edge differences that red.inc would: a CG
+    step through red.inc took 1.5 to 1.8x as long at d = 3 to 20.
 
     The system keeps the factors it made last (lu) while their budget, the
     CG steps beyond c0 that reusing them may still cost, is at least 1:
@@ -380,34 +379,24 @@ def _block_pattern(L, slot, d):
     four groups of m edges, each laid out (k, k', edge). Every entry of H
     still sums its terms in the order of that list.
 
-    A stored entry of L becomes a dense d x d block, except the diagonal
-    entry of a node without edges, whose block keeps only its diagonal.
-    Column j * d + k' of H holds, for each stored row i of L's column j,
-    the rows i * d + k, so the slots follow from L's column pointers
-    without sorting the 4 m d^2 entries of the assembly. The pattern's
-    indices are 32-bit, as SuperLU takes them, and so is every index array
-    built on the way; the slots are intp, which bincount would otherwise
-    copy them to at every assembly.
+    Every stored entry of L becomes a dense d x d block, a node without
+    edges included, whose stored zeros change no factor value. L's CSC
+    arrays read as block rows are the blocks of L^T, and the transpose of
+    that matrix's CSR form is H's CSC form, arrays shared. Column j * d + k'
+    of H holds, for each stored row i of L's column j in order, the rows
+    i * d + k, so the slots follow from H's column pointers without sorting
+    the 4 m d^2 entries of the assembly. The pattern's indices are 32-bit,
+    as SuperLU takes them; the slots are intp, which bincount would
+    otherwise copy them to at every assembly.
     """
     n = L.shape[0]
-    count = np.diff(L.indptr)
-    full = count > 1  # every column holds its diagonal
-    col = np.repeat(np.arange(n, dtype=np.intc), count)  # the column of each entry of L
-    block = full[col]  # entries that become full blocks
-    one = block.astype(np.intc)
+    H = sp.bsr_matrix((np.zeros((L.nnz, d, d)), L.indices, L.indptr),
+                      shape=(n * d, n * d)).tocsr().T
+    col = np.repeat(np.arange(n, dtype=np.intc), np.diff(L.indptr))  # column of each entry of L
     k = np.arange(d, dtype=np.intc)
-    # stored entries in each of the d columns of a node's block column
-    width = np.repeat(np.where(full, d * count, 1).astype(np.intc), d)
-    indptr = np.zeros(n * d + 1, dtype=np.intc)
-    np.cumsum(width, out=indptr[1:])
-    # place[s, k, k'] is the place in H of entry (k, k') of L's entry s
-    within = one * np.intc(d) * (np.arange(L.nnz, dtype=np.intc) - L.indptr[col])
-    place = (indptr[:-1].reshape(n, d)[col][:, None, :]
-             + (within[:, None] + one[:, None] * k)[:, :, None])
-    rows = np.empty(indptr[-1], dtype=np.intc)
-    rows[place[block].ravel()] = np.repeat((L.indices[block][:, None] * np.intc(d) + k).ravel(), d)
-    rows[place[~block][:, k, k].ravel()] = (L.indices[~block][:, None] * np.intc(d) + k).ravel()
-    H = sp.csc_matrix((np.zeros(len(rows)), rows, indptr), shape=(n * d, n * d))
+    # place[s, k, k'] = H.indptr[col_s d + k'] + (s - L.indptr[col_s]) d + k
+    within = np.intc(d) * (np.arange(L.nnz, dtype=np.intc) - L.indptr[col])
+    place = H.indptr[:-1].reshape(n, d)[col][:, None, :] + (within[:, None] + k)[:, :, None]
     blocks = place[slot[n:]].reshape(4, -1, d, d).transpose(0, 2, 3, 1)
     return H, np.concatenate([place[slot[:n]][:, k, k].ravel(), blocks.ravel()],
                              dtype=np.intp)
@@ -482,9 +471,8 @@ def _newton(ns, X, Z, sigma, gtol, max_steps):
             V_t = V + alpha * dV
             psi_t, grad_t = ns.psi_grad(X_t, V_t, tau, sigma)
             gnorm_t = float(np.linalg.norm(grad_t))
-            if psi_t <= psi + ARMIJO * alpha * slope:
-                break
-            if -alpha * slope <= PSI_ROUNDOFF * (abs(psi) + red.kappa) and gnorm_t < gnorm:
+            roundoff = -alpha * slope <= PSI_ROUNDOFF * (abs(psi) + red.kappa)
+            if (gnorm_t < gnorm) if roundoff else (psi_t <= psi + ARMIJO * alpha * slope):
                 break
             alpha *= 0.5
         else:
@@ -532,6 +520,7 @@ def solve_reduced_admm(red, tol, config=None, warm=None, system=None):
     steps = 0
     pinf_prev = np.inf
     best = kkt
+    cause = "the round-off floor"  # what stops a solve short of tol, unless a cap does
     for _ in range(MAX_OUTER):
         if kkt <= tol or steps >= cfg.max_iter:
             break
@@ -550,12 +539,16 @@ def solve_reduced_admm(red, tol, config=None, warm=None, system=None):
         if pinf > 0.2 * pinf_prev:  # infeasibility fell by less than 5x
             sigma = min(SIGMA_GROWTH * sigma, SIGMA_MAX)
         pinf_prev = pinf
+    else:
+        cause = f"MAX_OUTER = {MAX_OUTER} multiplier updates"
+    if steps >= cfg.max_iter:
+        cause = f"max_iter = {cfg.max_iter} Newton steps (--admm-max-iter)"
 
     kkt = reduced_kkt_residual(red, X, Y, Z)
     converged = kkt <= tol
     if not converged:
-        log.warning("SSNAL stopped after %d Newton steps with residual %.3e > tol %.3e",
-                    steps, kkt, tol)
+        log.warning("SSNAL stopped after %d Newton steps with residual %.3e > tol %.3e, "
+                    "at %s", steps, kkt, tol, cause)
     return SubSolution(X, Y, Z, steps, converged, kkt, sigma,
                        ns.cg_steps - cg_steps, ns.factorizations - made)
 

@@ -176,15 +176,18 @@ def primal_objective(inst, lam, x):
 def dual_objective(inst, lam, z):
     """D_lam(z) = -0.5||B*(z)||_F^2 + <B*(z), A> for block-feasible z.
 
-    Raises InfeasibleDualError when some ||z_l|| exceeds lam * w_l; callers
-    holding slightly infeasible duals should project first (duality_gap does).
+    Raises InfeasibleDualError when some ||z_l|| exceeds r_l = lam * w_l by
+    more than 1e-9 (1 + r_l), a slack that scales with r_l as a projection's
+    round-off does; callers holding slightly infeasible duals should project
+    first (duality_gap does).
     """
     z = np.asarray(z, dtype=np.float64)
-    # max blockwise excess of ||z_l|| over lam * w_l (<= 0 when feasible)
-    excess = float(np.max(column_norms(z) - lam * inst.weights)) if z.shape[1] else 0.0
-    if excess > 1e-9 * (1.0 + lam):
+    radius = lam * inst.weights
+    # max blockwise excess of ||z_l|| over r_l, relative to 1 + r_l (<= 0 when feasible)
+    excess = float(np.max((column_norms(z) - radius) / (1.0 + radius))) if z.shape[1] else 0.0
+    if excess > 1e-9:
         raise InfeasibleDualError(
-            f"dual point violates a block ball constraint by {excess:.3e}"
+            f"dual point violates a block ball constraint by {excess:.3e} of 1 + its radius"
         )
     W = inst.incidence.adjoint(z)
     return -0.5 * float(np.sum(W * W)) + float(np.sum(W * inst.A))

@@ -22,7 +22,7 @@ import numpy as np
 
 # solve_full is not called here; perfbench/spans.py wraps it under this name
 from .admm import SingularSystemError, solve_full
-from .model import InfeasibleDualError, SolveConfig, check_tolerances, fused_blocks
+from .model import SolveConfig, check_tolerances, fused_blocks
 from .sieve import BuildStore, SieveLimitError, as_solve, eas_solve
 
 log = logging.getLogger(__name__)
@@ -33,7 +33,7 @@ MODES = ("as", "eas", "direct")
 # what a solve may raise on a numerical failure; the path records it on that
 # lambda and goes on, and the CLI reports it as a failed solve. Anything else
 # is a defect and propagates.
-SOLVER_ERRORS = (SieveLimitError, SingularSystemError, InfeasibleDualError)
+SOLVER_ERRORS = (SieveLimitError, SingularSystemError)
 
 
 def default_lambda_grid():
@@ -98,6 +98,8 @@ class LambdaRecord:
     gap: float
     objective: float
     seconds: float
+    # blocks of Bx with norm <= eps_hat, the next I0 in as and eas; not a
+    # cluster count: in direct mode few blocks of Bx are exactly zero
     num_fused: int
     error: str = None
     newton_steps: int = 0  # of every subsolve of this lambda

@@ -63,7 +63,9 @@ def test_two_point_shrink_closed_form():
     assert abs(sub.xi[0, 0]) == pytest.approx(1.0, abs=1e-8)
 
 
-def test_convergence_flags_and_gap(t1_inst):
+def test_convergence_flags_and_gap(t1_inst, caplog, monkeypatch):
+    """A solve converges on its reduced KKT residual; one stopped short
+    names what stopped it."""
     part = build_partition(t1_inst.incidence, [])
     red = reduce_problem(t1_inst, part, 0.5)
     sub = solve_reduced_admm(red, tol=1e-8)
@@ -72,8 +74,15 @@ def test_convergence_flags_and_gap(t1_inst):
     x, _ = recover_primal(part, sub.x_red, sub.y_red)
     assert duality_gap(t1_inst, 0.5, x, sub.xi) <= 1e-8
 
-    starved = solve_reduced_admm(red, tol=1e-12, config=AdmmConfig(max_iter=3))
+    with caplog.at_level("WARNING", logger="sievepath.admm"):
+        starved = solve_reduced_admm(red, tol=1e-12, config=AdmmConfig(max_iter=3))
     assert not starved.converged
+    assert "at max_iter = 3 Newton steps (--admm-max-iter)" in caplog.text
+    caplog.clear()
+    monkeypatch.setattr(admm, "MAX_OUTER", 1)
+    with caplog.at_level("WARNING", logger="sievepath.admm"):
+        assert not solve_reduced_admm(red, tol=1e-12).converged
+    assert "at MAX_OUTER = 1 multiplier updates" in caplog.text
 
 
 def test_reported_residual_recomputable(t1_inst):
@@ -261,20 +270,23 @@ def test_node_order_is_a_permutation_with_minimum_degree_fill(monkeypatch, assem
 
 
 def test_block_pattern_is_the_pattern_of_the_per_edge_entries():
-    """H's pattern, built from L's by spreading every node entry over a d x d
-    block, equals the pattern of its per-entry list (the diagonal, then the
+    """H's pattern, built from L's by spreading every node entry over a
+    dense d x d block, holds its per-entry list (the diagonal, then the
     (ri, ri), (rj, rj), (ri, rj) and (rj, ri) blocks of the edges), and each
-    listed entry's slot points at its own row and column; a node without
-    edges keeps a diagonal block."""
+    listed entry's slot points at its own row and column. Where every node
+    has an edge the two patterns are equal; a node without edges, whose
+    list holds only its diagonal, gets a dense block too."""
     from sievepath import ProblemInstance
 
     rng = np.random.default_rng(41)
-    # node 4 is joined only to node 3, then fused with it: an edgeless column
-    inst = ProblemInstance.from_edges(rng.standard_normal((3, 6)),
-                                      [(0, 1), (1, 2), (0, 2), (2, 3), (3, 4), (1, 5)])
-    fused = [l for l, e in enumerate(zip(inst.edge_i, inst.edge_j)) if e == (3, 4)]
-    cases = [(inst, fused), (random_instance(rng, N=12, d=2, k=3), [])]
-    for inst, I in cases:
+    # nodes 3 and 4 fuse into a column that keeps edge (2, 3); nodes 6 and 7
+    # are joined only to each other, and fused, so their column has no edges
+    inst = ProblemInstance.from_edges(
+        rng.standard_normal((3, 8)),
+        [(0, 1), (1, 2), (0, 2), (2, 3), (3, 4), (1, 5), (6, 7)])
+    fused = [l for l, e in enumerate(zip(inst.edge_i, inst.edge_j)) if e in ((3, 4), (6, 7))]
+    cases = [(inst, fused, True), (random_instance(rng, N=12, d=2, k=3), [], False)]
+    for inst, I, has_edgeless in cases:
         red = reduce_problem(inst, build_partition(inst.incidence, I), 0.5)
         ns = admm._NewtonSystem(red)
         n, d = len(red.h), inst.d
@@ -289,11 +301,18 @@ def test_block_pattern_is_the_pattern_of_the_per_edge_entries():
                   for b in np.broadcast_arrays(br, bc))
         rows = np.concatenate([np.arange(n * d), br])
         cols = np.concatenate([np.arange(n * d), bc])
-        H, slot = admm._block_pattern(*admm._pattern(
-            np.concatenate([np.arange(n), ri, rj, ri, rj]),
-            np.concatenate([np.arange(n), ri, rj, rj, ri]), n), d)
-        ref = sp.csc_matrix((np.ones(len(rows)), (rows, cols)), shape=(n * d, n * d))
-        assert np.array_equal(H.indptr, ref.indptr) and np.array_equal(H.indices, ref.indices)
+        L, node_slot = admm._pattern(np.concatenate([np.arange(n), ri, rj, ri, rj]),
+                                     np.concatenate([np.arange(n), ri, rj, rj, ri]), n)
+        H, slot = admm._block_pattern(L, node_slot, d)
+        edgeless = np.diff(L.indptr) == 1
+        assert edgeless.any() == has_edgeless
+        dense = sp.kron(sp.csc_matrix((np.ones(L.nnz), L.indices, L.indptr), shape=(n, n)),
+                        np.ones((d, d)), format="csc")
+        dense.sort_indices()
+        assert np.array_equal(H.indptr, dense.indptr) and np.array_equal(H.indices, dense.indices)
+        listed = sp.csc_matrix((np.ones(len(rows)), (rows, cols)), shape=(n * d, n * d))
+        # the list misses exactly the off-diagonal entries of edgeless nodes' blocks
+        assert H.nnz - listed.nnz == np.count_nonzero(edgeless) * d * (d - 1)
         assert H.indices.dtype == H.indptr.dtype == np.intc
         col = np.repeat(np.arange(n * d), np.diff(H.indptr))
         assert np.array_equal(H.indices[slot], rows) and np.array_equal(col[slot], cols)
@@ -641,6 +660,26 @@ def test_line_search_measures_round_off_on_the_scale_of_kappa():
                       admm=AdmmConfig(max_iter=1000))
     res = solve_path(build_knn_graph(A, k=3), pcfg)
     assert res.all_converged and res.records[0].newton_steps <= 50
+
+
+def test_line_search_stalls_at_the_round_off_floor(caplog):
+    """Below the attainable residual the Newton descent must stall, not
+    random-walk. Inside round-off Armijo passes on noise: with eps = 1e-14
+    it accepted steps that raised ||grad Psi|| by up to 3.7x, and each of
+    the lambda's four subsolves ran to its step cap (4 x 50,000 Newton
+    steps at the default). Accepting a step there only if it lowers
+    ||grad Psi|| ends every subsolve at the floor, in 478 steps in all, and
+    the lambda fails as a solver error."""
+    from sievepath.path import SOLVER_ERRORS
+
+    A = np.random.default_rng(0).standard_normal((2, 30))
+    pcfg = PathConfig(mode="as", lambdas=[1.0], eps=1e-14, admm=AdmmConfig(max_iter=2000))
+    with caplog.at_level("WARNING", logger="sievepath.admm"):
+        rec = solve_path(build_knn_graph(A, k=3), pcfg).records[0]
+    assert not rec.converged
+    assert rec.error.split(":")[0] in {cls.__name__ for cls in SOLVER_ERRORS}
+    assert rec.newton_steps < 2000  # no subsolve reached its cap
+    assert "at the round-off floor" in caplog.text and "max_iter" not in caplog.text
 
 
 def test_translated_data_converge_like_the_data(caplog):

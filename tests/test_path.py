@@ -3,8 +3,8 @@ import pytest
 
 from sievepath import (
     AdmmConfig,
-    InfeasibleDualError,
     PathConfig,
+    ProblemInstance,
     SieveLimitError,
     SingularSystemError,
     SolveConfig,
@@ -58,18 +58,28 @@ def test_path_config_validation():
 
 
 def test_t1_path_all_modes_agree(t1_inst):
-    lams = [5.0, 2.0, 0.5, 0.05]
-    results = {}
-    for mode in ("as", "eas", "direct"):
-        res = solve_path(t1_inst, PathConfig(lambdas=lams, eps=1e-7, mode=mode))
-        assert res.all_converged, mode
-        assert len(res.records) == 4
-        results[mode] = res
-    for mode in ("eas", "direct"):
-        for r_as, r_other in zip(results["as"].records, results[mode].records):
-            assert r_other.objective == pytest.approx(
-                r_as.objective, rel=1e-6, abs=1e-9
-            )
+    """Every mode certifies every lambda, with the same objectives. The
+    second input is 30 Gaussian points on their 3-NN graph with A and w
+    scaled by s = 1e8 and eps by s: the same problem, whose solution scales
+    by s. A dual check whose slack, 1e-9 (1 + lam), did not scale with the
+    ball radius lam w once rejected the projected duals of lambda 0.3 and
+    0.1 there."""
+    s = 1e8
+    base = build_knn_graph(np.random.default_rng(0).standard_normal((2, 30)), k=3)
+    rescaled = ProblemInstance(s * base.A, base.edge_i, base.edge_j, s * base.weights)
+    for inst, lams, eps in ((t1_inst, [5.0, 2.0, 0.5, 0.05], 1e-7),
+                            (rescaled, [0.3, 0.1, 0.03], 1e-6 * s)):
+        results = {}
+        for mode in ("as", "eas", "direct"):
+            res = solve_path(inst, PathConfig(lambdas=lams, eps=eps, mode=mode))
+            assert res.all_converged, mode
+            assert len(res.records) == len(lams)
+            results[mode] = res
+        for mode in ("eas", "direct"):
+            for r_as, r_other in zip(results["as"].records, results[mode].records):
+                assert r_other.objective == pytest.approx(
+                    r_as.objective, rel=1e-6, abs=1e-9
+                )
 
 
 def test_t1_path_fusion_monotone(t1_inst):
@@ -176,7 +186,7 @@ def test_lambda_records_count_cg_steps_and_factorizations(monkeypatch, mode):
 
 @pytest.mark.parametrize("mode, exc", [
     ("as", SingularSystemError("Factor is exactly singular")),
-    ("eas", InfeasibleDualError("dual point violates a block ball constraint")),
+    ("eas", SingularSystemError("Factor is exactly singular")),
     ("direct", SingularSystemError("Factor is exactly singular")),
     ("as", SieveLimitError),
     ("eas", SieveLimitError),
