@@ -18,11 +18,11 @@ and work per step grow linearly in d. Factors are reused until the CG
 steps the reuse costs would pay for a new factorization (_reuse_weight;
 _NewtonSystem states how long each kind lives). The pattern depends on the
 candidate set alone, so one node order, the CSC pattern and each entry's
-slot in it (_NewtonSystem) are computed once per set: a standalone
-subsolve builds them when it starts, and the sieve passes the system it
-keeps for a set to every subsolve of that set, its retightenings and later
-lambdas included; direct mode thus orders its one full-problem system once
-per path. Every factorization reuses that order.
+slot in it (_NewtonSystem) are computed once per set: the sieve builds the
+system with the set's other structures and passes it to every subsolve of
+that set, its retightenings and later lambdas included, and a standalone
+subsolve builds its own when it starts; direct mode thus orders its one
+full-problem system once per path. Every factorization reuses that order.
 The multiplier step Z = sigma * Pi_tau(V) keeps Z inside the dual balls, so
 Y = prox(Y + Z) holds exactly and the reduced KKT residual is the inner
 gradient plus the primal infeasibility. Warm starts carry sigma over
@@ -188,9 +188,9 @@ class _NewtonSystem:
     (_node_order), node order[p] in place p, so SuperLU factors them as
     they are; direction permutes only its right-hand side and its result.
     Only the reduced graph and h shape the system, and they depend on the
-    candidate set alone, so the system serves every reduced problem of the
-    same set, at any lam: solve_reduced_admm binds it to the one it solves
-    (red) and overwrites the values of H, or of L and G, at every step.
+    candidate set alone, so the system serves red at every lam the sieve
+    rebinds it to: each step reads red.lam and overwrites the values of H,
+    or of L and G.
     """
 
     def __init__(self, red):
@@ -491,10 +491,9 @@ def solve_reduced_admm(red, tol, config=None, warm=None, system=None):
     warm is (X, Y, Z) or (X, Y, Z, sigma), as returned by
     SubSolution.warm_start; a carried sigma replaces config.sigma, which
     only sets the penalty of a cold start. config.max_iter caps the Newton
-    steps of the whole solve. system(red), when given, returns the
-    _NewtonSystem to use, one built for a reduced problem of the same
-    candidate set at any lam (the sieve keeps one per set); by default the
-    solve builds its own.
+    steps of the whole solve. system is the _NewtonSystem of red, which the
+    sieve builds with the candidate set (BuildStore) and keeps for every
+    solve of it; when None the solve builds its own.
     """
     cfg = config or AdmmConfig()
     tol = float(tol)
@@ -512,8 +511,7 @@ def solve_reduced_admm(red, tol, config=None, warm=None, system=None):
         Y = red.inc.apply(X)
         Z = np.zeros_like(Y)
 
-    ns = _NewtonSystem(red) if system is None else system(red)
-    ns.red = red
+    ns = _NewtonSystem(red) if system is None else system
     made, cg_steps = ns.factorizations, ns.cg_steps  # the system counts its own work
     lw = red.lam * red.weights
     kkt = reduced_kkt_residual(red, X, Y, Z)

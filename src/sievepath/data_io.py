@@ -84,6 +84,8 @@ def gen_two_half_moons(n, noise=0.1, seed=0):
     """
     if n < 2:
         raise DataError("need n >= 2 points")
+    if not math.isfinite(noise):
+        raise DataError(f"noise must be finite, got {noise!r}")
     n_top = (n + 1) // 2
     n_bot = n - n_top
     t_top = np.linspace(0.0, np.pi, n_top, endpoint=False)

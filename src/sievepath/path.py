@@ -15,6 +15,7 @@ objective, and the next lambda starts from the last certified ones.
 """
 
 import logging
+import math
 import time
 from dataclasses import dataclass, field
 
@@ -49,6 +50,8 @@ def parse_lambda_spec(spec):
         if len(parts) != 3:
             raise ValueError(f"grid spec must be start:step:stop, got {spec!r}")
         start, step, stop = (float(p) for p in parts)
+        if not all(map(math.isfinite, (start, step, stop))):
+            raise ValueError(f"grid start, step and stop must be finite, got {spec!r}")
         if step >= 0:
             raise ValueError("grid step must be negative (decreasing lambdas)")
         count = int(np.floor((stop - start) / step + 1e-9)) + 1

@@ -24,16 +24,16 @@ path's direct mode.
 
 What depends on I alone (the IndexPartition, the reduced problem, whose lam
 is rebound at every round, the subsolver's Newton system: node order, CSC
-pattern and slots, and on first use the GammaSystem's Gram factors) is
-built once per set and kept in a BuildStore, and every round, retightening
-or next lambda that solves the same I again reuses it. The store holds one
-set: a new I drops the old set's structures, and so frees their factors,
-before its own are built. lam, sigma and every numeric value are
-recomputed, so reuse changes no iterate, except through the SuperLU
-factors that an assembled Newton matrix keeps: on one large enough for
-reuse to pay (admm's _reuse_weight) they precondition the next solve's
-first directions. A path shares one store across its lambdas; a run
-without a store gets its own. The warm start is the caller's: a path
+pattern and slots, and, from the set's first dual recovery on, the
+GammaSystem's Gram factors) is built once per set, kept in a BuildStore,
+and reused by every round, retightening or next lambda that solves the
+same I again. The store holds one set: a new I drops the old set's
+structures, and so frees their factors, before its own are built. lam,
+sigma and every numeric value are recomputed, so reuse changes no
+iterate, except through the SuperLU factors that an assembled Newton
+matrix keeps: on one large enough for reuse to pay (admm's _reuse_weight)
+they precondition the next solve's first directions. A path shares one
+store across its lambdas; a run without a store gets its own. The warm start is the caller's: a path
 passes the secant prediction from its last two certified lambdas
 (path.secant_start), once it has two.
 """
@@ -82,7 +82,7 @@ class ApgResult:
     iterations: int
     objective: float  # final h value, 0.5 * dist(u0 + d, K)^2
     converged: bool
-    history: list = None  # the kept iterate's h after every step, when tracked
+    history: list  # the kept iterate's h after every step
     restarts: int = 0  # discarded steps, each followed by a momentum restart
 
 
@@ -156,47 +156,42 @@ class GammaSystem:
 
 
 class BuildStore:
-    """The structures of one instance's current candidate set I: its
-    partition, and, built when a round first needs them, its reduced
-    problem, the Newton system of that problem and its GammaSystem."""
+    """The structures of one instance's current candidate set I. Its
+    partition, its reduced problem red and the Newton system of red
+    (newton, None when red has no blocks) are built together when the set
+    changes, since every round on a new set uses them; its GammaSystem
+    (gram) is built on first read."""
 
     def __init__(self, inst):
         self.inst = inst
-        self.partition = self._red = self._newton = self._gram = None
+        self.partition = self.red = self.newton = self._gram = None
 
-    def get(self, I):
-        """Make the sorted index array I the current set; True (fresh) when
-        it differs from the last one, whose structures are then dropped
-        before the new partition is built, so that its factors are freed
-        first."""
+    def get(self, I, lam):
+        """Make the sorted index array I the current set, at lam; True
+        (fresh) when it differs from the last one, whose structures are then
+        dropped before the new set's are built, so that their factors are
+        freed first. red's h, C, inc and weights depend on I alone, so only
+        its lam is rebound on every call."""
         fresh = self.partition is None or not np.array_equal(I, self.partition.I)
         if fresh:
-            self.partition = self._red = self._newton = self._gram = None
+            self.partition = self.red = self.newton = self._gram = None
             self.partition = build_partition(self.inst.incidence, I)
+            self.red = reduce_problem(self.inst, self.partition, lam)
+            self.newton = _NewtonSystem(self.red) if self.red.m_red else None
+        self.red.lam = float(lam)
         return fresh
 
-    def reduced(self, lam):
-        """The reduced problem of the set at lam: h, C, inc and weights
-        depend on I alone, so it is built once and lam is rebound."""
-        if self._red is None:
-            self._red = reduce_problem(self.inst, self.partition, lam)
-        self._red.lam = float(lam)
-        return self._red
-
-    def newton_system(self, red):
-        """The Newton system of red, a reduced problem of this set."""
-        if self._newton is None:
-            self._newton = _NewtonSystem(red)
-        return self._newton
-
-    def gram_system(self):
-        """The GammaSystem of the partition."""
-        if self._gram is None:
+    @property
+    def gram(self):
+        """The GammaSystem of the partition, None when I is empty; built
+        when a round first recovers a dual on the set, which a round that
+        eas certifies early never does."""
+        if self._gram is None and len(self.partition.gamma):
             self._gram = GammaSystem(self.inst, self.partition)
         return self._gram
 
 
-def apg_minimize(u0, radii, null_project, cfg=None, track_history=False):
+def apg_minimize(u0, radii, null_project, cfg=None):
     """Accelerated projected-gradient refinement of a dual particular solution.
 
     Minimizes h(d) = 0.5 * dist^2(u0 + d, K) over the null space handled by
@@ -220,15 +215,15 @@ def apg_minimize(u0, radii, null_project, cfg=None, track_history=False):
     no step and reports h(0).
 
     The returned d is the kept iterate, restarts the number of discarded
-    steps, and history, when tracked, holds the kept iterate's h after
-    every step, so it never rises and has one entry per iteration.
+    steps, and history holds the kept iterate's h after every step, so it
+    never rises and has one entry per iteration.
     """
     cfg = cfg or ApgConfig()
     eps = SolveConfig.eps if cfg.eps is None else float(cfg.eps)
     d = np.zeros_like(u0)
     d_prev = d_hat = d
     t = 1.0
-    history = [] if track_history else None
+    history = []
     h_val = h_prev = np.inf
     converged = False
     k = restarts = discarded = 0  # discarded: steps discarded in a row
@@ -245,8 +240,7 @@ def apg_minimize(u0, radii, null_project, cfg=None, track_history=False):
             d_hat, t = d, 1.0
         else:
             d_prev, h_prev, d, h_val = d, h_val, d_new, h_new
-        if track_history:
-            history.append(h_val)
+        history.append(h_val)
         if dist <= eps:
             converged = True
             break
@@ -280,9 +274,10 @@ def recover_dual(inst, lam, partition, sub, apg_cfg=None, x_bar=None, gram=None,
 
     On I^c, u is the subsolver multiplier bit for bit; on I it is the
     particular stationarity solution plus its APG null-space refinement.
-    gram(), when given, returns the GammaSystem of partition (the sieve
-    keeps one per candidate set); by default it is built here. apg_log, a
-    list when given, gets the ApgResult of the APG run, if one ran.
+    gram is the GammaSystem of partition, which the sieve keeps per
+    candidate set (BuildStore); when None and I is nonempty it is built
+    here. apg_log, a list when given, gets the ApgResult of the APG run, if
+    one ran.
     """
     if x_bar is None:
         x_bar, _ = recover_primal(partition, sub.x_red, sub.y_red)
@@ -290,7 +285,7 @@ def recover_dual(inst, lam, partition, sub, apg_cfg=None, x_bar=None, gram=None,
     u[:, partition.I_c] = sub.xi
     if len(partition.gamma):  # I is nonempty exactly when gamma is
         g = (x_bar - inst.A) + inst.incidence.adjoint(u)
-        gs = GammaSystem(inst, partition) if gram is None else gram()
+        gs = GammaSystem(inst, partition) if gram is None else gram
         _complete_dual(inst, lam, partition, gs, g, u, apg_cfg, apg_log)
     return u
 
@@ -405,9 +400,8 @@ def _sieve_loop(inst, cfg, I0, enhanced, warm=None, store=None):
     F_prev = None  # objective at the end of the previous round
 
     for rnd in range(1, max_rounds + 1):
-        fresh = store.get(I)
-        partition = store.partition
-        red = store.reduced(lam)
+        fresh = store.get(I, lam)
+        partition, red = store.partition, store.red
         warm_red = None if carry is None else _restricted_warm(carry, partition, red)
         tol_cur, apg_iter = sub_tol, apg_base.maxiter
         work = dict.fromkeys(("newton_steps", "cg_steps", "factorizations"), 0)
@@ -422,7 +416,7 @@ def _sieve_loop(inst, cfg, I0, enhanced, warm=None, store=None):
                          rnd, res, tol_cur)
             apg_cfg = ApgConfig(eps=apg_eps, maxiter=apg_iter)
             sub = solve_reduced_admm(red, tol_cur, admm_cfg, warm=warm_red,
-                                     system=store.newton_system)
+                                     system=store.newton)
             work["newton_steps"] += sub.iterations
             work["cg_steps"] += sub.cg_steps
             work["factorizations"] += sub.factorizations
@@ -436,7 +430,7 @@ def _sieve_loop(inst, cfg, I0, enhanced, warm=None, store=None):
                     early, res = True, triple.residual_norm
                     break
             u = recover_dual(inst, lam, partition, sub, apg_cfg, x_bar=x_bar,
-                             gram=store.gram_system, apg_log=dual_apg)
+                             gram=store.gram, apg_log=dual_apg)
             res = kkt_residual(inst, lam, x_bar, y_bar, u)
             if res <= cfg.eps:
                 triple = KktTriple(x=x_bar, y=y_bar, z=u, residual_norm=res,

@@ -188,10 +188,7 @@ def test_criterion_3_apg_rate(capsys):
             ref = apg_minimize(
                 u0, radii, dense_project, ApgConfig(eps=0.0, maxiter=10**5)
             )
-            run = apg_minimize(
-                u0, radii, null_project, ApgConfig(eps=0.0, maxiter=50),
-                track_history=True,
-            )
+            run = apg_minimize(u0, radii, null_project, ApgConfig(eps=0.0, maxiter=50))
             h_star = ref.objective
             d_star_sq = float(np.sum(ref.d ** 2))
             for k, h_k in enumerate(run.history, start=1):

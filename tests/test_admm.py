@@ -357,7 +357,7 @@ def test_one_order_per_subsolve_and_one_factorization_per_newton_step(monkeypatc
             specs.clear()
             inner.clear()
             ns = admm._NewtonSystem(red)
-            sub = solve_reduced_admm(red, tol=1e-8, system=lambda red: ns)
+            sub = solve_reduced_admm(red, tol=1e-8, system=ns)
             assert sub.converged and sub.iterations > 0
             assert specs.count("MMD_AT_PLUS_A") == 1
             assert len(specs) == sub.factorizations + 1

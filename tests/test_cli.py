@@ -63,6 +63,7 @@ def test_data_without_features_is_bad_input(small_csv, monkeypatch, capsys):
 @pytest.mark.parametrize("argv", [
     ["solve", "--lam", "nan"], ["solve", "--lam", "inf"],
     ["solve", "--lam", "1.0", "--eps", "nan"], ["path", "--grid", "2,nan"],
+    ["path", "--grid", "inf:-1:0"], ["path", "--grid", "1:-inf:0"],
 ])
 def test_non_finite_lambda_or_tolerance_is_bad_input(small_csv, capsys, argv):
     """A NaN or infinite lambda or tolerance is rejected before any solve
@@ -71,6 +72,14 @@ def test_non_finite_lambda_or_tolerance_is_bad_input(small_csv, capsys, argv):
     err = capsys.readouterr().err
     assert rc == 2
     assert "error:" in err and "finite" in err and "FAILED" not in err
+
+
+@pytest.mark.parametrize("noise", ["nan", "inf"])
+def test_gen_with_non_finite_noise_is_bad_input(tmp_path, capsys, noise):
+    out = tmp_path / "m.csv"
+    rc = main(["gen", "--n", "10", "--noise", noise, "--out", str(out)])
+    assert rc == 2 and "finite" in capsys.readouterr().err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("flags", [

@@ -96,6 +96,13 @@ def test_moons_rejects_tiny_n():
         gen_two_half_moons(1)
 
 
+def test_moons_rejects_non_finite_noise():
+    for noise in (np.nan, np.inf, -np.inf):
+        with pytest.raises(DataError, match="finite"):
+            gen_two_half_moons(10, noise=noise)
+    assert np.all(np.isfinite(gen_two_half_moons(10, noise=-0.1)))  # negative is valid
+
+
 # ------------------------------------------------------------------- manifest
 
 

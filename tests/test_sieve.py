@@ -23,7 +23,7 @@ from sievepath import (
     solve_reduced_admm,
     violation_set,
 )
-from sievepath import sieve
+from sievepath import admm, sieve
 from sievepath._kernels import column_norms, union_find_min_labels
 
 from conftest import random_instance
@@ -174,9 +174,7 @@ def test_apg_trivial_null_space_plateaus():
 def test_apg_history_tracking():
     u0 = np.array([[3.0, 0.0], [4.0, 10.0]])
     radii = np.array([1.0, 2.0])
-    res = apg_minimize(
-        u0, radii, lambda D: D, ApgConfig(eps=1e-12, maxiter=30), track_history=True
-    )
+    res = apg_minimize(u0, radii, lambda D: D, ApgConfig(eps=1e-12, maxiter=30))
     assert len(res.history) == res.iterations
     assert res.history[-1] == res.objective
 
@@ -198,7 +196,7 @@ def test_apg_stops_at_first_step_inside_the_balls():
     radii = np.array([1.8, 0.5])
     P = np.eye(2) - 0.5  # projector onto {D : D[:, 0] + D[:, 1] = 0}
     eps = 1e-6
-    res = apg_minimize(u0, radii, lambda D: D @ P, ApgConfig(eps=eps), track_history=True)
+    res = apg_minimize(u0, radii, lambda D: D @ P, ApgConfig(eps=eps))
     assert res.converged
     dists = np.sqrt(2.0 * np.array(res.history))
     assert res.iterations == 5
@@ -216,7 +214,7 @@ def test_apg_restarts_after_an_overshoot_instead_of_stopping():
     u0 = np.array([[-1.3, 3.7]])
     radii = np.array([2.0, 0.5])
     P = np.eye(2) - 0.5  # projector onto {D : D[:, 0] + D[:, 1] = 0}
-    res = apg_minimize(u0, radii, lambda D: D @ P, ApgConfig(eps=1e-6), track_history=True)
+    res = apg_minimize(u0, radii, lambda D: D @ P, ApgConfig(eps=1e-6))
     assert res.converged
     assert res.restarts >= 1
     assert len(res.history) == res.iterations
@@ -486,17 +484,32 @@ def test_eas_certify_rejects_by_the_bound_before_building_the_fill(t1_inst, monk
 def test_build_store_keys_on_the_exact_set_and_holds_one(t1_inst):
     store = sieve.BuildStore(t1_inst)
     first = np.array([0], dtype=np.int64)
-    assert store.get(first)
-    part, red, gram = store.partition, store.reduced(1.0), store.gram_system()
-    newton = store.newton_system(red)
-    assert part.I.tolist() == [0]
-    assert not store.get(first.copy())  # the same set again
-    assert store.partition is part and store.reduced(2.0) is red and red.lam == 2.0
-    assert store.newton_system(red) is newton and store.gram_system() is gram
-    assert store.get(np.array([1], dtype=np.int64))  # same size, another set
-    assert store.partition.I.tolist() == [1] and store.reduced(1.0) is not red
-    assert store.get(first)  # the first set is gone
+    assert store.get(first, 1.0)
+    part, red, newton, gram = store.partition, store.red, store.newton, store.gram
+    assert part.I.tolist() == [0] and red.lam == 1.0
+    assert newton.red is red and isinstance(gram, sieve.GammaSystem)
+    assert not store.get(first.copy(), 2.0)  # the same set again
+    assert store.partition is part and store.red is red and red.lam == 2.0
+    assert store.newton is newton and store.gram is gram
+    assert store.get(np.array([1], dtype=np.int64), 1.0)  # same size, another set
+    assert store.partition.I.tolist() == [1] and store.red is not red
+    assert store.newton is not newton and store.gram is not gram
+    assert store.get(first, 1.0)  # the first set is gone
     assert store.partition is not part and store.partition.I.tolist() == [0]
+
+
+def test_build_store_builds_no_newton_system_without_blocks(t1_inst):
+    store = sieve.BuildStore(t1_inst)
+    assert store.get(np.arange(t1_inst.m_blocks, dtype=np.int64), 1.0)
+    assert store.red.m_red == 0 and store.newton is None
+    assert isinstance(store.gram, sieve.GammaSystem)
+
+
+def test_build_store_builds_no_gram_system_for_an_empty_set(t1_inst):
+    store = sieve.BuildStore(t1_inst)
+    assert store.get(np.empty(0, dtype=np.int64), 1.0)
+    assert store.gram is None and store.red.m_red == t1_inst.m_blocks
+    assert isinstance(store.newton, admm._NewtonSystem)
 
 
 def test_a_build_store_serves_one_instance(t1_inst):
@@ -547,6 +560,45 @@ def test_eas_early_certificate_fires():
     F_as = primal_objective(inst, 1e-6, t_as.x)
     F_eas = primal_objective(inst, 1e-6, t_eas.x)
     assert abs(F_as - F_eas) <= 1e-6 * (1.0 + abs(F_as))
+
+
+def test_an_early_certified_round_builds_no_gram_factors_of_its_set(monkeypatch):
+    """Round 2 starts on a new nonempty set, which eas certifies before any
+    dual recovery: the store factors no Gram system for that set, so only
+    round 1's and eas_certify's own are built, and never two are alive."""
+    import gc
+    import weakref
+
+    inst = ProblemInstance(
+        np.array([[0.0, 1e-5, 1.0, 2.0, 2.0]]), [0, 0, 1, 2, 3], [1, 2, 2, 3, 4], [1.0] * 5
+    )
+    builds = {"store": 0, "eas": 0}
+    made, most, in_eas = [], [0], []
+    real_gram, real_eas = sieve.GammaSystem, sieve.eas_certify
+
+    def gram(*args):
+        out = real_gram(*args)
+        builds["eas" if in_eas else "store"] += 1
+        made.append(weakref.ref(out))
+        gc.collect()
+        most[0] = max(most[0], sum(ref() is not None for ref in made))
+        return out
+
+    def eas(*args, **kwargs):
+        in_eas.append(True)
+        try:
+            return real_eas(*args, **kwargs)
+        finally:
+            in_eas.pop()
+
+    monkeypatch.setattr(sieve, "GammaSystem", gram)
+    monkeypatch.setattr(sieve, "eas_certify", eas)
+    triple, state = eas_solve(inst, SolveConfig(lam=1e-6, eps=1e-6), I0=[0, 4])
+    assert triple.residual_norm <= 1e-6
+    r1, r2 = state.records
+    assert r2["built"] and r2["certified_early"] and 0 < r2["m_reduced"] < inst.m_blocks
+    assert builds == {"store": 1, "eas": 1}
+    assert most[0] == 1
 
 
 def test_warm_started_solve_certifies(t1_inst):
