@@ -11,14 +11,18 @@ Its generalised Hessian H has the sparsity of the graph with a dense
 d x d block per node entry. The order probe, which finds the fill-reducing
 node order, also counts the fill of the graph's factors in it; times d^2
 that predicts the fill of H's factors. When that is affordable, in total
-and per node, H is assembled and factorized by SuperLU; otherwise
-it is only applied, and scipy's conjugate gradients, preconditioned by a
-factorized n x n graph matrix L, solve the Newton system, so that memory
-and work per step grow linearly in d. Factors are reused until the CG
+and per node, H is assembled, by one sparse product that sums the terms
+of every edge into its stored entries, and factorized by SuperLU;
+otherwise it is only applied, and conjugate gradients, preconditioned by
+a factorized n x n graph matrix L, solve the Newton system, so that memory
+and work per step grow linearly in d. SuperLU runs without relaxed
+supernodes, whose padding with explicit zeros cost these SPD block
+matrices more than it saved, and the CG loop is the module's own, with
+scipy's arithmetic (_cg). Factors are reused until the CG
 steps the reuse costs would pay for a new factorization (_reuse_weight;
 _NewtonSystem states how long each kind lives). The pattern depends on the
-candidate set alone, so one node order, the CSC pattern and each entry's
-slot in it (_NewtonSystem) are computed once per set: the sieve builds the
+candidate set alone, so one node order, the CSC pattern and the matrix
+that sums into it (_NewtonSystem) are computed once per set: the sieve builds the
 system with the set's other structures and passes it to every subsolve of
 that set, its retightenings and later lambdas included, and a standalone
 subsolve builds its own when it starts; direct mode thus orders its one
@@ -59,44 +63,67 @@ ARMIJO = 1e-4  # sufficient-decrease fraction of the Newton line search
 # round-off (Psi sums terms of order kappa), where Armijo passes on noise,
 # so the line search accepts a step there only if it lowers the gradient norm
 PSI_ROUNDOFF = 1e-15
+# Fill counts the stored entries of SuperLU's factors as every
+# factorization here makes them: without relaxed supernodes (relax =
+# panel_size = 1), whose explicit zeros cost these SPD matrices more than
+# they saved (H of the full N = 1000 moons problem factored in 3.4 ms
+# against 5.3 ms, medians of 7). With the default settings' padding, H's
+# factors held 1% more entries at N = 10^4 and 26% more at N = 1000, and
+# the probe's up to 2.7x more on small graphs (N = 100); the limits below
+# are restated in the new count, and timings not marked as taken again
+# are from the old.
 # H is assembled when the fill the order probe predicts for its factors,
 # fill * d^2, is affordable in total and per node, and the 4 m d^2 entries
 # the assembly sums (parallel edges make m much larger than the pattern)
-# are at most ASSEMBLY_ENTRIES. The total only bounds memory, at about
-# 12 bytes per entry: ASSEMBLY_FILL is 30 MB of factors. The full N = 10^4
-# moons problem (2.0e6) ran its 4-lambda direct path 1.9x faster
-# assembled, and the path's peak RSS was 150 MB against 137 MB on the
-# operator. Per node it is at most ASSEMBLY_NODE_FILL: with c = fill / n, a
-# factorization of H works about n d (d c)^2 and a CG step of the operator
-# about n d c, so their ratio is H's fill per node. On 9-lambda direct
+# are at most ASSEMBLY_ENTRIES. The summation matrix stores each entry as
+# an 8-byte sign and a 4-byte column, 12 MB at the cap, where the slots it
+# replaced took 8 bytes. It first sends the full d = 2 moons problem
+# (k = 10) to the operator at N = 10,660 (4 m d^2 = 1,002,512; N tried in
+# steps of 5), as before, while its fill is still under both limits
+# below. The total only bounds memory, at about 12 bytes per entry:
+# ASSEMBLY_FILL is 30 MB of factors. The full N = 10^4 moons problem
+# (2.0e6) ran its 4-lambda direct path 1.9x faster assembled, and the
+# path's peak RSS was 150 MB against 137 MB on the operator. Per node it
+# is at most ASSEMBLY_NODE_FILL: with c = fill / n, a factorization of H
+# works about n d (d c)^2 and a CG step of the operator about n d c, so
+# their ratio is H's fill per node. On 9-lambda direct
 # moons paths (one BLAS thread) the assembled branch was 2.2x faster at
-# d = 2, N = 5000 (172 per node) and the operator 1.2x faster at d = 3,
-# N = 1000 (304) and 2.3x at d = 5 (623). Small systems cross over at
-# about the same fill per node: timed one by one, the subproblems of the
-# default-grid eas paths of N = 1000 moons rotated into d = 5 and d = 10
-# dimensions solved 1.2x faster assembled at 275 per node, as fast either
-# way at 267 to 333 and 2x faster by the operator at 415.
+# d = 2, N = 5000 (171 per node, 172 padded) and the operator 1.2x faster
+# at d = 3, N = 1000 (255 to 257, 304 to 317 padded) and 2.3x at d = 5
+# (623 padded); the limit sits between them and above the 207 of the
+# N = 10,300 moons problem. Timed one by one, small systems crossed over at
+# 267 to 333 padded, but without the padding the sieved subproblems of the
+# default-grid eas paths of N = 1000 moons rotated into d = 5 read 135 to
+# 159 per node: four of them (308 to 329 padded) moved from the operator
+# to H, and the 9-lambda as path at d = 5 ran 7% faster than with the
+# padding and those four on the operator (9 of 10 CPU-time pairs). At d = 10 they read 600 and more.
 ASSEMBLY_ENTRIES = 1_000_000
 ASSEMBLY_FILL = 2_500_000
-ASSEMBLY_NODE_FILL = 300
+ASSEMBLY_NODE_FILL = 230
 MAX_CG = 500  # conjugate-gradient steps per Newton direction
 # _reuse_weight. Measured with one BLAS thread on the d = 2 moons problems,
 # a factorization of H with c stored entries per column of its factors
 # took about c / 4 CG steps on H preconditioned by them (c = 15 to 100,
-# N = 70 to 10^4 nodes), and the same count puts a factorization of L at
-# N = 1000 at 7.5 one-column steps. A CG step also costs about 20 us
-# whatever its size, as long as applying 8000 stored entries of factors
-# takes; below REUSE_MIN_FILL entries a factorization of H cost only 3 to
-# 7 CG steps (N = 20 to 40 at d = 2, 10 to 30 at d = 5), so such factors
-# are never reused. Reusing them on the sieved subproblems of the
-# N = 1000 moons eas paths (at most 2100 entries at d = 2, 4620 at d = 5)
-# took 20 to 36% more Newton time. Above it, charging each reusing direction k CG steps more,
-# for entering CG and the Newton steps an inexact direction adds, only
-# lost: with k = 0, 4 and 8 the N = 1000 direct path took 2.41, 2.75 and
-# 2.75 s and the N = 5000 eas path 13.6, 15.4 and 15.4 s of Newton steps
-# (never reusing: 16.2 s), so no such charge is made.
+# N = 70 to 10^4 nodes); measured again without relaxed supernodes, c / 4.4
+# at N = 200 and 1000 (c = 39 and 57) and c / 5.4 to c / 6.8 at N = 5000
+# and 10^4, so REUSE_FILL stays 4. The same count puts a factorization of
+# L at N = 1000 at 7.5 one-column steps. A CG step also costs about 20 us
+# whatever its size, as long as applying REUSE_MIN_FILL stored entries of
+# factors takes; below it a factorization of H cost only 3 to 7 CG steps
+# (N = 20 to 40 at d = 2, 10 to 30 at d = 5; 5.2 steps at N = 70 measured
+# again), so such factors are never reused. It was 8000 in the padded
+# count and is restated between the full N = 70 (5,100 entries, 6,000
+# padded) and N = 100 (6,500, 9,900 padded) moons problems, which keep
+# their reuse. Reusing them on the sieved subproblems of the N = 1000 moons
+# eas paths (at most 2,064 entries at d = 2 and 4,410 at d = 5, padded
+# 2,064 and 4,460) took 20 to 36% more Newton time. Above it, charging
+# each reusing direction k CG steps more, for entering CG and the Newton
+# steps an inexact direction adds, only lost: with k = 0, 4 and 8 the
+# N = 1000 direct path took 2.41, 2.75 and 2.75 s and the N = 5000 eas
+# path 13.6, 15.4 and 15.4 s of Newton steps (never reusing: 16.2 s), so
+# no such charge is made.
 REUSE_FILL = 4
-REUSE_MIN_FILL = 8000
+REUSE_MIN_FILL = 6000
 
 
 class SingularSystemError(RuntimeError):
@@ -166,10 +193,12 @@ class _NewtonSystem:
     the node order about d^2 times the fill of a matrix with the graph's
     pattern, which the order probe measures. When that predicted fill is
     affordable (ASSEMBLY_FILL, ASSEMBLY_NODE_FILL), H is assembled on a
-    fixed CSC pattern (the 4 d^2 entries of every edge summed by _assemble,
-    as L's are) and factorized by SuperLU; L, G and G^T are not built.
+    fixed CSC pattern and factorized by SuperLU; L, G and G^T are not built.
+    The values of H, as of L, are one product S @ [diag, q] of a fixed
+    summation matrix (_summation) with the diagonal and the d^2 terms q of
+    every edge, which it adds to four blocks of the pattern.
     Otherwise H is never formed: three sparse products apply it in O(m d),
-    and scipy's conjugate gradients solve the Newton system preconditioned
+    and conjugate gradients (_cg) solve the Newton system preconditioned
     by L (x) I_d, whose factorization keeps the graph's sparsity and serves
     all d columns; H <= L (x) I_d, and the two differ by one rank-one term
     per edge. G and G^T take the edge differences that red.inc would: a CG
@@ -213,10 +242,12 @@ class _NewtonSystem:
         self.lu, self.budget, self.c0 = None, 0.0, 0
         self.factorizations = self.cg_steps = 0  # made and run over its lifetime
         if self.assembled:
-            self.H, self._slot = _block_pattern(L, slot, d)
+            self.H, slot = _block_pattern(L, slot, d)
             self._hdiag = np.repeat(h, d)
+            self._S = _summation(slot, n * d, self.H.nnz)
         else:
-            self.L, self._slot, self._h = L, slot, h
+            self.L, self._h = L, h
+            self._S = _summation(slot, n, L.nnz)
             # column l of G^T holds u_l at rows ri*d + k and -u_l at rj*d + k;
             # G is a CSR view of the same arrays
             k = np.arange(d)
@@ -259,14 +290,16 @@ class _NewtonSystem:
                 np.multiply(U[a], U[b], out=sQ[a, b])
         np.subtract(np.eye(d)[:, :, None], sQ, out=sQ)
         sQ *= sc
-        return _assemble(self.H, self._slot, self._hdiag, sQ.ravel())
+        self.H.data = self._S @ np.concatenate([self._hdiag, sQ.ravel()])
+        return self.H
 
     def operator(self, V, tau, sigma):
         """H at V as a function of a node-major n x d direction, and the
         preconditioner L, assembled, both in the node order (operator mode
         only)."""
         sc, U = self.curvature(V, tau, sigma)
-        L, G, GT = _assemble(self.L, self._slot, self._h, sc), self.G, self.GT
+        L, G, GT = self.L, self.G, self.GT
+        L.data = self._S @ np.concatenate([self._h, sc])
         GT.data[:] = np.hstack([U.T, -U.T]).ravel()
 
         def apply(P):
@@ -290,7 +323,8 @@ class _NewtonSystem:
         always precondition CG, run to rtol, serve one inner solve, and are
         made afresh when none are kept. Any SPD preconditioner keeps every
         CG iterate a descent direction. Only the right-hand side and the
-        result are permuted.
+        result are permuted. A CG run that meets rtol on its last allowed
+        step has converged (_cg), so its iterate is kept.
 
         L's rules were measured on 9-lambda direct paths of N = 1000 moons
         rotated into d = 3, 4, 5 and 10 dimensions (10 interleaved CPU-time
@@ -299,7 +333,10 @@ class _NewtonSystem:
         of 10 pairs) and even at d = 10; never reusing L was 11 to 26%
         slower at d = 3 to 5 and 4% at d = 10; keeping factors of L across
         inner solves, as for H, was 8% slower at d = 4 (10 of 10 pairs),
-        though 3 to 6% faster in the median at d = 3 and d = 10."""
+        though 3 to 6% faster in the median at d = 3 and d = 10. Those runs
+        factored with relaxed supernodes; without them, and with _cg, the
+        same paths kept the operator and ran 4 to 9% faster in the median
+        (7 to 9 of 10 pairs), and the rules were not timed again."""
         r = -grad.T[self.order]
         if self.assembled:
             H = self.matrix(V, tau, sigma)
@@ -332,32 +369,55 @@ class _NewtonSystem:
         self.factorizations += 1
         self.budget, self.c0 = _reuse_weight(self), 0 if self.assembled else None
 
-    def _cg(self, hess, shape, r, rtol, maxiter):
-        """scipy's conjugate gradients for hess(x) = r, preconditioned by
-        lu, with x and r flattened node-major and hess and lu acting on
-        arrays of the given shape: (x, converged)."""
+    def _cg(self, hess, shape, b, rtol, maxiter):
+        """Conjugate gradients for hess(x) = b from x = 0, preconditioned by
+        lu, with scipy's arithmetic; x and b are flat node-major, hess and
+        lu act on arrays of the given shape, and b is not zero: (x,
+        converged). Before each step, and after the last one, the run stops
+        once ||r|| < rtol ||b||; scipy's cg checks only before a step, so a
+        run that gets there on its last allowed step counts as converged
+        here and not there."""
         lu = self.lu
-        H = sp.linalg.LinearOperator((r.size, r.size), dtype=np.float64,
-                                     matvec=lambda p: hess(p.reshape(shape)).ravel())
-        P = sp.linalg.LinearOperator((r.size, r.size), dtype=np.float64,
-                                     matvec=lambda p: lu.solve(p.reshape(shape)).ravel())
-        iterates = []  # cg calls back once per step
-        x, info = sp.linalg.cg(H, r.ravel(), rtol=rtol, maxiter=maxiter, M=P,
-                               callback=iterates.append)
-        steps = len(iterates)
+        b = b.ravel()
+        atol = rtol * np.linalg.norm(b)
+        x, r = np.zeros_like(b), b.copy()
+        steps = 0
+        while not np.linalg.norm(r) < atol and steps < maxiter:
+            z = lu.solve(r.reshape(shape)).ravel()
+            rho = np.dot(r, z)
+            if steps:
+                p *= rho / rho_prev
+                p += z
+            else:
+                p = z
+            q = hess(p.reshape(shape)).ravel()
+            alpha = rho / np.dot(p, q)
+            x += alpha * p
+            r -= alpha * q
+            rho_prev = rho
+            steps += 1
         self.cg_steps += steps
         self.c0 = steps if self.c0 is None else self.c0  # set by fresh factors of L
         self.budget -= max(0, steps - self.c0)
-        return x, info == 0
+        return x, bool(np.linalg.norm(r) < atol)
 
 
-def _assemble(A, slot, diag, q):
-    """Fill H or L: each stored entry of A sums, in list order, the terms
-    of the diagonal diag and of q, q, -q, -q at (ri, ri), (rj, rj),
-    (ri, rj) and (rj, ri) of every kept edge that slot sends to it."""
-    nq = -q
-    A.data = np.bincount(slot, weights=np.concatenate([diag, q, q, nq, nq]), minlength=A.nnz)
-    return A
+def _summation(slot, ndiag, nnz):
+    """The CSR matrix S that assembles H or L as S @ [diag, q]: row b
+    lists, in list order, the terms of the assembly that slot sends to
+    stored entry b, the ndiag diagonal ones and four groups of the terms q
+    of every kept edge, at (ri, ri), (rj, rj), (ri, rj) and (rj, ri), with
+    +1 for the diagonal and groups 1-2 and -1 for groups 3-4. A CSR product
+    sums each row in stored order from 0.0, as bincount would sum the list.
+    Stored, S takes an 8-byte sign and a 4-byte column per term."""
+    nq = (len(slot) - ndiag) // 4
+    q = np.arange(ndiag, ndiag + nq, dtype=np.intc)
+    col = np.concatenate([np.arange(ndiag, dtype=np.intc), q, q, q, q])
+    sign = np.concatenate([np.ones(ndiag + 2 * nq), -np.ones(2 * nq)])
+    terms = np.argsort(slot, kind="stable")
+    indptr = np.concatenate([[0], np.cumsum(np.bincount(slot, minlength=nnz))])
+    return sp.csr_matrix((sign[terms], col[terms], indptr.astype(np.intc)),
+                         shape=(nnz, ndiag + nq))
 
 
 def _pattern(rows, cols, n):
@@ -386,8 +446,7 @@ def _block_pattern(L, slot, d):
     of H holds, for each stored row i of L's column j in order, the rows
     i * d + k, so the slots follow from H's column pointers without sorting
     the 4 m d^2 entries of the assembly. The pattern's indices are 32-bit,
-    as SuperLU takes them; the slots are intp, which bincount would
-    otherwise copy them to at every assembly.
+    as SuperLU takes them.
     """
     n = L.shape[0]
     H = sp.bsr_matrix((np.zeros((L.nnz, d, d)), L.indices, L.indptr),
@@ -398,8 +457,7 @@ def _block_pattern(L, slot, d):
     within = np.intc(d) * (np.arange(L.nnz, dtype=np.intc) - L.indptr[col])
     place = H.indptr[:-1].reshape(n, d)[col][:, None, :] + (within[:, None] + k)[:, :, None]
     blocks = place[slot[n:]].reshape(4, -1, d, d).transpose(0, 2, 3, 1)
-    return H, np.concatenate([place[slot[:n]][:, k, k].ravel(), blocks.ravel()],
-                             dtype=np.intp)
+    return H, np.concatenate([place[slot[:n]][:, k, k].ravel(), blocks.ravel()])
 
 
 def _node_order(n, ri, rj):
@@ -417,7 +475,7 @@ def _node_order(n, ri, rj):
         shape=(n, n),
     )
     lu = sp.linalg.splu(probe, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
-                        options={"SymmetricMode": True})
+                        relax=1, panel_size=1, options={"SymmetricMode": True})
     # a copy: perm_c is a view that would keep the probe's factors alive
     rank = np.array(lu.perm_c, dtype=np.int64)
     return np.argsort(rank), rank, int(lu.nnz)
@@ -428,7 +486,7 @@ def _factor(A):
     no reordering and no pivoting."""
     try:
         return sp.linalg.splu(A, permc_spec="NATURAL", diag_pivot_thresh=0.0,
-                              options={"SymmetricMode": True})
+                              relax=1, panel_size=1, options={"SymmetricMode": True})
     except RuntimeError as exc:  # SuperLU's "Factor is exactly singular"
         raise SingularSystemError(str(exc)) from exc
 
@@ -437,9 +495,10 @@ def _reuse_weight(ns):
     """How many CG steps beyond c0 reusing ns.lu may cost before a new
     factorization pays, read off the fill of the factors: with c stored
     entries per column a factorization costs about c / REUSE_FILL CG steps
-    that apply them to one column. A step of the operator applies factors
-    of L to d columns; factors of H with fewer than REUSE_MIN_FILL entries
-    weigh nothing."""
+    that apply them to one column, as it did again once SuperLU stopped
+    relaxing supernodes, which made both cheaper. A step of the operator
+    applies factors of L to d columns; factors of H with fewer than
+    REUSE_MIN_FILL entries weigh nothing."""
     lu = ns.lu
     steps = lu.nnz / lu.shape[0] / REUSE_FILL
     if ns.assembled:

@@ -74,6 +74,8 @@ class PathConfig:
 
     def __post_init__(self):
         self.lambdas = np.asarray(self.lambdas, dtype=np.float64)
+        if self.lambdas.ndim != 1:
+            raise ValueError(f"lambda grid must be 1-D, got shape {self.lambdas.shape}")
         if len(self.lambdas) == 0:
             raise ValueError("lambda grid is empty")
         if not np.all(np.isfinite(self.lambdas)):

@@ -624,6 +624,111 @@ def test_parallel_edges_share_a_block_but_not_an_assembly_slot(monkeypatch):
     assert not admm._NewtonSystem(red).assembled
 
 
+def _edgeless_moons_subproblem():
+    """60 moons points with k = 3 form two components; fusing the 4-point
+    one, and a few edges of the other, leaves a column without edges."""
+    from scipy.sparse.csgraph import connected_components
+
+    inst = build_knn_graph(gen_two_half_moons(60, 0.1, 0), k=3)
+    graph = sp.coo_matrix((np.ones(inst.m_blocks), (inst.edge_i, inst.edge_j)),
+                          shape=(inst.N, inst.N))
+    _, comp = connected_components(graph, directed=False)
+    small = comp[inst.edge_i] == np.argmin(np.bincount(comp))
+    I = np.concatenate([np.flatnonzero(small), np.flatnonzero(~small)[::7]])
+    return reduce_problem(inst, build_partition(inst.incidence, I), 0.3)
+
+
+def test_assembly_by_one_product_sums_as_bincount(monkeypatch):
+    """H and L, filled by one sparse product, hold bit for bit what
+    np.bincount gives when it sums the per-entry list [diag, q, q, -q, -q]
+    into the slots of _pattern and _block_pattern: on the parallel-edge
+    instance and on a sieved moons subproblem with an edgeless column."""
+    from sievepath import ProblemInstance
+
+    edges = [(0, 2), (1, 3), (0, 1), (0, 3), (1, 2)]
+    par = ProblemInstance.from_edges(np.array([[0.0, 1.0, 0.1, 0.9]]), edges)
+    fused = [l for l, e in enumerate(zip(par.edge_i, par.edge_j)) if e in edges[:2]]
+    reds = [reduce_problem(par, build_partition(par.incidence, fused), 0.1),
+            _edgeless_moons_subproblem()]
+    rng = np.random.default_rng(7)
+    edgeless = []
+    for red in reds:
+        d, n = red.C.shape
+        sigma = 1.5
+        tau = red.lam * red.weights / sigma
+        V = red.inc.apply(red.C / red.h) + 0.3 * rng.standard_normal((d, red.m_red))
+        force_newton_branch(monkeypatch, True)
+        exact = admm._NewtonSystem(red)
+        force_newton_branch(monkeypatch, False)
+        operator = admm._NewtonSystem(red)
+        rank = np.argsort(exact.order)
+        ri, rj = rank[red.inc.edge_i[exact.keep]], rank[red.inc.edge_j[exact.keep]]
+        L, slot = admm._pattern(np.concatenate([np.arange(n), ri, rj, ri, rj]),
+                                np.concatenate([np.arange(n), ri, rj, rj, ri]), n)
+        H, block_slot = admm._block_pattern(L, slot, d)
+        edgeless.append(bool(np.any(np.diff(L.indptr) == 1)))
+        sc, U = exact.curvature(V, tau, sigma)
+        sQ = ((np.eye(d)[:, :, None] - U[:, None, :] * U[None, :, :]) * sc).ravel()
+        h = red.h[exact.order]
+        for A, s, diag, q in ((exact.matrix(V, tau, sigma), block_slot, np.repeat(h, d), sQ),
+                              (operator.operator(V, tau, sigma)[1], slot, h, sc)):
+            ref = np.bincount(s, weights=np.concatenate([diag, q, q, -q, -q]), minlength=A.nnz)
+            assert A.data.tobytes() == ref.tobytes()
+    assert edgeless == [False, True]
+
+
+def _cg_fixture():
+    """A Newton system whose kept factors of H, made at one point,
+    precondition H at another, and the right-hand side there."""
+    inst = build_knn_graph(gen_two_half_moons(80, 0.1, 1), k=6)
+    red = reduce_problem(inst, build_partition(inst.incidence, []), 0.5)
+    rng = np.random.default_rng(9)
+    sigma = 2.0
+    tau = red.lam * red.weights / sigma
+    V0, V1 = (red.inc.apply(red.C / red.h) + s * rng.standard_normal((2, red.m_red))
+              for s in (0.2, 0.6))
+    ns = admm._NewtonSystem(red)
+    assert ns.assembled
+    ns.lu = admm._factor(ns.matrix(V0, tau, sigma))
+    H = ns.matrix(V1, tau, sigma).copy()
+    return ns, H, rng.standard_normal(H.shape[0])
+
+
+def _scipy_cg(ns, H, b, rtol, maxiter):
+    steps = []
+    M = sp.linalg.LinearOperator(H.shape, matvec=ns.lu.solve, dtype=np.float64)
+    x, info = sp.linalg.cg(H, b, rtol=rtol, maxiter=maxiter, M=M, callback=steps.append)
+    return x, len(steps), info == 0
+
+
+@pytest.mark.parametrize("rtol, maxiter", [(1e-8, 200), (1e-14, 3)],
+                         ids=["meets-rtol", "runs-out"])
+def test_cg_is_scipys_arithmetic(rtol, maxiter):
+    """_cg returns scipy's cg iterate bit for bit, with its step count and
+    its verdict, when rtol is met before maxiter and when maxiter runs out."""
+    ns, H, b = _cg_fixture()
+    x, converged = ns._cg(H.dot, b.size, b, rtol, maxiter)
+    ref, steps, ref_converged = _scipy_cg(ns, H, b, rtol, maxiter)
+    assert x.tobytes() == ref.tobytes()
+    assert ns.cg_steps == steps and converged == ref_converged
+    assert steps < maxiter if converged else steps == maxiter
+
+
+def test_cg_met_on_its_last_allowed_step_has_converged():
+    """A run that meets rtol on exactly its last allowed step counts as
+    converged, with the iterate scipy returns; scipy's cg calls it
+    unconverged, which would throw the iterate away and refactor H."""
+    ns, H, b = _cg_fixture()
+    ns._cg(H.dot, b.size, b, 1e-8, 200)
+    k = ns.cg_steps
+    assert 1 < k < 200
+    x, converged = ns._cg(H.dot, b.size, b, 1e-8, k)
+    ref, steps, ref_converged = _scipy_cg(ns, H, b, 1e-8, k)
+    assert converged and ns.cg_steps == 2 * k
+    assert x.tobytes() == ref.tobytes() and steps == k and not ref_converged
+    assert np.linalg.norm(b - H @ x) < 1e-8 * np.linalg.norm(b)
+
+
 def test_singular_factorization_is_a_solver_error():
     import scipy.sparse as sp
 

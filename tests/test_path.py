@@ -57,6 +57,14 @@ def test_path_config_validation():
             PathConfig(**{"lambdas": [2.0, 1.0], **kwargs})
 
 
+@pytest.mark.parametrize("lambdas", [[[2.0, 1.0]], 2.0], ids=["2-D", "scalar"])
+def test_path_config_rejects_a_grid_that_is_not_1d(lambdas):
+    """A nested or scalar grid is refused by name when the config is made,
+    not by a bare TypeError once solve_path reads it."""
+    with pytest.raises(ValueError, match="1-D"):
+        PathConfig(lambdas=lambdas)
+
+
 def test_t1_path_all_modes_agree(t1_inst):
     """Every mode certifies every lambda, with the same objectives. The
     second input is 30 Gaussian points on their 3-NN graph with A and w
