@@ -11,8 +11,8 @@ Its generalised Hessian H has the sparsity of the graph with a dense
 d x d block per node entry. The order probe, which finds the fill-reducing
 node order, also counts the fill of the graph's factors in it; times d^2
 that predicts the fill of H's factors. When that is affordable, in total
-and per node, H is assembled, by one sparse product that sums the terms
-of every edge into its stored entries, and factorized by SuperLU;
+and per node, H is assembled, by one sparse product that sums the d x d
+block of every node and edge term into its blocks, and factorized by SuperLU;
 otherwise it is only applied, and conjugate gradients, preconditioned by
 a factorized n x n graph matrix L, solve the Newton system, so that memory
 and work per step grow linearly in d. SuperLU runs without relaxed
@@ -73,14 +73,12 @@ PSI_ROUNDOFF = 1e-15
 # are restated in the new count, and timings not marked as taken again
 # are from the old.
 # H is assembled when the fill the order probe predicts for its factors,
-# fill * d^2, is affordable in total and per node, and the 4 m d^2 entries
-# the assembly sums (parallel edges make m much larger than the pattern)
-# are at most ASSEMBLY_ENTRIES. The summation matrix stores each entry as
-# an 8-byte sign and a 4-byte column, 12 MB at the cap, where the slots it
-# replaced took 8 bytes. It first sends the full d = 2 moons problem
-# (k = 10) to the operator at N = 10,660 (4 m d^2 = 1,002,512; N tried in
-# steps of 5), as before, while its fill is still under both limits
-# below. The total only bounds memory, at about 12 bytes per entry:
+# fill * d^2, is affordable in total and per node. The assembly needs no
+# cap of its own: both branches build the same summation matrix, L's. The
+# total first sends the full d = 2 moons problem (k = 10) to the operator
+# at N = 12,000 (fill * d^2 = 2,500,544; N in steps of 100; N = 12,100 is
+# under again, 12,200 to 12,600 are not). It only bounds memory, at about
+# 12 bytes per entry:
 # ASSEMBLY_FILL is 30 MB of factors. The full N = 10^4 moons problem
 # (2.0e6) ran its 4-lambda direct path 1.9x faster assembled, and the
 # path's peak RSS was 150 MB against 137 MB on the operator. Per node it
@@ -97,7 +95,6 @@ PSI_ROUNDOFF = 1e-15
 # 159 per node: four of them (308 to 329 padded) moved from the operator
 # to H, and the 9-lambda as path at d = 5 ran 7% faster than with the
 # padding and those four on the operator (9 of 10 CPU-time pairs). At d = 10 they read 600 and more.
-ASSEMBLY_ENTRIES = 1_000_000
 ASSEMBLY_FILL = 2_500_000
 ASSEMBLY_NODE_FILL = 230
 MAX_CG = 500  # conjugate-gradient steps per Newton direction
@@ -194,9 +191,9 @@ class _NewtonSystem:
     pattern, which the order probe measures. When that predicted fill is
     affordable (ASSEMBLY_FILL, ASSEMBLY_NODE_FILL), H is assembled on a
     fixed CSC pattern and factorized by SuperLU; L, G and G^T are not built.
-    The values of H, as of L, are one product S @ [diag, q] of a fixed
-    summation matrix (_summation) with the diagonal and the d^2 terms q of
-    every edge, which it adds to four blocks of the pattern.
+    Either way one fixed summation matrix S on L's pattern (_summation)
+    gives the values: L's are S @ [h, sigma c], H's S @ Q gathered into its
+    CSC order, row t of Q being term t's d x d block, h_i I_d or sigma Q_l.
     Otherwise H is never formed: three sparse products apply it in O(m d),
     and conjugate gradients (_cg) solve the Newton system preconditioned
     by L (x) I_d, whose factorization keeps the graph's sparsity and serves
@@ -233,21 +230,24 @@ class _NewtonSystem:
         # every matrix below is built with node order[p] in place p, so that
         # SuperLU factors it in the given order instead of finding one again
         self.order, rank, fill = _node_order(n, ri, rj)
-        self.assembled = (fill * d * d <= min(ASSEMBLY_FILL, ASSEMBLY_NODE_FILL * n)
-                          and 4 * len(ri) * d * d <= ASSEMBLY_ENTRIES)
+        self.assembled = fill * d * d <= min(ASSEMBLY_FILL, ASSEMBLY_NODE_FILL * n)
         ri, rj, h = rank[ri], rank[rj], red.h[self.order]
         # the diagonal, then the entries (ri, ri), (rj, rj), (ri, rj), (rj, ri)
         L, slot = _pattern(np.concatenate([np.arange(n), ri, rj, ri, rj]),
                            np.concatenate([np.arange(n), ri, rj, rj, ri]), n)
+        self._S = _summation(slot, n, L.nnz)
         self.lu, self.budget, self.c0 = None, 0.0, 0
         self.factorizations = self.cg_steps = 0  # made and run over its lifetime
         if self.assembled:
-            self.H, slot = _block_pattern(L, slot, d)
-            self._hdiag = np.repeat(h, d)
-            self._S = _summation(slot, n * d, self.H.nnz)
+            self.H, place = _block_pattern(L, d)
+            # H.data[b] is entry gather[b] of the flat S @ Q (intp: numpy
+            # converts other indices at every use); matrix writes Q's edge rows
+            self._gather = np.empty(self.H.nnz, dtype=np.intp)
+            self._gather[place.ravel()] = np.arange(self.H.nnz)
+            self._Q = np.zeros((n + len(ri), d * d))
+            self._Q[:n] = h[:, None] * np.eye(d).ravel()
         else:
             self.L, self._h = L, h
-            self._S = _summation(slot, n, L.nnz)
             # column l of G^T holds u_l at rows ri*d + k and -u_l at rj*d + k;
             # G is a CSR view of the same arrays
             k = np.arange(d)
@@ -282,15 +282,17 @@ class _NewtonSystem:
         """H at V, assembled in the node order (assembled mode only)."""
         sc, U = self.curvature(V, tau, sigma)
         d = U.shape[0]
-        # sigma Q_l laid out (k, k', l), as the slots list the blocks; row by
-        # row, as products of d x d x m broadcasts are several times slower
+        # sigma Q_l laid out (k, k', l), row by row, as products of d x d x m
+        # broadcasts are several times slower; Q's edge rows take it (l, k, k')
         sQ = np.empty((d, d, U.shape[1]))
         for a in range(d):
             for b in range(d):
                 np.multiply(U[a], U[b], out=sQ[a, b])
         np.subtract(np.eye(d)[:, :, None], sQ, out=sQ)
         sQ *= sc
-        self.H.data = self._S @ np.concatenate([self._hdiag, sQ.ravel()])
+        self._Q[len(self.order):] = sQ.reshape(d * d, -1).T
+        # in place; "clip" never fires, and the default mode would buffer out
+        np.take((self._S @ self._Q).ravel(), self._gather, out=self.H.data, mode="clip")
         return self.H
 
     def operator(self, V, tau, sigma):
@@ -402,22 +404,22 @@ class _NewtonSystem:
         return x, bool(np.linalg.norm(r) < atol)
 
 
-def _summation(slot, ndiag, nnz):
-    """The CSR matrix S that assembles H or L as S @ [diag, q]: row b
-    lists, in list order, the terms of the assembly that slot sends to
-    stored entry b, the ndiag diagonal ones and four groups of the terms q
-    of every kept edge, at (ri, ri), (rj, rj), (ri, rj) and (rj, ri), with
-    +1 for the diagonal and groups 1-2 and -1 for groups 3-4. A CSR product
-    sums each row in stored order from 0.0, as bincount would sum the list.
-    Stored, S takes an 8-byte sign and a 4-byte column per term."""
-    nq = (len(slot) - ndiag) // 4
-    q = np.arange(ndiag, ndiag + nq, dtype=np.intc)
-    col = np.concatenate([np.arange(ndiag, dtype=np.intc), q, q, q, q])
-    sign = np.concatenate([np.ones(ndiag + 2 * nq), -np.ones(2 * nq)])
+def _summation(slot, n, nnz):
+    """The CSR matrix S that sums the terms of L's entries, values for L and
+    d x d blocks for H: row b lists, in list order, the terms that slot
+    sends to stored entry b of L, the n diagonal ones and four groups of the
+    terms of every kept edge, at (ri, ri), (rj, rj), (ri, rj) and (rj, ri),
+    with +1 for the diagonal and groups 1-2 and -1 for groups 3-4. A CSR
+    product sums each row in stored order from 0.0, as bincount would sum
+    the list. Stored, S takes an 8-byte sign and a 4-byte column per term."""
+    nq = (len(slot) - n) // 4
+    q = np.arange(n, n + nq, dtype=np.intc)
+    col = np.concatenate([np.arange(n, dtype=np.intc), q, q, q, q])
+    sign = np.concatenate([np.ones(n + 2 * nq), -np.ones(2 * nq)])
     terms = np.argsort(slot, kind="stable")
     indptr = np.concatenate([[0], np.cumsum(np.bincount(slot, minlength=nnz))])
     return sp.csr_matrix((sign[terms], col[terms], indptr.astype(np.intc)),
-                         shape=(nnz, ndiag + nq))
+                         shape=(nnz, n + nq))
 
 
 def _pattern(rows, cols, n):
@@ -432,21 +434,19 @@ def _pattern(rows, cols, n):
     return A, slot
 
 
-def _block_pattern(L, slot, d):
-    """H's CSC pattern from the node pattern L, and the slot in it of each
-    entry of the assembly: the diagonal of H, node-major, then the d x d
-    blocks of the node entries listed in slot after the n diagonal ones, in
-    four groups of m edges, each laid out (k, k', edge). Every entry of H
-    still sums its terms in the order of that list.
+def _block_pattern(L, d):
+    """H's CSC pattern from the node pattern L, and the place in H.data of
+    each entry (s, k, k') of the d x d block of node entry s of L: its row
+    i * d + k and column j * d + k' when L's entry s is at row i, column j.
 
     Every stored entry of L becomes a dense d x d block, a node without
     edges included, whose stored zeros change no factor value. L's CSC
     arrays read as block rows are the blocks of L^T, and the transpose of
     that matrix's CSR form is H's CSC form, arrays shared. Column j * d + k'
     of H holds, for each stored row i of L's column j in order, the rows
-    i * d + k, so the slots follow from H's column pointers without sorting
-    the 4 m d^2 entries of the assembly. The pattern's indices are 32-bit,
-    as SuperLU takes them.
+    i * d + k, so the places follow from H's column pointers without a
+    sort. The places and the pattern's indices are 32-bit, as SuperLU takes
+    the indices.
     """
     n = L.shape[0]
     H = sp.bsr_matrix((np.zeros((L.nnz, d, d)), L.indices, L.indptr),
@@ -455,9 +455,7 @@ def _block_pattern(L, slot, d):
     k = np.arange(d, dtype=np.intc)
     # place[s, k, k'] = H.indptr[col_s d + k'] + (s - L.indptr[col_s]) d + k
     within = np.intc(d) * (np.arange(L.nnz, dtype=np.intc) - L.indptr[col])
-    place = H.indptr[:-1].reshape(n, d)[col][:, None, :] + (within[:, None] + k)[:, :, None]
-    blocks = place[slot[n:]].reshape(4, -1, d, d).transpose(0, 2, 3, 1)
-    return H, np.concatenate([place[slot[:n]][:, k, k].ravel(), blocks.ravel()])
+    return H, H.indptr[:-1].reshape(n, d)[col][:, None, :] + (within[:, None] + k)[:, :, None]
 
 
 def _node_order(n, ri, rj):

@@ -37,7 +37,7 @@ def force_newton_branch(monkeypatch, assembled):
     from sievepath import admm
 
     cap = 10**12 if assembled else 0
-    for name in ("ASSEMBLY_ENTRIES", "ASSEMBLY_FILL", "ASSEMBLY_NODE_FILL"):
+    for name in ("ASSEMBLY_FILL", "ASSEMBLY_NODE_FILL"):
         monkeypatch.setattr(admm, name, cap)
 
 

@@ -271,11 +271,13 @@ def test_node_order_is_a_permutation_with_minimum_degree_fill(monkeypatch, assem
 
 def test_block_pattern_is_the_pattern_of_the_per_edge_entries():
     """H's pattern, built from L's by spreading every node entry over a
-    dense d x d block, holds its per-entry list (the diagonal, then the
-    (ri, ri), (rj, rj), (ri, rj) and (rj, ri) blocks of the edges), and each
-    listed entry's slot points at its own row and column. Where every node
-    has an edge the two patterns are equal; a node without edges, whose
-    list holds only its diagonal, gets a dense block too."""
+    dense d x d block, holds the per-edge entries (the diagonal, then the
+    (ri, ri), (rj, rj), (ri, rj) and (rj, ri) blocks of the edges), and the
+    placement maps the entries (s, k, k') of L's blocks one to one onto
+    H.data, entry (s, k, k') of L's entry (i, j) at row i d + k and column
+    j d + k'. Where every node has an edge the two patterns are equal; a
+    node without edges, whose list holds only its diagonal, gets a dense
+    block too."""
     from sievepath import ProblemInstance
 
     rng = np.random.default_rng(41)
@@ -296,14 +298,12 @@ def test_block_pattern_is_the_pattern_of_the_per_edge_entries():
         k = np.arange(d)
         br = np.concatenate([ri, rj, ri, rj])[:, None, None] * d + k[:, None]
         bc = np.concatenate([ri, rj, rj, ri])[:, None, None] * d + k
-        # each of the four groups of edge blocks laid out (k, k', edge)
-        br, bc = (b.reshape(4, -1, d, d).transpose(0, 2, 3, 1).ravel()
-                  for b in np.broadcast_arrays(br, bc))
+        br, bc = (b.ravel() for b in np.broadcast_arrays(br, bc))
         rows = np.concatenate([np.arange(n * d), br])
         cols = np.concatenate([np.arange(n * d), bc])
-        L, node_slot = admm._pattern(np.concatenate([np.arange(n), ri, rj, ri, rj]),
-                                     np.concatenate([np.arange(n), ri, rj, rj, ri]), n)
-        H, slot = admm._block_pattern(L, node_slot, d)
+        L, _ = admm._pattern(np.concatenate([np.arange(n), ri, rj, ri, rj]),
+                             np.concatenate([np.arange(n), ri, rj, rj, ri]), n)
+        H, place = admm._block_pattern(L, d)
         edgeless = np.diff(L.indptr) == 1
         assert edgeless.any() == has_edgeless
         dense = sp.kron(sp.csc_matrix((np.ones(L.nnz), L.indices, L.indptr), shape=(n, n)),
@@ -313,9 +313,13 @@ def test_block_pattern_is_the_pattern_of_the_per_edge_entries():
         listed = sp.csc_matrix((np.ones(len(rows)), (rows, cols)), shape=(n * d, n * d))
         # the list misses exactly the off-diagonal entries of edgeless nodes' blocks
         assert H.nnz - listed.nnz == np.count_nonzero(edgeless) * d * (d - 1)
-        assert H.indices.dtype == H.indptr.dtype == np.intc
+        assert H.indices.dtype == H.indptr.dtype == place.dtype == np.intc
+        assert place.shape == (L.nnz, d, d)
+        assert np.array_equal(np.sort(place, axis=None), np.arange(H.nnz))
         col = np.repeat(np.arange(n * d), np.diff(H.indptr))
-        assert np.array_equal(H.indices[slot], rows) and np.array_equal(col[slot], cols)
+        node_col = np.repeat(np.arange(n), np.diff(L.indptr))
+        assert np.all(H.indices[place] == (L.indices[:, None] * d + k)[:, :, None])
+        assert np.all(col[place] == (node_col[:, None] * d + k)[:, None, :])
 
 
 def test_one_order_per_subsolve_and_one_factorization_per_newton_step(monkeypatch):
@@ -606,22 +610,58 @@ def test_direct_path_repeats_exactly():
             assert getattr(a.triple, name).tobytes() == getattr(b.triple, name).tobytes()
 
 
-def test_parallel_edges_share_a_block_but_not_an_assembly_slot(monkeypatch):
+def _parallel_edge_subproblem():
     """Two points joined by one edge and a third point fused to each: the
-    three reduced edges are parallel, so H has 4 d^2 entries, while the
-    assembly handles 4 d^2 per edge and obeys its own cap."""
+    three reduced edges are parallel."""
     from sievepath import ProblemInstance
 
     edges = [(0, 2), (1, 3), (0, 1), (0, 3), (1, 2)]
     inst = ProblemInstance.from_edges(np.array([[0.0, 1.0, 0.1, 0.9]]), edges)
     fused = [l for l, e in enumerate(zip(inst.edge_i, inst.edge_j)) if e in edges[:2]]
-    red = reduce_problem(inst, build_partition(inst.incidence, fused), 0.1)
+    return reduce_problem(inst, build_partition(inst.incidence, fused), 0.1)
+
+
+def test_parallel_edges_share_a_block_but_not_an_assembly_slot():
+    """The three parallel edges share H's off-diagonal blocks, so H has
+    4 d^2 entries, while the summation matrix keeps one term per edge, with
+    sign -1, in the row of each off-diagonal entry."""
+    red = _parallel_edge_subproblem()
     assert len(red.h) == 2 and red.m_red == 3
-    monkeypatch.setattr(admm, "ASSEMBLY_ENTRIES", 12)
     ns = admm._NewtonSystem(red)
     assert ns.assembled and ns.H.nnz == 4
-    monkeypatch.setattr(admm, "ASSEMBLY_ENTRIES", 11)
-    assert not admm._NewtonSystem(red).assembled
+    col = np.repeat(np.arange(2), np.diff(ns.H.indptr))
+    for b in np.flatnonzero(ns.H.indices != col):
+        row = ns._S[b]
+        assert sorted(row.indices) == [2, 3, 4] and np.all(row.data == -1.0)
+
+
+def test_one_summation_matrix_with_a_term_per_node_and_edge_entry(monkeypatch):
+    """Both branches build the same summation matrix: one row per entry of
+    L, n + 4 m_kept stored terms (m_kept counting the edges between two
+    reduced nodes) and a column per node and kept edge; H has a d x d block
+    per entry of L. On the parallel-edge instance and on a sieved
+    subproblem of moons rotated into d = 3, some of whose unfused edges
+    fall inside one reduced node."""
+    reds = [_parallel_edge_subproblem(), _rotated_moons_subproblem()]
+    inside = []
+    for red in reds:
+        d, n = red.C.shape
+        m_kept = int(np.count_nonzero(red.inc.edge_i != red.inc.edge_j))
+        inside.append(m_kept < red.m_red)
+        S = []
+        for assembled in (True, False):
+            force_newton_branch(monkeypatch, assembled)
+            ns = admm._NewtonSystem(red)
+            assert ns.assembled == assembled
+            assert ns._S.nnz == n + 4 * m_kept and ns._S.shape[1] == n + m_kept
+            if assembled:
+                assert ns.H.nnz == d * d * ns._S.shape[0]
+            else:
+                assert ns._S.shape[0] == ns.L.nnz
+            S.append(ns._S)
+        assert all(np.array_equal(getattr(S[0], a), getattr(S[1], a))
+                   for a in ("data", "indices", "indptr"))
+    assert inside == [False, True]
 
 
 def _edgeless_moons_subproblem():
@@ -638,18 +678,23 @@ def _edgeless_moons_subproblem():
     return reduce_problem(inst, build_partition(inst.incidence, I), 0.3)
 
 
+def _rotated_moons_subproblem():
+    """60 moons points rotated into d = 3, k = 5, with every fourth block
+    fused: 16 reduced nodes, 30 of whose 130 edges join one node to itself."""
+    inst = _moons_embedding(60, 3, 5)
+    return reduce_problem(inst, build_partition(inst.incidence,
+                                                np.arange(0, inst.m_blocks, 4)), 0.3)
+
+
 def test_assembly_by_one_product_sums_as_bincount(monkeypatch):
     """H and L, filled by one sparse product, hold bit for bit what
     np.bincount gives when it sums the per-entry list [diag, q, q, -q, -q]
-    into the slots of _pattern and _block_pattern: on the parallel-edge
-    instance and on a sieved moons subproblem with an edgeless column."""
-    from sievepath import ProblemInstance
-
-    edges = [(0, 2), (1, 3), (0, 1), (0, 3), (1, 2)]
-    par = ProblemInstance.from_edges(np.array([[0.0, 1.0, 0.1, 0.9]]), edges)
-    fused = [l for l, e in enumerate(zip(par.edge_i, par.edge_j)) if e in edges[:2]]
-    reds = [reduce_problem(par, build_partition(par.incidence, fused), 0.1),
-            _edgeless_moons_subproblem()]
+    into the slots of _pattern, for L once and for H once per block
+    coordinate (k, k'), placed in H by _block_pattern: on the parallel-edge
+    instance, on a sieved moons subproblem with an edgeless column and on a
+    sieved one of moons rotated into d = 3."""
+    reds = [_parallel_edge_subproblem(), _edgeless_moons_subproblem(),
+            _rotated_moons_subproblem()]
     rng = np.random.default_rng(7)
     edgeless = []
     for red in reds:
@@ -665,16 +710,23 @@ def test_assembly_by_one_product_sums_as_bincount(monkeypatch):
         ri, rj = rank[red.inc.edge_i[exact.keep]], rank[red.inc.edge_j[exact.keep]]
         L, slot = admm._pattern(np.concatenate([np.arange(n), ri, rj, ri, rj]),
                                 np.concatenate([np.arange(n), ri, rj, rj, ri]), n)
-        H, block_slot = admm._block_pattern(L, slot, d)
+        place = admm._block_pattern(L, d)[1]
         edgeless.append(bool(np.any(np.diff(L.indptr) == 1)))
         sc, U = exact.curvature(V, tau, sigma)
-        sQ = ((np.eye(d)[:, :, None] - U[:, None, :] * U[None, :, :]) * sc).ravel()
+        sQ = (np.eye(d)[:, :, None] - U[:, None, :] * U[None, :, :]) * sc
         h = red.h[exact.order]
-        for A, s, diag, q in ((exact.matrix(V, tau, sigma), block_slot, np.repeat(h, d), sQ),
-                              (operator.operator(V, tau, sigma)[1], slot, h, sc)):
-            ref = np.bincount(s, weights=np.concatenate([diag, q, q, -q, -q]), minlength=A.nnz)
-            assert A.data.tobytes() == ref.tobytes()
-    assert edgeless == [False, True]
+
+        def summed(diag, q):
+            return np.bincount(slot, weights=np.concatenate([diag, q, q, -q, -q]),
+                               minlength=L.nnz)
+
+        H = np.empty(place.size)
+        for k in range(d):
+            for k2 in range(d):
+                H[place[:, k, k2]] = summed(h * (k == k2), sQ[k, k2])
+        assert exact.matrix(V, tau, sigma).data.tobytes() == H.tobytes()
+        assert operator.operator(V, tau, sigma)[1].data.tobytes() == summed(h, sc).tobytes()
+    assert edgeless == [False, True, False]
 
 
 def _cg_fixture():

@@ -166,6 +166,7 @@ def test_lambda_records_count_every_newton_step(monkeypatch, mode):
 def test_lambda_records_count_cg_steps_and_factorizations(monkeypatch, mode):
     """cg_steps and factorizations sum those of every subsolve of their
     lambda; with PCG at d = 2 some Newton steps reuse the factors of L."""
+    from conftest import force_newton_branch
     from sievepath import admm, build_knn_graph, sieve
 
     real = admm.solve_reduced_admm
@@ -177,7 +178,7 @@ def test_lambda_records_count_cg_steps_and_factorizations(monkeypatch, mode):
         work[red.lam] = total + (sub.iterations, sub.cg_steps, sub.factorizations)
         return sub
 
-    monkeypatch.setattr(admm, "ASSEMBLY_ENTRIES", 0)
+    force_newton_branch(monkeypatch, False)
     monkeypatch.setattr(admm, "solve_reduced_admm", counting)
     monkeypatch.setattr(sieve, "solve_reduced_admm", counting)
     A = np.random.default_rng(2).standard_normal((2, 30))
