@@ -463,8 +463,9 @@ def _node_order(n, ri, rj):
     (order, rank, fill): node order[p] goes to place p, node i to place
     rank[i], and fill counts the stored entries of the factors in it.
 
-    It is SuperLU's symmetric minimum-degree order of a diagonally dominant
-    matrix with the graph's pattern, so it depends on the pattern only.
+    It is the symmetric minimum-degree order in which _factor factors a
+    diagonally dominant matrix with the graph's pattern, so it depends on
+    the pattern only.
     """
     m = len(ri)
     probe = sp.csc_matrix(
@@ -472,18 +473,19 @@ def _node_order(n, ri, rj):
          (np.concatenate([np.arange(n), ri, rj]), np.concatenate([np.arange(n), rj, ri]))),
         shape=(n, n),
     )
-    lu = sp.linalg.splu(probe, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
-                        relax=1, panel_size=1, options={"SymmetricMode": True})
+    lu = _factor(probe, "MMD_AT_PLUS_A")
     # a copy: perm_c is a view that would keep the probe's factors alive
     rank = np.array(lu.perm_c, dtype=np.int64)
     return np.argsort(rank), rank, int(lu.nnz)
 
 
-def _factor(A):
-    """SuperLU factors of an SPD matrix already in a fill-reducing order:
-    no reordering and no pivoting."""
+def _factor(A, permc_spec="NATURAL"):
+    """SuperLU factors of an SPD matrix, the package's one splu call: no
+    pivoting, no relaxed supernodes, columns in the order permc_spec.
+    "NATURAL" keeps the Newton matrices' own fill-reducing node order;
+    the order probe and the sieve's Gram matrices pass "MMD_AT_PLUS_A"."""
     try:
-        return sp.linalg.splu(A, permc_spec="NATURAL", diag_pivot_thresh=0.0,
+        return sp.linalg.splu(A, permc_spec=permc_spec, diag_pivot_thresh=0.0,
                               relax=1, panel_size=1, options={"SymmetricMode": True})
     except RuntimeError as exc:  # SuperLU's "Factor is exactly singular"
         raise SingularSystemError(str(exc)) from exc

@@ -43,10 +43,9 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.sparse as sp
 
 from ._kernels import column_norms, frobenius_norm, project_columns
-from .admm import AdmmConfig, _NewtonSystem, solve_reduced_admm
+from .admm import AdmmConfig, _factor, _NewtonSystem, solve_reduced_admm
 from .graph import IncidenceMap, build_partition, recover_primal, reduce_problem, unique_indices
 from .model import KktTriple, SolveConfig, duality_gap, fused_blocks, kkt_residual, primal_objective
 
@@ -109,7 +108,8 @@ class SieveState:
 
 class GammaSystem:
     """Linear algebra around B_{I gamma}: particular solutions and the
-    null-space projector, sharing one sparse factorization per sieve round.
+    null-space projector, sharing one factorization of the Gram matrix per
+    candidate set, made when the set first recovers a dual (admm._factor).
 
     With the incidence convention B = J^T, B_{I gamma} is Jg^T where
     Jg = J[gamma, I], and B_{I gamma}^T B_{I gamma} = Jg Jg^T is SPD because
@@ -130,10 +130,7 @@ class GammaSystem:
         self.inc = IncidenceMap(len(gamma) + 1, row[inst.edge_i[I]], row[inst.edge_j[I]])
         Jg = self.inc.J[:-1].tocsc()
         # SPD, so a symmetric minimum-degree order and no pivoting suffice
-        self._factor = sp.linalg.splu(
-            (Jg @ Jg.T).tocsc(), permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
-            options={"SymmetricMode": True},
-        )
+        self._factor = _factor((Jg @ Jg.T).tocsc(), "MMD_AT_PLUS_A")
 
     def _spread(self, R):
         """(Jg^T S)^T for the solution S of Jg Jg^T S = R^T."""

@@ -407,9 +407,11 @@ def test_preconditioner_is_refactored_once_extra_cg_steps_outweigh_it(monkeypatc
                       self.lu, self.budget))
         return out
 
-    def factoring(A):
-        made.append(factor(A))
-        return made[-1]
+    def factoring(A, permc_spec="NATURAL"):
+        lu = factor(A, permc_spec)
+        if permc_spec == "NATURAL":  # a Newton matrix, not the order probe
+            made.append(lu)
+        return lu
 
     monkeypatch.setattr(admm._NewtonSystem, "begin", beginning)
     monkeypatch.setattr(admm._NewtonSystem, "direction", recording)
@@ -786,6 +788,42 @@ def test_singular_factorization_is_a_solver_error():
 
     with pytest.raises(admm.SingularSystemError):
         admm._factor(sp.csc_matrix((3, 3)))
+
+
+def test_every_factorization_goes_without_pivoting_or_relaxed_supernodes(monkeypatch):
+    """The Newton matrices, the order probe and the sieve's Gram matrices
+    are all factored by SuperLU with the same settings, in their given
+    column order or in SuperLU's symmetric minimum-degree one."""
+    import scipy.sparse.linalg as spla
+
+    from sievepath import sieve
+
+    calls = []  # (inside a GammaSystem build, splu's keyword arguments)
+    building = []
+    splu, gram = spla.splu, sieve.GammaSystem.__init__
+
+    def recording(A, **kwargs):
+        calls.append((bool(building), kwargs))
+        return splu(A, **kwargs)
+
+    def building_gram(self, *args):
+        building.append(True)
+        try:
+            gram(self, *args)
+        finally:
+            building.pop()
+
+    monkeypatch.setattr(spla, "splu", recording)
+    monkeypatch.setattr(sieve.GammaSystem, "__init__", building_gram)
+    for inst in (build_knn_graph(gen_two_half_moons(200, 0.1, 0), k=10),
+                 _moons_embedding(200, 3, 10)):
+        assert solve_path(inst, PathConfig(mode="eas", lambdas=[4.0, 2.0, 1.0])).all_converged
+    assert any(in_gram for in_gram, _ in calls)
+    for _, kwargs in calls:
+        spec = kwargs.pop("permc_spec")
+        assert spec in ("NATURAL", "MMD_AT_PLUS_A")
+        assert kwargs == {"diag_pivot_thresh": 0.0, "relax": 1, "panel_size": 1,
+                          "options": {"SymmetricMode": True}}
 
 
 @pytest.mark.parametrize("kwargs", [
