@@ -44,6 +44,7 @@ spans, saved manifests and callers look them up by those names.
 
 import logging
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -137,8 +138,10 @@ class AdmmConfig:
     def __post_init__(self):
         if not 0.0 < self.sigma < math.inf:
             raise ValueError(f"sigma must be finite and positive, got {self.sigma!r}")
-        if self.max_iter < 1:
-            raise ValueError(f"admm max_iter must be at least 1, got {self.max_iter!r}")
+        if (isinstance(self.max_iter, bool) or not isinstance(self.max_iter, numbers.Integral)
+                or self.max_iter < 1):
+            raise ValueError(f"admm max_iter must be an integer >= 1, got {self.max_iter!r}")
+        self.max_iter = int(self.max_iter)  # a numpy integer would not save to JSON
         if self.tol is not None and not 0.0 <= self.tol < math.inf:
             raise ValueError(f"admm tol must be finite and >= 0, got {self.tol!r}")
 

@@ -155,7 +155,10 @@ def load_path_state(path):
         cfg = dict(meta["config"])
         cfg.pop("max_sieve_rounds", None)  # a removed setting older states carry
         cfg["admm"] = None if cfg["admm"] is None else AdmmConfig(**cfg["admm"])
-        cfg["apg"] = None if cfg["apg"] is None else ApgConfig(**cfg["apg"])
+        if cfg["apg"] is not None:
+            apg = dict(cfg["apg"])
+            apg.pop("eps", None)  # removed too: the APG stops at eps/2 by rule
+            cfg["apg"] = ApgConfig(**apg)
         result = PathResult(inst=inst, config=PathConfig(**cfg))
         for idx, scalars in enumerate(meta["records"]):
             triple = None

@@ -3,9 +3,9 @@
 The sieve guesses an index set I of zero blocks and runs rounds. A round
 solves the reduced problem, recovers a full-space dual candidate u (the
 particular stationarity solution, refined by accelerated projected gradient
-on the null space of B_{I gamma}^T until u is within the APG tolerance of
-the balls on I), and either certifies the point or removes from I the
-blocks whose dual lands outside its subdifferential ball. The APG discards
+on the null space of B_{I gamma}^T until u is within eps/2 of the balls
+on I), and either certifies the point or removes from I the blocks whose
+dual lands outside its subdifferential ball. The APG discards
 a step that raises its objective and restarts its momentum from the kept
 iterate; it stops as plateaued after two discarded steps in a row or a
 kept step that gains less than 0.1%. An overshoot left in u would remove
@@ -39,7 +39,7 @@ passes the secant prediction from its last two certified lambdas
 """
 
 import logging
-import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -65,14 +65,13 @@ class SieveLimitError(RuntimeError):
 
 @dataclass
 class ApgConfig:
-    eps: float = None  # None: eps/2 in a sieve run, SolveConfig.eps in apg_minimize alone
-    maxiter: int = 30
+    maxiter: int = 30  # steps per APG run; each retightening of a round multiplies it by 10
 
     def __post_init__(self):
-        if self.maxiter < 0:
-            raise ValueError(f"apg maxiter must be >= 0, got {self.maxiter!r}")
-        if self.eps is not None and not 0.0 <= self.eps < math.inf:
-            raise ValueError(f"apg eps must be finite and >= 0, got {self.eps!r}")
+        if (isinstance(self.maxiter, bool) or not isinstance(self.maxiter, numbers.Integral)
+                or self.maxiter < 0):
+            raise ValueError(f"apg maxiter must be an integer >= 0, got {self.maxiter!r}")
+        self.maxiter = int(self.maxiter)  # a numpy integer would not save to JSON
 
 
 @dataclass
@@ -188,14 +187,14 @@ class BuildStore:
         return self._gram
 
 
-def apg_minimize(u0, radii, null_project, cfg=None):
+def apg_minimize(u0, radii, null_project, eps, maxiter):
     """Accelerated projected-gradient refinement of a dual particular solution.
 
     Minimizes h(d) = 0.5 * dist^2(u0 + d, K) over the null space handled by
     ``null_project``, where K is the product of balls with the given radii.
     The gradient (u0 + d) - Pi_K(u0 + d) is 1-Lipschitz, so the unit step
     needs no line search. Stops at the first step whose distance to K is
-    at most cfg.eps, the one quantity certification reads: on I the
+    at most eps, the one quantity certification reads: on I the
     recovered primal is zero, so that distance is the I-part of the KKT
     residual, and further steps could only move the iterate.
 
@@ -205,18 +204,16 @@ def apg_minimize(u0, radii, null_project, cfg=None):
     a restart is a plain projected-gradient step, which cannot raise h. So
     two discarded steps in a row, or a kept step that lowers h by less than
     0.1% from the third step on, mean h has plateaued above the certifiable
-    level, and the run stops there; with cfg.eps = 0 it never stops early.
-    Otherwise it stops at cfg.maxiter, which counts discarded steps too,
+    level, and the run stops there; with eps = 0 it never stops early.
+    Otherwise it stops at maxiter, which counts discarded steps too,
     since each costs a projection. Non-convergence is a normal outcome
-    meaning the current index set is wrong. With cfg.maxiter = 0 it takes
+    meaning the current index set is wrong. With maxiter = 0 it takes
     no step and reports h(0).
 
     The returned d is the kept iterate, restarts the number of discarded
     steps, and history holds the kept iterate's h after every step, so it
     never rises and has one entry per iteration.
     """
-    cfg = cfg or ApgConfig()
-    eps = SolveConfig.eps if cfg.eps is None else float(cfg.eps)
     d = np.zeros_like(u0)
     d_prev = d_hat = d
     t = 1.0
@@ -224,7 +221,7 @@ def apg_minimize(u0, radii, null_project, cfg=None):
     h_val = h_prev = np.inf
     converged = False
     k = restarts = discarded = 0  # discarded: steps discarded in a row
-    for k in range(1, cfg.maxiter + 1):
+    for k in range(1, maxiter + 1):
         v = u0 + d_hat
         grad = np.subtract(v, project_columns(v, radii), out=v)
         d_new = null_project(np.subtract(d_hat, grad, out=grad))
@@ -264,41 +261,38 @@ def _ball_distance(v, radii):
     return frobenius_norm(np.maximum(excess, 0.0, out=excess))
 
 
-def recover_dual(inst, lam, partition, sub, apg_cfg=None, x_bar=None, gram=None,
-                 apg_log=None):
+def recover_dual(inst, lam, partition, sub, x_bar, gram, eps, maxiter, apg_log=None):
     """Build the full-space dual candidate u, a (d, m) array, from a reduced
-    solution.
+    solution sub and its recovered primal x_bar, for a solve to eps.
 
     On I^c, u is the subsolver multiplier bit for bit; on I it is the
-    particular stationarity solution plus its APG null-space refinement.
-    gram is the GammaSystem of partition, which the sieve keeps per
-    candidate set (BuildStore); when None and I is nonempty it is built
-    here. apg_log, a list when given, gets the ApgResult of the APG run, if
-    one ran.
+    particular stationarity solution plus its APG null-space refinement of
+    at most maxiter steps. gram is the GammaSystem of partition, which the
+    sieve keeps per candidate set (BuildStore); None when I is empty.
+    apg_log, a list when given, gets the ApgResult of the APG run, if one
+    ran.
     """
-    if x_bar is None:
-        x_bar, _ = recover_primal(partition, sub.x_red, sub.y_red)
     u = np.zeros((inst.d, inst.m_blocks))
     u[:, partition.I_c] = sub.xi
     if len(partition.gamma):  # I is nonempty exactly when gamma is
         g = (x_bar - inst.A) + inst.incidence.adjoint(u)
-        gs = GammaSystem(inst, partition) if gram is None else gram
-        _complete_dual(inst, lam, partition, gs, g, u, apg_cfg, apg_log)
+        _complete_dual(inst, lam, partition, gram, g, u, eps, maxiter, apg_log)
     return u
 
 
-def _complete_dual(inst, lam, partition, gs, g, v, apg_cfg, apg_log=None):
+def _complete_dual(inst, lam, partition, gs, g, v, eps, maxiter, apg_log=None):
     """Fill the I blocks of the dual v, whose I^c blocks are already set and
     whose I blocks are zero; g = (x - A) + B*(v) is the stationarity
     residual of that v and gs the GammaSystem of partition.
 
     The fill is the min-norm solution of stationarity on the gamma rows plus
-    its APG refinement on the null space of B_{I gamma}^T. apg_log, a list
-    when given, gets the APG's ApgResult.
+    its APG refinement on the null space of B_{I gamma}^T, run until the
+    fill is within eps/2 of its balls, half the solve's tolerance. apg_log,
+    a list when given, gets the APG's ApgResult.
     """
     v0 = gs.particular(g[:, partition.gamma])
     radii = lam * inst.weights[partition.I]
-    apg = apg_minimize(v0, radii, gs.null_project, apg_cfg)
+    apg = apg_minimize(v0, radii, gs.null_project, 0.5 * eps, maxiter)
     v[:, partition.I] = v0 + apg.d
     if apg_log is not None:
         apg_log.append(apg)
@@ -333,19 +327,18 @@ def _fill_bound(partition, g):
     return float(np.sum(np.einsum("ij,ij->j", S, S) / np.bincount(partition.pos)))
 
 
-def eas_certify(inst, lam, x_bar, eps, eps_hat=SolveConfig.eps_hat, apg_cfg=None,
-                apg_log=None):
+def eas_certify(inst, lam, x_bar, eps, maxiter, eps_hat=SolveConfig.eps_hat, apg_log=None):
     """Try to certify x_bar as optimal via its own zero pattern.
 
     Rebuilds the index machinery on the enlarged set of near-zero blocks of
     B x_bar, pins the dual to the singleton subgradient on the nonzero
     blocks, recovers the free dual blocks by the same particular-plus-APG
-    construction, and accepts iff the full KKT residual meets eps. When no
-    fill can bring the residual of the pinned dual down to eps
-    (_fill_bound, read off the partition), it rejects before computing the
-    fill. Returns None when certification fails, in which case sieving
-    continues on the violation test. apg_log, a list when given, gets the
-    ApgResult of the APG run, if one ran.
+    construction (an APG of at most maxiter steps), and accepts iff the
+    full KKT residual meets eps. When no fill can bring the residual of the
+    pinned dual down to eps (_fill_bound, read off the partition), it
+    rejects before computing the fill. Returns None when certification
+    fails, in which case sieving continues on the violation test. apg_log,
+    a list when given, gets the ApgResult of the APG run, if one ran.
     """
     y_t = inst.incidence.apply(x_bar)
     fused = fused_blocks(y_t, eps_hat)
@@ -360,7 +353,7 @@ def eas_certify(inst, lam, x_bar, eps, eps_hat=SolveConfig.eps_hat, apg_cfg=None
         return None
     if len(I_t):
         y_t[:, I_t] = 0.0
-        _complete_dual(inst, lam, partition, GammaSystem(inst, partition), g, v, apg_cfg,
+        _complete_dual(inst, lam, partition, GammaSystem(inst, partition), g, v, eps, maxiter,
                        apg_log)
     res = kkt_residual(inst, lam, x_bar, y_t, v)
     if res <= eps:
@@ -388,9 +381,8 @@ def _sieve_loop(inst, cfg, I0, enhanced, warm=None, store=None):
     # a round that does not certify shrinks I, so this limit is never hit
     max_rounds = len(I) + 1
     admm_cfg = cfg.admm or AdmmConfig()
-    apg_base = cfg.apg or ApgConfig()
+    apg_maxiter = (cfg.apg or ApgConfig()).maxiter
     sub_tol = 0.5 * cfg.eps if admm_cfg.tol is None else float(admm_cfg.tol)
-    apg_eps = apg_base.eps if apg_base.eps is not None else 0.5 * cfg.eps
 
     state = SieveState()
     carry = warm  # (x_full, z_full[, sigma]) from the caller or the last round
@@ -400,7 +392,7 @@ def _sieve_loop(inst, cfg, I0, enhanced, warm=None, store=None):
         fresh = store.get(I, lam)
         partition, red = store.partition, store.red
         warm_red = None if carry is None else _restricted_warm(carry, partition, red)
-        tol_cur, apg_iter = sub_tol, apg_base.maxiter
+        tol_cur, apg_iter = sub_tol, apg_maxiter
         work = dict.fromkeys(("newton_steps", "cg_steps", "factorizations"), 0)
         eas_apg, dual_apg = [], []  # the ApgResults of the round's APG runs
         triple, early = None, False
@@ -411,7 +403,6 @@ def _sieve_loop(inst, cfg, I0, enhanced, warm=None, store=None):
                 warm_red = sub.warm_start()
                 log.info("round %d: no violations at residual %.3e, retightening to %.1e",
                          rnd, res, tol_cur)
-            apg_cfg = ApgConfig(eps=apg_eps, maxiter=apg_iter)
             sub = solve_reduced_admm(red, tol_cur, admm_cfg, warm=warm_red,
                                      system=store.newton)
             work["newton_steps"] += sub.iterations
@@ -421,13 +412,13 @@ def _sieve_loop(inst, cfg, I0, enhanced, warm=None, store=None):
             F_val = primal_objective(inst, lam, x_bar)
 
             if enhanced and F_prev is not None and abs(F_val - F_prev) <= cfg.eps:
-                triple = eas_certify(inst, lam, x_bar, cfg.eps, cfg.eps_hat, apg_cfg,
+                triple = eas_certify(inst, lam, x_bar, cfg.eps, apg_iter, cfg.eps_hat,
                                      apg_log=eas_apg)
                 if triple is not None:
                     early, res = True, triple.residual_norm
                     break
-            u = recover_dual(inst, lam, partition, sub, apg_cfg, x_bar=x_bar,
-                             gram=store.gram, apg_log=dual_apg)
+            u = recover_dual(inst, lam, partition, sub, x_bar, store.gram, cfg.eps, apg_iter,
+                             apg_log=dual_apg)
             res = kkt_residual(inst, lam, x_bar, y_bar, u)
             if res <= cfg.eps:
                 triple = KktTriple(x=x_bar, y=y_bar, z=u, residual_norm=res,

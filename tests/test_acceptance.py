@@ -14,7 +14,6 @@ import numpy as np
 import pytest
 
 from sievepath import (
-    ApgConfig,
     PathConfig,
     SolveConfig,
     apg_minimize,
@@ -185,10 +184,8 @@ def test_criterion_3_apg_rate(capsys):
         worst_margin = np.inf
         for _ in range(20):
             u0, radii, null_project, dense_project = _dual_recovery_instance(rng)
-            ref = apg_minimize(
-                u0, radii, dense_project, ApgConfig(eps=0.0, maxiter=10**5)
-            )
-            run = apg_minimize(u0, radii, null_project, ApgConfig(eps=0.0, maxiter=50))
+            ref = apg_minimize(u0, radii, dense_project, 0.0, 10**5)
+            run = apg_minimize(u0, radii, null_project, 0.0, 50)
             h_star = ref.objective
             d_star_sq = float(np.sum(ref.d ** 2))
             for k, h_k in enumerate(run.history, start=1):

@@ -830,10 +830,12 @@ def test_every_factorization_goes_without_pivoting_or_relaxed_supernodes(monkeyp
     {"sigma": 0.0}, {"sigma": -1.0}, {"sigma": float("nan")}, {"sigma": float("inf")},
     {"max_iter": 0}, {"max_iter": -3},
     {"tol": -1e-3}, {"tol": float("nan")}, {"tol": float("inf")},
+    {"max_iter": 2.5}, {"max_iter": np.float64(50.0)}, {"max_iter": True},
 ])
 def test_admm_config_rejects_settings_no_solve_can_run(kwargs):
     """A zero sigma divides by zero in the Newton step, and a NaN or
-    negative setting would only run into a failed solve: all are bad input."""
+    negative setting would only run into a failed solve; a step cap is a
+    count, not a fraction or a bool: all are bad input."""
     with pytest.raises(ValueError):
         AdmmConfig(**kwargs)
 
@@ -841,6 +843,8 @@ def test_admm_config_rejects_settings_no_solve_can_run(kwargs):
 def test_admm_config_accepts_its_edge_values():
     AdmmConfig(sigma=1e-12, max_iter=1, tol=0.0)
     AdmmConfig(tol=None)
+    cfg = AdmmConfig(max_iter=np.int64(1))
+    assert cfg.max_iter == 1 and type(cfg.max_iter) is int
 
 
 def test_line_search_measures_round_off_on_the_scale_of_kappa():

@@ -19,11 +19,11 @@ from sievepath._kernels import project_columns
 
 def test_every_tolerance_default_is_solve_configs():
     """PathConfig, eas_certify and extract_labels default eps and eps_hat to
-    SolveConfig's, and apg_minimize without an APG tolerance accepts a start
-    exactly when it lies within SolveConfig.eps of the balls."""
+    SolveConfig's, and apg_minimize given SolveConfig.eps accepts a start
+    exactly when it lies within that distance of the balls."""
     import inspect
 
-    from sievepath import ApgConfig, PathConfig, apg_minimize, eas_certify, extract_labels
+    from sievepath import PathConfig, apg_minimize, eas_certify, extract_labels
 
     cfg, path = SolveConfig(lam=1.0), PathConfig()
     assert (path.eps, path.eps_hat) == (cfg.eps, cfg.eps_hat)
@@ -32,7 +32,7 @@ def test_every_tolerance_default_is_solve_configs():
     u0 = np.zeros((2, 3))
     for excess, inside in ((0.9, True), (1.1, False)):
         u0[0, 0] = 1.0 + excess * cfg.eps  # its distance to the unit balls
-        res = apg_minimize(u0, np.ones(3), lambda D: D, ApgConfig(maxiter=0))
+        res = apg_minimize(u0, np.ones(3), lambda D: D, cfg.eps, 0)
         assert res.converged is inside
 
 

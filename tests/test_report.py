@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from sievepath import (
+    ApgConfig,
     DataError,
     PathConfig,
     emit_report,
@@ -131,6 +132,27 @@ def test_state_with_a_removed_round_budget_still_loads(t1_result, tmp_path):
         back = load_path_state(tmp_path / "older.npz")
         assert back.summary() == t1_result.summary()
         assert not hasattr(back.config, "max_sieve_rounds")
+
+
+def test_state_with_a_removed_apg_tolerance_still_loads(t1_result, tmp_path):
+    """States saved while ApgConfig had an eps field carry it in their
+    config's "apg", null when unset; they load with the field dropped and
+    re-emit the same path.csv and summary.json."""
+    p = tmp_path / "state.npz"
+    save_path_state(t1_result, p)
+    with np.load(p, allow_pickle=False) as npz:
+        arrays = {k: npz[k] for k in npz.files}
+    meta = json.loads(str(arrays["meta"]))
+    meta["config"]["apg"] = {"eps": None, "maxiter": 30}
+    arrays["meta"] = np.array(json.dumps(meta))
+    np.savez(tmp_path / "older.npz", **arrays)
+    back = load_path_state(tmp_path / "older.npz")
+    assert back.config.apg == ApgConfig(maxiter=30)
+    assert back.summary() == t1_result.summary()
+    emit_report(t1_result, tmp_path / "a")
+    emit_report(back, tmp_path / "b")
+    for name in ("path.csv", "summary.json"):
+        assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
 
 
 def test_state_with_a_bad_subsolver_setting_is_bad_data(t1_result, tmp_path):

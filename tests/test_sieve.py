@@ -33,6 +33,14 @@ def two_point():
     return ProblemInstance(np.array([[0.0, 4.0]]), [0], [1], [1.0])
 
 
+def _recover_dual(inst, lam, part, sub):
+    """recover_dual as a sieve round calls it, at the default eps and APG
+    step budget."""
+    x_bar, _ = recover_primal(part, sub.x_red, sub.y_red)
+    return recover_dual(inst, lam, part, sub, x_bar, sieve.GammaSystem(inst, part),
+                        SolveConfig.eps, ApgConfig.maxiter)
+
+
 # ---------------------------------------------------------------- recover_dual
 
 
@@ -43,7 +51,7 @@ def test_recover_dual_fused_pair_boundary():
     part = build_partition(inst.incidence, [0])
     red = reduce_problem(inst, part, 2.0)
     sub = solve_reduced_admm(red, tol=1e-12)
-    u = recover_dual(inst, 2.0, part, sub)
+    u = _recover_dual(inst, 2.0, part, sub)
     assert u.shape == (inst.d, inst.m_blocks)
     assert abs(u[0, 0]) == pytest.approx(2.0, abs=1e-10)
     I = part.I
@@ -60,7 +68,7 @@ def test_recover_dual_flags_wrong_fusion():
     part = build_partition(inst.incidence, [0])
     red = reduce_problem(inst, part, 1.0)
     sub = solve_reduced_admm(red, tol=1e-12)
-    u = recover_dual(inst, 1.0, part, sub)
+    u = _recover_dual(inst, 1.0, part, sub)
     assert abs(u[0, 0]) == pytest.approx(2.0, abs=1e-10)
     assert abs(u[0, 0]) - 1.0 * inst.weights[0] == pytest.approx(1.0, abs=1e-10)
     assert violation_set(part, 1.0, inst, u).tolist() == [0]
@@ -73,7 +81,7 @@ def test_recover_dual_keeps_subsolver_multiplier_bitwise():
     part = build_partition(inst.incidence, I)
     red = reduce_problem(inst, part, 0.3)
     sub = solve_reduced_admm(red, tol=1e-9)
-    u = recover_dual(inst, 0.3, part, sub)
+    u = _recover_dual(inst, 0.3, part, sub)
     assert np.array_equal(u[:, part.I_c], sub.xi)
     # off-I blocks never count as violations, even far outside their balls
     far = u.copy()
@@ -94,7 +102,7 @@ def test_recover_dual_gamma_stationarity():
             continue
         red = reduce_problem(inst, part, 0.4)
         sub = solve_reduced_admm(red, tol=1e-11)
-        u = recover_dual(inst, 0.4, part, sub)
+        u = _recover_dual(inst, 0.4, part, sub)
         x_bar, _ = recover_primal(part, sub.x_red, sub.y_red)
         stat = (x_bar - inst.A) + inst.incidence.adjoint(u)
         assert np.linalg.norm(stat[:, part.gamma]) <= 1e-8
@@ -143,7 +151,7 @@ def test_structured_gamma_products_equal_the_sparse_forms():
 def test_apg_feasible_start_stops_immediately():
     u0 = np.array([[0.3, -0.4], [0.1, 0.2]])
     radii = np.array([5.0, 5.0])
-    res = apg_minimize(u0, radii, lambda D: D)
+    res = apg_minimize(u0, radii, lambda D: D, 1e-6, 30)
     assert res.converged
     assert res.iterations == 1
     assert np.all(res.d == 0.0)
@@ -153,7 +161,7 @@ def test_apg_feasible_start_stops_immediately():
 def test_apg_unconstrained_projects_onto_balls():
     u0 = np.array([[3.0, 0.0], [4.0, 10.0]])
     radii = np.array([1.0, 2.0])
-    res = apg_minimize(u0, radii, lambda D: D, ApgConfig(eps=1e-12, maxiter=50))
+    res = apg_minimize(u0, radii, lambda D: D, 1e-12, 50)
     assert res.converged
     v = u0 + res.d
     assert np.allclose(v[:, 0], [0.6, 0.8], atol=1e-10)
@@ -165,7 +173,7 @@ def test_apg_trivial_null_space_plateaus():
     an infeasible u0 plateaus and the plateau guard bails out early."""
     u0 = np.array([[10.0]])
     radii = np.array([1.0])
-    res = apg_minimize(u0, radii, lambda D: np.zeros_like(D), ApgConfig(eps=1e-8))
+    res = apg_minimize(u0, radii, lambda D: np.zeros_like(D), 1e-8, 30)
     assert not res.converged
     assert res.iterations <= 3
     assert np.all(res.d == 0.0)
@@ -174,7 +182,7 @@ def test_apg_trivial_null_space_plateaus():
 def test_apg_history_tracking():
     u0 = np.array([[3.0, 0.0], [4.0, 10.0]])
     radii = np.array([1.0, 2.0])
-    res = apg_minimize(u0, radii, lambda D: D, ApgConfig(eps=1e-12, maxiter=30))
+    res = apg_minimize(u0, radii, lambda D: D, 1e-12, 30)
     assert len(res.history) == res.iterations
     assert res.history[-1] == res.objective
 
@@ -182,7 +190,7 @@ def test_apg_history_tracking():
 def test_apg_eps_zero_runs_full_budget():
     u0 = np.array([[10.0]])
     radii = np.array([1.0])
-    res = apg_minimize(u0, radii, lambda D: np.zeros_like(D), ApgConfig(eps=0.0, maxiter=7))
+    res = apg_minimize(u0, radii, lambda D: np.zeros_like(D), 0.0, 7)
     assert res.iterations == 7
     assert not res.converged
 
@@ -196,7 +204,7 @@ def test_apg_stops_at_first_step_inside_the_balls():
     radii = np.array([1.8, 0.5])
     P = np.eye(2) - 0.5  # projector onto {D : D[:, 0] + D[:, 1] = 0}
     eps = 1e-6
-    res = apg_minimize(u0, radii, lambda D: D @ P, ApgConfig(eps=eps))
+    res = apg_minimize(u0, radii, lambda D: D @ P, eps, 30)
     assert res.converged
     dists = np.sqrt(2.0 * np.array(res.history))
     assert res.iterations == 5
@@ -214,7 +222,7 @@ def test_apg_restarts_after_an_overshoot_instead_of_stopping():
     u0 = np.array([[-1.3, 3.7]])
     radii = np.array([2.0, 0.5])
     P = np.eye(2) - 0.5  # projector onto {D : D[:, 0] + D[:, 1] = 0}
-    res = apg_minimize(u0, radii, lambda D: D @ P, ApgConfig(eps=1e-6))
+    res = apg_minimize(u0, radii, lambda D: D @ P, 1e-6, 30)
     assert res.converged
     assert res.restarts >= 1
     assert len(res.history) == res.iterations
@@ -225,12 +233,12 @@ def test_apg_restarts_after_an_overshoot_instead_of_stopping():
 def test_apg_zero_budget_reports_distance_of_start():
     u0 = np.array([[10.0]])
     radii = np.array([1.0])
-    res = apg_minimize(u0, radii, lambda D: D, ApgConfig(maxiter=0))
+    res = apg_minimize(u0, radii, lambda D: D, 1e-6, 0)
     assert res.iterations == 0
     assert res.objective == pytest.approx(0.5 * 9.0**2)
     assert not res.converged
     assert np.all(res.d == 0.0)
-    inside = apg_minimize(0.1 * u0, radii, lambda D: D, ApgConfig(maxiter=0))
+    inside = apg_minimize(0.1 * u0, radii, lambda D: D, 1e-6, 0)
     assert inside.converged and inside.objective == 0.0
 
 
@@ -394,7 +402,7 @@ def test_as_solve_random_agrees_with_direct():
 
 def test_eas_certify_accepts_true_optimum(t1_inst):
     triple, _ = as_solve(t1_inst, SolveConfig(lam=10.0, eps=1e-10))
-    cert = eas_certify(t1_inst, 10.0, triple.x, eps=1e-6)
+    cert = eas_certify(t1_inst, 10.0, triple.x, eps=1e-6, maxiter=30)
     assert cert is not None
     assert cert.residual_norm <= 1e-6
     assert np.array_equal(cert.x, triple.x)
@@ -403,12 +411,12 @@ def test_eas_certify_accepts_true_optimum(t1_inst):
 def test_eas_certify_rejects_wrong_pattern(t1_inst):
     # fully fused point is far from optimal at tiny lambda
     x_bad = np.full((1, 3), 2.0)
-    assert eas_certify(t1_inst, 0.01, x_bad, eps=1e-6) is None
+    assert eas_certify(t1_inst, 0.01, x_bad, eps=1e-6, maxiter=30) is None
 
 
 def test_eas_certify_no_zero_blocks(t1_inst):
     triple, _ = as_solve(t1_inst, SolveConfig(lam=0.01, eps=1e-10))
-    cert = eas_certify(t1_inst, 0.01, triple.x, eps=1e-6)
+    cert = eas_certify(t1_inst, 0.01, triple.x, eps=1e-6, maxiter=30)
     assert cert is not None
     # certification used only the singleton subgradient: y untouched
     assert np.allclose(cert.y, t1_inst.incidence.apply(triple.x))
@@ -475,7 +483,7 @@ def test_eas_certify_rejects_by_the_bound_before_building_the_fill(t1_inst, monk
     assert len(zero) == 1
     monkeypatch.setattr(sieve, "GammaSystem", forbidden)
     monkeypatch.setattr(sieve, "apg_minimize", forbidden)
-    assert eas_certify(t1_inst, 0.01, x_bad, eps=1e-6) is None
+    assert eas_certify(t1_inst, 0.01, x_bad, eps=1e-6, maxiter=30) is None
 
 
 # ----------------------------------------------------------------- BuildStore
@@ -562,6 +570,59 @@ def test_eas_early_certificate_fires():
     assert abs(F_as - F_eas) <= 1e-6 * (1.0 + abs(F_as))
 
 
+def test_every_apg_run_stops_at_half_the_solve_eps(monkeypatch):
+    """A round certifies at eps only if dual recovery leaves the dual within
+    eps/2 of the balls on I, so every APG run of an as or eas solve,
+    recover_dual's and eas_certify's alike, is given 0.5 * eps of its solve.
+    On the five points of the next test eas_certify gets past its fill
+    bound and runs an APG of its own; a short moons path goes through
+    solve_path."""
+    from sievepath import PathConfig, gen_two_half_moons, solve_path
+
+    callers, calls = [], []  # calls: (recover_dual | eas_certify, the APG's eps)
+
+    def entering(name, run):
+        def entered(*args, **kwargs):
+            callers.append(name)
+            try:
+                return run(*args, **kwargs)
+            finally:
+                callers.pop()
+        return entered
+
+    def apg(u0, radii, null_project, eps, maxiter, _run=sieve.apg_minimize):
+        calls.append((callers[-1], eps))
+        return _run(u0, radii, null_project, eps, maxiter)
+
+    for name in ("recover_dual", "eas_certify"):
+        monkeypatch.setattr(sieve, name, entering(name, getattr(sieve, name)))
+    monkeypatch.setattr(sieve, "apg_minimize", apg)
+
+    def solved_at(eps):
+        """The callers of the APG runs made since the last call, each of
+        which was given eps / 2."""
+        assert calls and all(got == 0.5 * eps for _, got in calls)
+        names = {name for name, _ in calls}
+        calls.clear()
+        return names
+
+    inst = ProblemInstance(
+        np.array([[0.0, 1e-5, 1.0, 2.0, 2.0]]), [0, 0, 1, 2, 3], [1, 2, 2, 3, 4], [1.0] * 5
+    )
+    seen = set()
+    for eps in (1e-6, 4e-6):
+        for solve in (as_solve, eas_solve):
+            triple, _ = solve(inst, SolveConfig(lam=1e-6, eps=eps), I0=[0, 4])
+            assert triple.residual_norm <= eps
+            seen |= solved_at(eps)
+    moons = build_knn_graph(gen_two_half_moons(200, 0.1, seed=0), k=10)
+    for mode in ("as", "eas"):
+        pcfg = PathConfig(mode=mode, lambdas=[4.0, 3.0, 2.0], eps=1e-5)
+        assert solve_path(moons, pcfg).all_converged
+        seen |= solved_at(1e-5)
+    assert seen == {"recover_dual", "eas_certify"}
+
+
 def test_an_early_certified_round_builds_no_gram_factors_of_its_set(monkeypatch):
     """Round 2 starts on a new nonempty set, which eas certifies before any
     dual recovery: the store factors no Gram system for that set, so only
@@ -611,8 +672,15 @@ def test_warm_started_solve_certifies(t1_inst):
 
 
 @pytest.mark.parametrize("kwargs", [
-    {"maxiter": -1}, {"eps": -1e-9}, {"eps": float("nan")}, {"eps": float("inf")},
+    {"maxiter": -1}, {"maxiter": 2.5}, {"maxiter": np.float64(30.0)}, {"maxiter": True},
 ])
 def test_apg_config_rejects_bad_settings(kwargs):
+    """The step cap is a count: a fractional one would only crash the APG's
+    loop, and a bool is no count."""
     with pytest.raises(ValueError):
         ApgConfig(**kwargs)
+
+
+def test_apg_config_takes_a_numpy_integer_as_a_plain_int():
+    cfg = ApgConfig(maxiter=np.int64(7))
+    assert cfg.maxiter == 7 and type(cfg.maxiter) is int
