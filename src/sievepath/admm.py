@@ -29,22 +29,21 @@ subsolve builds its own when it starts; direct mode thus orders its one
 full-problem system once per path. Every factorization reuses that order.
 The multiplier step Z = sigma * Pi_tau(V) keeps Z inside the dual balls, so
 Y = prox(Y + Z) holds exactly and the reduced KKT residual is the inner
-gradient plus the primal infeasibility. Warm starts carry sigma over
-from the solve they resume. Convergence is declared on the reduced KKT
-residual alone, as SSNAL (Sun, Toh & Yuan, JMLR 2021) stops and as the
-sieve's convergence theory measures inexactness; it matches the full-space
-residual contribution of the retained blocks after recovery and, unlike a
-gap between objectives that carry kappa = ||A||^2 / 2, does not move when
-the data are translated. A solve stopped short warns with its cause.
+gradient plus the primal infeasibility. A cold start sets sigma to
+SIGMA_START, and a warm start carries it over from the solve it resumes.
+Convergence is declared on the reduced KKT residual alone, as SSNAL (Sun,
+Toh & Yuan, JMLR 2021) stops and as the sieve's convergence theory
+measures inexactness; it matches the full-space residual contribution of
+the retained blocks after recovery and, unlike a gap between objectives
+that carry kappa = ||A||^2 / 2, does not move when the data are
+translated. A solve stopped short warns with its cause.
 
-The module, AdmmConfig, solve_reduced_admm and the --admm-* flags keep the
-names of the ADMM subsolver this replaced, because the benchmark's layer
+The module, AdmmConfig, solve_reduced_admm and the --admm-max-iter flag keep
+the names of the ADMM subsolver this replaced, because the benchmark's layer
 spans, saved manifests and callers look them up by those names.
 """
 
 import logging
-import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -52,10 +51,11 @@ import scipy.sparse as sp
 
 from ._kernels import column_norms, prox_columns
 from .graph import build_partition, recover_primal, reduce_problem
-from .model import KktTriple
+from .model import KktTriple, step_cap
 
 log = logging.getLogger(__name__)
 
+SIGMA_START = 1.0  # the penalty of a cold start; SSNAL adapts it from there
 SIGMA_GROWTH = 3.0  # raise sigma by this factor when infeasibility stalls
 SIGMA_MAX = 1e4
 MAX_OUTER = 500  # multiplier updates per solve; guards the round-off floor
@@ -131,19 +131,10 @@ class SingularSystemError(RuntimeError):
 
 @dataclass
 class AdmmConfig:
-    sigma: float = 1.0  # cold-start penalty; warm starts carry their own
     max_iter: int = 50000  # cap on Newton steps per solve
-    tol: float = None  # a lambda's first subsolve, None: eps/2; every mode retightens it
 
     def __post_init__(self):
-        if not 0.0 < self.sigma < math.inf:
-            raise ValueError(f"sigma must be finite and positive, got {self.sigma!r}")
-        if (isinstance(self.max_iter, bool) or not isinstance(self.max_iter, numbers.Integral)
-                or self.max_iter < 1):
-            raise ValueError(f"admm max_iter must be an integer >= 1, got {self.max_iter!r}")
-        self.max_iter = int(self.max_iter)  # a numpy integer would not save to JSON
-        if self.tol is not None and not 0.0 <= self.tol < math.inf:
-            raise ValueError(f"admm tol must be finite and >= 0, got {self.tol!r}")
+        self.max_iter = step_cap("admm max_iter", self.max_iter, 1)
 
 
 @dataclass
@@ -551,15 +542,15 @@ def solve_reduced_admm(red, tol, config=None, warm=None, system=None):
     the residual recomputed in full space.
 
     warm is (X, Y, Z) or (X, Y, Z, sigma), as returned by
-    SubSolution.warm_start; a carried sigma replaces config.sigma, which
-    only sets the penalty of a cold start. config.max_iter caps the Newton
+    SubSolution.warm_start; without a carried sigma the solve starts at
+    SIGMA_START. config.max_iter caps the Newton
     steps of the whole solve. system is the _NewtonSystem of red, which the
     sieve builds with the candidate set (BuildStore) and keeps for every
     solve of it; when None the solve builds its own.
     """
     cfg = config or AdmmConfig()
     tol = float(tol)
-    sigma = float(cfg.sigma if warm is None or len(warm) < 4 else warm[3])
+    sigma = float(SIGMA_START if warm is None or len(warm) < 4 else warm[3])
 
     if red.m_red == 0:
         X = red.C / red.h

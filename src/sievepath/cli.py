@@ -24,13 +24,8 @@ def _add_common_solver_flags(p):
     p.add_argument("--eps-hat", type=float, default=d.eps_hat,
                    help="zero-block detection threshold (default %(default)s)")
     p.add_argument("--mode", choices=MODES, default=d.mode)
-    p.add_argument("--sigma", type=float, default=d.sigma,
-                   help="subsolver penalty of a cold start; warm starts keep the last one")
     p.add_argument("--admm-max-iter", type=int, default=d.admm_max_iter,
                    help="cap on the subsolver's Newton steps per solve (default %(default)s)")
-    p.add_argument("--admm-tol", type=float, default=d.admm_tol,
-                   help="tolerance of a lambda's first subsolve, retightened 100x up to "
-                        "3 times while it misses eps (default: eps/2)")
     p.add_argument("--apg-maxiter", type=int, default=d.apg_maxiter,
                    help="cap on the dual-recovery APG steps per call (default %(default)s)")
 
@@ -74,7 +69,7 @@ def _path_config(opts, lambdas):
     which name them alike."""
     return PathConfig(
         lambdas=lambdas, eps=opts.eps, eps_hat=opts.eps_hat, mode=opts.mode,
-        admm=AdmmConfig(sigma=opts.sigma, max_iter=opts.admm_max_iter, tol=opts.admm_tol),
+        admm=AdmmConfig(max_iter=opts.admm_max_iter),
         apg=ApgConfig(maxiter=opts.apg_maxiter),
     )
 

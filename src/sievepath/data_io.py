@@ -117,9 +117,7 @@ class RunManifest:
     eps: float = PathConfig.eps
     eps_hat: float = PathConfig.eps_hat
     mode: str = PathConfig.mode
-    sigma: float = AdmmConfig.sigma
     admm_max_iter: int = AdmmConfig.max_iter
-    admm_tol: float = AdmmConfig.tol
     apg_maxiter: int = ApgConfig.maxiter
     outdir: str = None
 
@@ -135,10 +133,13 @@ class RunManifest:
         data = json.loads(text)
         if not isinstance(data, dict):
             raise DataError("manifest must be a JSON object")
-        # older manifests carry an integer seed that no run reads
+        # older manifests carry an integer seed that no run reads, and the
+        # subsolver's cold-start sigma and first tolerance, now rules
         seed = data.pop("seed", 0)
         if isinstance(seed, bool) or not isinstance(seed, int):
             raise DataError(f"manifest field 'seed' must be int, got {seed!r}")
+        data.pop("sigma", None)
+        data.pop("admm_tol", None)
         fields = cls.__dataclass_fields__
         unknown = set(data) - set(fields)
         if unknown:

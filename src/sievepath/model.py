@@ -10,6 +10,7 @@ concatenation.
 """
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -247,3 +248,12 @@ def check_tolerances(eps, eps_hat):
         raise ValueError("tolerances must be finite")
     if eps <= 0.0 or eps_hat <= 0.0:
         raise ValueError("tolerances must be positive")
+
+
+def step_cap(name, value, minimum):
+    """value as an int, if it is an integer >= minimum: a step cap is a
+    count, not a fraction or a bool. A numpy integer becomes an int, which
+    saves to JSON."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < minimum:
+        raise ValueError(f"{name} must be an integer >= {minimum}, got {value!r}")
+    return int(value)

@@ -154,11 +154,12 @@ def load_path_state(path):
         inst = ProblemInstance(arrays["A"], arrays["edge_i"], arrays["edge_j"], arrays["weights"])
         cfg = dict(meta["config"])
         cfg.pop("max_sieve_rounds", None)  # a removed setting older states carry
-        cfg["admm"] = None if cfg["admm"] is None else AdmmConfig(**cfg["admm"])
-        if cfg["apg"] is not None:
-            apg = dict(cfg["apg"])
-            apg.pop("eps", None)  # removed too: the APG stops at eps/2 by rule
-            cfg["apg"] = ApgConfig(**apg)
+        # removed too, now rules: the subsolver's cold-start sigma and first
+        # tolerance, and the APG's stopping distance eps/2
+        for key, cls, removed in (("admm", AdmmConfig, ("sigma", "tol")),
+                                  ("apg", ApgConfig, ("eps",))):
+            if cfg[key] is not None:
+                cfg[key] = cls(**{k: v for k, v in dict(cfg[key]).items() if k not in removed})
         result = PathResult(inst=inst, config=PathConfig(**cfg))
         for idx, scalars in enumerate(meta["records"]):
             triple = None

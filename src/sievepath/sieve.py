@@ -15,7 +15,7 @@ B_{I gamma} and applies B_{I gamma} through an IncidenceMap of the I edges.
 Once the objective stalls, the enhanced variant first tries to certify the
 iterate on its own enlarged zero set. A round that finds no violation yet
 misses eps solves again with a subsolver tolerance 100x tighter, up to
-three times, starting from AdmmConfig.tol (eps/2 when None). Each round
+three times, starting from SUBSOLVE_SHARE * eps = eps/2. Each round
 appends one record, with the work of all its subsolves and APG runs, to
 the run's SieveState. A run returns a triple whose recomputed KKT residual
 is <= eps or raises SieveLimitError, never an uncertified point. With I
@@ -39,19 +39,20 @@ passes the secant prediction from its last two certified lambdas
 """
 
 import logging
-import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from ._kernels import column_norms, frobenius_norm, project_columns
-from .admm import AdmmConfig, _factor, _NewtonSystem, solve_reduced_admm
+from .admm import _factor, _NewtonSystem, solve_reduced_admm
 from .graph import IncidenceMap, build_partition, recover_primal, reduce_problem, unique_indices
-from .model import KktTriple, SolveConfig, duality_gap, fused_blocks, kkt_residual, primal_objective
+from .model import (KktTriple, SolveConfig, duality_gap, fused_blocks, kkt_residual,
+                    primal_objective, step_cap)
 
 log = logging.getLogger(__name__)
 
 VIOLATION_SLACK = 1e-8  # relative slack of the ball-membership test
+SUBSOLVE_SHARE = 0.5  # a round's first subsolve stops at this share of eps
 
 
 class SieveLimitError(RuntimeError):
@@ -68,10 +69,7 @@ class ApgConfig:
     maxiter: int = 30  # steps per APG run; each retightening of a round multiplies it by 10
 
     def __post_init__(self):
-        if (isinstance(self.maxiter, bool) or not isinstance(self.maxiter, numbers.Integral)
-                or self.maxiter < 0):
-            raise ValueError(f"apg maxiter must be an integer >= 0, got {self.maxiter!r}")
-        self.maxiter = int(self.maxiter)  # a numpy integer would not save to JSON
+        self.maxiter = step_cap("apg maxiter", self.maxiter, 0)
 
 
 @dataclass
@@ -380,9 +378,7 @@ def _sieve_loop(inst, cfg, I0, enhanced, warm=None, store=None):
     I = np.arange(inst.m_blocks, dtype=np.int64) if I0 is None else unique_indices(I0)
     # a round that does not certify shrinks I, so this limit is never hit
     max_rounds = len(I) + 1
-    admm_cfg = cfg.admm or AdmmConfig()
     apg_maxiter = (cfg.apg or ApgConfig()).maxiter
-    sub_tol = 0.5 * cfg.eps if admm_cfg.tol is None else float(admm_cfg.tol)
 
     state = SieveState()
     carry = warm  # (x_full, z_full[, sigma]) from the caller or the last round
@@ -392,7 +388,7 @@ def _sieve_loop(inst, cfg, I0, enhanced, warm=None, store=None):
         fresh = store.get(I, lam)
         partition, red = store.partition, store.red
         warm_red = None if carry is None else _restricted_warm(carry, partition, red)
-        tol_cur, apg_iter = sub_tol, apg_maxiter
+        tol_cur, apg_iter = SUBSOLVE_SHARE * cfg.eps, apg_maxiter
         work = dict.fromkeys(("newton_steps", "cg_steps", "factorizations"), 0)
         eas_apg, dual_apg = [], []  # the ApgResults of the round's APG runs
         triple, early = None, False
@@ -403,8 +399,7 @@ def _sieve_loop(inst, cfg, I0, enhanced, warm=None, store=None):
                 warm_red = sub.warm_start()
                 log.info("round %d: no violations at residual %.3e, retightening to %.1e",
                          rnd, res, tol_cur)
-            sub = solve_reduced_admm(red, tol_cur, admm_cfg, warm=warm_red,
-                                     system=store.newton)
+            sub = solve_reduced_admm(red, tol_cur, cfg.admm, warm=warm_red, system=store.newton)
             work["newton_steps"] += sub.iterations
             work["cg_steps"] += sub.cg_steps
             work["factorizations"] += sub.factorizations

@@ -25,7 +25,8 @@ from conftest import force_newton_branch, random_instance
 
 def test_fully_fused_t1(t1_inst):
     """With every block fused the subproblem is unconstrained and closes in
-    one shot: x_alpha is the centroid of A, C / h, at the sigma given."""
+    one shot: x_alpha is the centroid of A, C / h, at the sigma it starts
+    with: SIGMA_START cold, the carried one warm."""
     part = build_partition(t1_inst.incidence, [0, 1, 2])
     red = reduce_problem(t1_inst, part, 10.0)
     sub = solve_reduced_admm(red, tol=1e-10)
@@ -34,9 +35,8 @@ def test_fully_fused_t1(t1_inst):
     assert sub.x_red[0, 0] == pytest.approx(2.0, abs=1e-12)
     assert np.array_equal(sub.x_red, red.C / red.h)
     assert sub.y_red.shape == (1, 0)
-    assert sub.sigma == AdmmConfig().sigma
-    carried = solve_reduced_admm(red, tol=1e-10, config=AdmmConfig(sigma=3.0),
-                                 warm=sub.warm_start()[:3] + (7.5,))
+    assert sub.sigma == admm.SIGMA_START == 1.0
+    carried = solve_reduced_admm(red, tol=1e-10, warm=sub.warm_start()[:3] + (7.5,))
     assert carried.sigma == 7.5 and carried.iterations == 0
     assert np.array_equal(carried.x_red, red.C / red.h)
 
@@ -121,20 +121,23 @@ def test_solve_full_random_matches_objective_oracle():
             assert primal_objective(inst, lam, pert) >= F - 1e-10
 
 
-def test_warm_start_carries_sigma(t1_inst):
+def test_warm_start_carries_sigma(t1_inst, monkeypatch):
+    """A carried sigma replaces SIGMA_START; a cold start and a warm start
+    without one, such as a 3-tuple (X, Y, Z), begin at SIGMA_START."""
+    monkeypatch.setattr(admm, "SIGMA_START", 100.0)
     part = build_partition(t1_inst.incidence, [])
     red = reduce_problem(t1_inst, part, 1.0)
-    cfg = AdmmConfig(sigma=100.0)
-    cold = solve_reduced_admm(red, tol=1e-9, config=cfg)
+    cold = solve_reduced_admm(red, tol=1e-9)
     assert cold.converged
     # resuming a converged solve keeps the carried sigma and takes no step
     X, Y, Z, _ = cold.warm_start()
-    warm = solve_reduced_admm(red, tol=1e-9, config=cfg, warm=(X, Y, Z, 7.0))
+    warm = solve_reduced_admm(red, tol=1e-9, warm=(X, Y, Z, 7.0))
     assert warm.converged
     assert warm.iterations == 0
     assert warm.sigma == 7.0
-    # without a carried sigma a warm start begins at the configured value
-    plain = solve_reduced_admm(red, tol=1e-9, config=cfg, warm=(X, Y, Z))
+    # without a carried sigma a warm start begins at SIGMA_START
+    plain = solve_reduced_admm(red, tol=1e-9, warm=(X, Y, Z))
+    assert plain.iterations == 0
     assert plain.sigma == 100.0
 
 
@@ -827,22 +830,21 @@ def test_every_factorization_goes_without_pivoting_or_relaxed_supernodes(monkeyp
 
 
 @pytest.mark.parametrize("kwargs", [
-    {"sigma": 0.0}, {"sigma": -1.0}, {"sigma": float("nan")}, {"sigma": float("inf")},
-    {"max_iter": 0}, {"max_iter": -3},
-    {"tol": -1e-3}, {"tol": float("nan")}, {"tol": float("inf")},
+    {"max_iter": 0}, {"max_iter": -3}, {"max_iter": np.int64(0)},
+    {"max_iter": float("nan")}, {"max_iter": float("inf")}, {"max_iter": None},
+    {"max_iter": "50"}, {"max_iter": 1.0}, {"max_iter": np.bool_(True)},
     {"max_iter": 2.5}, {"max_iter": np.float64(50.0)}, {"max_iter": True},
 ])
 def test_admm_config_rejects_settings_no_solve_can_run(kwargs):
-    """A zero sigma divides by zero in the Newton step, and a NaN or
-    negative setting would only run into a failed solve; a step cap is a
-    count, not a fraction or a bool: all are bad input."""
-    with pytest.raises(ValueError):
+    """A cap below one Newton step would only run into a failed solve, and
+    a step cap is a count, not a fraction, a float, a string or a bool
+    (numpy's included): all are bad input."""
+    with pytest.raises(ValueError, match="admm max_iter must be an integer >= 1"):
         AdmmConfig(**kwargs)
 
 
 def test_admm_config_accepts_its_edge_values():
-    AdmmConfig(sigma=1e-12, max_iter=1, tol=0.0)
-    AdmmConfig(tol=None)
+    AdmmConfig(max_iter=1)
     cfg = AdmmConfig(max_iter=np.int64(1))
     assert cfg.max_iter == 1 and type(cfg.max_iter) is int
 

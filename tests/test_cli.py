@@ -83,26 +83,38 @@ def test_gen_with_non_finite_noise_is_bad_input(tmp_path, capsys, noise):
 
 
 @pytest.mark.parametrize("flags", [
-    ["--sigma", "0"], ["--sigma", "-1"], ["--sigma", "nan"],
-    ["--admm-max-iter", "-3"], ["--admm-tol", "nan"], ["--apg-maxiter", "-1"],
+    ["--admm-max-iter", "0"], ["--admm-max-iter", "-3"], ["--apg-maxiter", "-1"],
+    ["--apg-maxiter", "-1", "--mode", "direct"],
 ])
 @pytest.mark.parametrize("command", [["solve", "--lam", "1"], ["path", "--grid", "2,1"]])
 def test_bad_subsolver_setting_is_bad_input(small_csv, capsys, command, flags):
     """A subsolver or APG setting no solve can run with is rejected before
-    any solve (exit 2): no traceback, no failed solve."""
+    any solve (exit 2), in direct mode too, which runs no APG: no
+    traceback, no failed solve."""
     rc = main([*command, "--input", str(small_csv), "--k", "5", *flags])
     err = capsys.readouterr().err
     assert rc == 2
     assert err.startswith("error:") and "Traceback" not in err and "FAILED" not in err
 
 
+@pytest.mark.parametrize("flags", [["--sigma", "1"], ["--admm-tol", "1e-3"]])
+@pytest.mark.parametrize("command", [["solve", "--lam", "1"], ["path", "--grid", "2,1"]])
+def test_retired_subsolver_flag_is_bad_input(small_csv, capsys, command, flags):
+    """The cold-start sigma and the first subsolver tolerance are rules,
+    not flags: naming either is a usage error (exit 2) before any solve."""
+    with pytest.raises(SystemExit) as exc:
+        main([*command, "--input", str(small_csv), "--k", "5", *flags])
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {' '.join(flags)}" in capsys.readouterr().err
+
+
 def test_manifest_with_a_bad_subsolver_setting_exit_two(small_csv, tmp_path, capsys):
     man = tmp_path / "run.json"
-    RunManifest(input=str(small_csv), k=5, grid="2,1", sigma=0.0).save(man)
+    RunManifest(input=str(small_csv), k=5, grid="2,1", admm_max_iter=0).save(man)
     rc = main(["path", "--manifest", str(man)])
     err = capsys.readouterr().err
     assert rc == 2
-    assert err.startswith("error:") and "sigma" in err
+    assert err.startswith("error:") and "max_iter" in err
 
 
 def test_solve_missing_file_exit_two(tmp_path):
@@ -234,9 +246,9 @@ def test_solver_error_exit_one(small_csv, monkeypatch, capsys):
 def test_apg_budget_has_one_default(small_csv, monkeypatch):
     """Every common solver flag, of solve and of path, defaults to its
     manifest field, which defaults to the library's own setting: k to
-    build_knn_graph's, eps, eps_hat and mode to PathConfig's, sigma,
-    admm_max_iter and admm_tol to AdmmConfig's and apg_maxiter to
-    ApgConfig's budget. The grid defaults to None in both, and a path run
+    build_knn_graph's, eps, eps_hat and mode to PathConfig's,
+    admm_max_iter to AdmmConfig's cap and apg_maxiter to ApgConfig's
+    budget. The grid defaults to None in both, and a path run
     without one solves PathConfig's default grid. A saved manifest that
     names another budget keeps it."""
     import inspect
@@ -247,7 +259,7 @@ def test_apg_budget_has_one_default(small_csv, monkeypatch):
     library = {
         "k": inspect.signature(build_knn_graph).parameters["k"].default,
         "eps": path.eps, "eps_hat": path.eps_hat, "mode": path.mode,
-        "sigma": admm.sigma, "admm_max_iter": admm.max_iter, "admm_tol": admm.tol,
+        "admm_max_iter": admm.max_iter,
         "apg_maxiter": ApgConfig().maxiter,
     }
     manifest = RunManifest()

@@ -147,8 +147,20 @@ def test_manifest_drops_the_seed_of_older_manifests():
 
 
 def test_manifest_float_takes_int_and_null_only_where_default_is_none():
-    m = RunManifest.from_json('{"eps": 1, "admm_tol": null, "input": null, "k": 4}')
-    assert (m.eps, m.admm_tol, m.input, m.k) == (1, None, None, 4)
+    m = RunManifest.from_json('{"eps": 1, "grid": null, "input": null, "k": 4}')
+    assert (m.eps, m.grid, m.input, m.k) == (1, None, None, 4)
+    with pytest.raises(DataError, match="field 'eps_hat' must be float"):
+        RunManifest.from_json('{"eps_hat": null}')
+
+
+def test_manifest_drops_the_subsolver_settings_of_older_manifests():
+    """Manifests saved while the cold-start sigma and the first subsolver
+    tolerance were settings carry them, admm_tol null when unset; they
+    load with both dropped, as the rules they became."""
+    old = RunManifest.from_json('{"sigma": 1.0, "admm_tol": null, "admm_max_iter": 40, "k": 4}')
+    assert old == RunManifest(admm_max_iter=40, k=4)
+    assert RunManifest.from_json('{"sigma": 3, "admm_tol": 1e-3}') == RunManifest()
+    assert set(json.loads(old.to_json())).isdisjoint({"sigma", "admm_tol"})
 
 
 # --------------------------------------------------------------------- labels

@@ -265,17 +265,29 @@ def test_direct_path_is_a_chain_of_full_solves():
         certified = [(lam, triple.x, triple.z), *certified[:1]]
 
 
-def test_direct_mode_retightens_admm_tol_like_the_sieve():
-    """--admm-tol is the first subsolver tolerance in every mode: a direct
-    solve that misses eps retightens it within its one round, and one that
-    still misses eps fails its lambda as SieveLimitError."""
+def test_direct_mode_retightens_admm_tol_like_the_sieve(monkeypatch):
+    """The first subsolver tolerance, SUBSOLVE_SHARE * eps, is the same
+    rule in every mode: a direct solve that misses eps (forced here by a
+    first tolerance looser than eps) retightens it 100x within its one
+    round, and one that still misses eps fails its lambda as
+    SieveLimitError."""
+    from sievepath import sieve
+
+    tols = []
+
+    def recording(red, tol, *args, _solve=sieve.solve_reduced_admm, **kwargs):
+        tols.append(tol)
+        return _solve(red, tol, *args, **kwargs)
+
+    monkeypatch.setattr(sieve, "solve_reduced_admm", recording)
+    monkeypatch.setattr(sieve, "SUBSOLVE_SHARE", 1e5)
     inst = build_knn_graph(np.random.default_rng(2).standard_normal((2, 40)), k=4)
-    res = solve_path(inst, PathConfig(lambdas=[0.2], eps=1e-8, mode="direct",
-                                      admm=AdmmConfig(tol=1e-3)))
+    res = solve_path(inst, PathConfig(lambdas=[0.2], eps=1e-8, mode="direct"))
     rec = res.records[0]
     assert rec.converged and rec.residual <= 1e-8 and rec.rounds == 1
+    assert tols[0] == 1e5 * 1e-8 and len(tols) > 1 and tols[1] == 0.01 * tols[0]
     res = solve_path(inst, PathConfig(lambdas=[0.2], eps=1e-8, mode="direct",
-                                      admm=AdmmConfig(tol=1e-3, max_iter=2)))
+                                      admm=AdmmConfig(max_iter=2)))
     failed = res.records[0]
     assert failed.triple is None and not failed.converged
     assert failed.error.startswith("SieveLimitError: ")

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from sievepath import (
+    AdmmConfig,
     ApgConfig,
     DataError,
     PathConfig,
@@ -134,37 +135,54 @@ def test_state_with_a_removed_round_budget_still_loads(t1_result, tmp_path):
         assert not hasattr(back.config, "max_sieve_rounds")
 
 
-def test_state_with_a_removed_apg_tolerance_still_loads(t1_result, tmp_path):
-    """States saved while ApgConfig had an eps field carry it in their
-    config's "apg", null when unset; they load with the field dropped and
-    re-emit the same path.csv and summary.json."""
+def _state_with(result, tmp_path, **config):
+    """Save result as a state whose config carries config's entries instead,
+    as an older or a corrupt file would; returns the file's path."""
     p = tmp_path / "state.npz"
-    save_path_state(t1_result, p)
+    save_path_state(result, p)
     with np.load(p, allow_pickle=False) as npz:
         arrays = {k: npz[k] for k in npz.files}
     meta = json.loads(str(arrays["meta"]))
-    meta["config"]["apg"] = {"eps": None, "maxiter": 30}
+    meta["config"].update(config)
     arrays["meta"] = np.array(json.dumps(meta))
-    np.savez(tmp_path / "older.npz", **arrays)
-    back = load_path_state(tmp_path / "older.npz")
-    assert back.config.apg == ApgConfig(maxiter=30)
-    assert back.summary() == t1_result.summary()
-    emit_report(t1_result, tmp_path / "a")
+    np.savez(tmp_path / "edited.npz", **arrays)
+    return tmp_path / "edited.npz"
+
+
+def _assert_same_reports(result, back, tmp_path):
+    emit_report(result, tmp_path / "a")
     emit_report(back, tmp_path / "b")
     for name in ("path.csv", "summary.json"):
         assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
 
 
+def test_state_with_removed_subsolver_settings_still_loads(t1_result, tmp_path):
+    """States saved while AdmmConfig had sigma and tol fields carry them in
+    their config's "admm", tol null when unset; they load with both
+    dropped and re-emit the same path.csv and summary.json."""
+    older = _state_with(t1_result, tmp_path,
+                        admm={"sigma": 1.0, "max_iter": 50000, "tol": None})
+    back = load_path_state(older)
+    assert back.config.admm == AdmmConfig(max_iter=50000)
+    assert back.summary() == t1_result.summary()
+    _assert_same_reports(t1_result, back, tmp_path)
+
+
+def test_state_with_a_removed_apg_tolerance_still_loads(t1_result, tmp_path):
+    """States saved while ApgConfig had an eps field carry it in their
+    config's "apg", null when unset; they load with the field dropped and
+    re-emit the same path.csv and summary.json."""
+    back = load_path_state(_state_with(t1_result, tmp_path, apg={"eps": None, "maxiter": 30}))
+    assert back.config.apg == ApgConfig(maxiter=30)
+    assert back.summary() == t1_result.summary()
+    _assert_same_reports(t1_result, back, tmp_path)
+
+
 def test_state_with_a_bad_subsolver_setting_is_bad_data(t1_result, tmp_path):
     """A saved state whose subsolver settings no solve could run with is
     malformed, like any other invalid field."""
-    p = tmp_path / "state.npz"
-    save_path_state(t1_result, p)
-    with np.load(p, allow_pickle=False) as npz:
-        arrays = {k: npz[k] for k in npz.files}
-    meta = json.loads(str(arrays["meta"]))
-    meta["config"]["admm"] = {"sigma": 0.0, "max_iter": 50000, "tol": None}
-    arrays["meta"] = np.array(json.dumps(meta))
-    np.savez(tmp_path / "bad.npz", **arrays)
-    with pytest.raises(DataError, match="sigma"):
-        load_path_state(tmp_path / "bad.npz")
+    for config, field in (({"admm": {"max_iter": 0}}, "admm max_iter"),
+                          ({"apg": {"maxiter": -1}}, "apg maxiter"),
+                          ({"admm": ["max_iter", 10]}, "")):
+        with pytest.raises(DataError, match=f"malformed path state.*{field}"):
+            load_path_state(_state_with(t1_result, tmp_path, **config))

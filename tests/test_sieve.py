@@ -3,7 +3,6 @@ import pytest
 import scipy.sparse as sp
 
 from sievepath import (
-    AdmmConfig,
     ApgConfig,
     ProblemInstance,
     SieveLimitError,
@@ -299,22 +298,30 @@ def test_as_solve_fails_when_retightening_runs_out(t1_inst, monkeypatch):
     assert state.records
 
 
-def test_admm_tol_is_the_first_tolerance_and_retightening_goes_on():
-    """An --admm-tol looser than eps only starts the sieve's subsolves: a
-    round that finds no violation above eps retightens below it."""
+def test_admm_tol_is_the_first_tolerance_and_retightening_goes_on(monkeypatch):
+    """Every round's first subsolve stops at SUBSOLVE_SHARE * eps = eps/2.
+    A first tolerance looser than eps only starts the sieve's subsolves: in
+    as and eas alike, a round that finds no violation above eps retightens
+    below it."""
     inst = build_knn_graph(np.random.default_rng(2).standard_normal((2, 40)), k=4)
-    cfg = SolveConfig(lam=0.2, eps=1e-8, admm=AdmmConfig(tol=1e-3))
-    triple, state = as_solve(inst, cfg)
-    assert triple.residual_norm <= 1e-8
-    assert state.records[0]["subsolver_tol"] == 1e-3
-    assert state.records[-1]["subsolver_tol"] < 1e-3
+    cfg = SolveConfig(lam=0.2, eps=1e-8)
+    _, state = as_solve(inst, cfg)
+    assert sieve.SUBSOLVE_SHARE == 0.5
+    assert state.records[0]["retightenings"] == 0
+    assert state.records[0]["subsolver_tol"] == 0.5 * cfg.eps
+    monkeypatch.setattr(sieve, "SUBSOLVE_SHARE", 1e5)
+    for solve in (as_solve, eas_solve):
+        triple, state = solve(inst, cfg)
+        assert triple.residual_norm <= 1e-8
+        assert state.records[0]["subsolver_tol"] == 1e5 * 1e-8
+        assert state.records[-1]["subsolver_tol"] < 1e5 * 1e-8
 
 
 def test_a_retightened_round_records_the_work_of_all_its_subsolves(monkeypatch):
     """Each round appends one record with the Newton steps, CG steps and
     factorizations of every subsolve it ran, how often it retightened and
-    the sigma its last subsolve ended with; on this instance a round
-    retightens."""
+    the sigma its last subsolve ended with; a first tolerance looser than
+    eps makes a round retighten."""
     subs = []
 
     def recording(*args, _solve=sieve.solve_reduced_admm, **kwargs):
@@ -323,7 +330,8 @@ def test_a_retightened_round_records_the_work_of_all_its_subsolves(monkeypatch):
 
     monkeypatch.setattr(sieve, "solve_reduced_admm", recording)
     inst = build_knn_graph(np.random.default_rng(2).standard_normal((2, 40)), k=4)
-    _, state = as_solve(inst, SolveConfig(lam=0.2, eps=1e-8, admm=AdmmConfig(tol=1e-3)))
+    monkeypatch.setattr(sieve, "SUBSOLVE_SHARE", 1e5)
+    _, state = as_solve(inst, SolveConfig(lam=0.2, eps=1e-8))
     assert len(state.records) == state.round
     assert max(r["retightenings"] for r in state.records) >= 1
     start = 0
