@@ -83,14 +83,15 @@ def test_gen_with_non_finite_noise_is_bad_input(tmp_path, capsys, noise):
 
 
 @pytest.mark.parametrize("flags", [
-    ["--admm-max-iter", "0"], ["--admm-max-iter", "-3"], ["--apg-maxiter", "-1"],
-    ["--apg-maxiter", "-1", "--mode", "direct"],
+    ["--admm-max-iter", "0"], ["--admm-max-iter", "0", "--mode", "direct"],
+    ["--apg-maxiter", "-1", "--mode", "direct"], ["--admm-max-iter", "-3"],
+    ["--apg-maxiter", "-1", "--mode", "eas"], ["--apg-maxiter", "-1"],
 ])
 @pytest.mark.parametrize("command", [["solve", "--lam", "1"], ["path", "--grid", "2,1"]])
 def test_bad_subsolver_setting_is_bad_input(small_csv, capsys, command, flags):
     """A subsolver or APG setting no solve can run with is rejected before
-    any solve (exit 2), in direct mode too, which runs no APG: no
-    traceback, no failed solve."""
+    any solve (exit 2), in every mode, direct included, which runs no APG:
+    no traceback, no failed solve."""
     rc = main([*command, "--input", str(small_csv), "--k", "5", *flags])
     err = capsys.readouterr().err
     assert rc == 2
