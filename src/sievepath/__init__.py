@@ -35,7 +35,6 @@ from .admm import (
     solve_reduced_admm,
 )
 from .sieve import (
-    ApgConfig,
     SieveLimitError,
     SieveState,
     apg_minimize,
@@ -54,7 +53,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AdmmConfig",
-    "ApgConfig",
     "ClusterLabels",
     "DataError",
     "GraphError",

@@ -44,6 +44,7 @@ spans, saved manifests and callers look them up by those names.
 """
 
 import logging
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -51,7 +52,7 @@ import scipy.sparse as sp
 
 from ._kernels import column_norms, prox_columns
 from .graph import build_partition, recover_primal, reduce_problem
-from .model import KktTriple, step_cap
+from .model import KktTriple
 
 log = logging.getLogger(__name__)
 
@@ -70,9 +71,7 @@ PSI_ROUNDOFF = 1e-15
 # they saved (H of the full N = 1000 moons problem factored in 3.4 ms
 # against 5.3 ms, medians of 7). With the default settings' padding, H's
 # factors held 1% more entries at N = 10^4 and 26% more at N = 1000, and
-# the probe's up to 2.7x more on small graphs (N = 100); the limits below
-# are restated in the new count, and timings not marked as taken again
-# are from the old.
+# the probe's up to 2.7x more on small graphs (N = 100).
 # H is assembled when the fill the order probe predicts for its factors,
 # fill * d^2, is affordable in total and per node. The assembly needs no
 # cap of its own: both branches build the same summation matrix, L's. The
@@ -108,11 +107,10 @@ MAX_CG = 500  # conjugate-gradient steps per Newton direction
 # L at N = 1000 at 7.5 one-column steps. A CG step also costs about 20 us
 # whatever its size, as long as applying REUSE_MIN_FILL stored entries of
 # factors takes; below it a factorization of H cost only 3 to 7 CG steps
-# (N = 20 to 40 at d = 2, 10 to 30 at d = 5; 5.2 steps at N = 70 measured
-# again), so such factors are never reused. It was 8000 in the padded
-# count and is restated between the full N = 70 (5,100 entries, 6,000
-# padded) and N = 100 (6,500, 9,900 padded) moons problems, which keep
-# their reuse. Reusing them on the sieved subproblems of the N = 1000 moons
+# (N = 20 to 40 at d = 2, 10 to 30 at d = 5; 5.2 steps at N = 70), so
+# such factors are never reused. It lies between the full N = 70 (5,100
+# entries) and N = 100 (6,500) moons problems, which keep their reuse.
+# Reusing them on the sieved subproblems of the N = 1000 moons
 # eas paths (at most 2,064 entries at d = 2 and 4,410 at d = 5, padded
 # 2,064 and 4,460) took 20 to 36% more Newton time. Above it, charging
 # each reusing direction k CG steps more, for entering CG and the Newton
@@ -134,7 +132,12 @@ class AdmmConfig:
     max_iter: int = 50000  # cap on Newton steps per solve
 
     def __post_init__(self):
-        self.max_iter = step_cap("admm max_iter", self.max_iter, 1)
+        # a count, not a fraction or a bool; a numpy integer becomes an int,
+        # which saves to JSON
+        cap = self.max_iter
+        if isinstance(cap, bool) or not isinstance(cap, numbers.Integral) or cap < 1:
+            raise ValueError(f"admm max_iter must be an integer >= 1, got {cap!r}")
+        self.max_iter = int(cap)
 
 
 @dataclass
@@ -329,10 +332,7 @@ class _NewtonSystem:
         of 10 pairs) and even at d = 10; never reusing L was 11 to 26%
         slower at d = 3 to 5 and 4% at d = 10; keeping factors of L across
         inner solves, as for H, was 8% slower at d = 4 (10 of 10 pairs),
-        though 3 to 6% faster in the median at d = 3 and d = 10. Those runs
-        factored with relaxed supernodes; without them, and with _cg, the
-        same paths kept the operator and ran 4 to 9% faster in the median
-        (7 to 9 of 10 pairs), and the rules were not timed again."""
+        though 3 to 6% faster in the median at d = 3 and d = 10."""
         r = -grad.T[self.order]
         if self.assembled:
             H = self.matrix(V, tau, sigma)

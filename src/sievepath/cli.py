@@ -12,7 +12,6 @@ from .graph import GraphError, build_knn_graph
 from .labels import extract_labels
 from .path import MODES, PathConfig, default_lambda_grid, parse_lambda_spec, solve_path
 from .report import emit_report, load_path_state, save_path_state
-from .sieve import ApgConfig
 
 
 def _add_common_solver_flags(p):
@@ -26,8 +25,6 @@ def _add_common_solver_flags(p):
     p.add_argument("--mode", choices=MODES, default=d.mode)
     p.add_argument("--admm-max-iter", type=int, default=d.admm_max_iter,
                    help="cap on the subsolver's Newton steps per solve (default %(default)s)")
-    p.add_argument("--apg-maxiter", type=int, default=d.apg_maxiter,
-                   help="cap on the dual-recovery APG steps per call (default %(default)s)")
 
 
 def build_parser():
@@ -70,7 +67,6 @@ def _path_config(opts, lambdas):
     return PathConfig(
         lambdas=lambdas, eps=opts.eps, eps_hat=opts.eps_hat, mode=opts.mode,
         admm=AdmmConfig(max_iter=opts.admm_max_iter),
-        apg=ApgConfig(maxiter=opts.apg_maxiter),
     )
 
 

@@ -10,7 +10,6 @@ import numpy as np
 from .admm import AdmmConfig
 from .graph import build_knn_graph
 from .path import PathConfig
-from .sieve import ApgConfig
 
 
 class DataError(ValueError):
@@ -20,15 +19,16 @@ class DataError(ValueError):
 def load_matrix(path):
     """Read a features-by-points CSV matrix.
 
-    Rows are features, columns are points; `#` lines are comments and an
-    optional single header row is skipped. Ragged rows, non-numeric cells,
+    Rows are features, columns are points; `#` lines are comments, a UTF-8
+    byte-order mark is skipped, and so is a single header row, the first
+    row, if none of its cells is a number. Ragged rows, non-numeric cells,
     NaN/Inf entries, and empty files raise DataError naming the offending
     line (and cell).
     """
     rows = []
     width = None
     header_allowed = True
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "r", encoding="utf-8-sig") as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.strip()
             if not line or line.startswith("#"):
@@ -37,7 +37,7 @@ def load_matrix(path):
             try:
                 values = [float(c) for c in cells]
             except ValueError:
-                if header_allowed:
+                if header_allowed and not any(map(_is_float, cells)):
                     header_allowed = False
                     continue
                 bad = next(c for c in cells if not _is_float(c))
@@ -118,7 +118,6 @@ class RunManifest:
     eps_hat: float = PathConfig.eps_hat
     mode: str = PathConfig.mode
     admm_max_iter: int = AdmmConfig.max_iter
-    apg_maxiter: int = ApgConfig.maxiter
     outdir: str = None
 
     def to_json(self):
@@ -134,12 +133,13 @@ class RunManifest:
         if not isinstance(data, dict):
             raise DataError("manifest must be a JSON object")
         # older manifests carry an integer seed that no run reads, and the
-        # subsolver's cold-start sigma and first tolerance, now rules
+        # subsolver's cold-start sigma and first tolerance and the APG's step
+        # budget, now rules
         seed = data.pop("seed", 0)
         if isinstance(seed, bool) or not isinstance(seed, int):
             raise DataError(f"manifest field 'seed' must be int, got {seed!r}")
-        data.pop("sigma", None)
-        data.pop("admm_tol", None)
+        for removed in ("sigma", "admm_tol", "apg_maxiter"):
+            data.pop(removed, None)
         fields = cls.__dataclass_fields__
         unknown = set(data) - set(fields)
         if unknown:

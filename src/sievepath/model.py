@@ -10,7 +10,6 @@ concatenation.
 """
 
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -231,7 +230,6 @@ class SolveConfig:
     eps: float = 1e-6
     eps_hat: float = 2e-16
     admm: object = None  # AdmmConfig, None for defaults
-    apg: object = None  # ApgConfig, None for defaults
 
     def __post_init__(self):
         if not math.isfinite(self.lam):
@@ -249,11 +247,3 @@ def check_tolerances(eps, eps_hat):
     if eps <= 0.0 or eps_hat <= 0.0:
         raise ValueError("tolerances must be positive")
 
-
-def step_cap(name, value, minimum):
-    """value as an int, if it is an integer >= minimum: a step cap is a
-    count, not a fraction or a bool. A numpy integer becomes an int, which
-    saves to JSON."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < minimum:
-        raise ValueError(f"{name} must be an integer >= {minimum}, got {value!r}")
-    return int(value)

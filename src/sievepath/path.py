@@ -70,7 +70,6 @@ class PathConfig:
     eps_hat: float = SolveConfig.eps_hat
     mode: str = "as"
     admm: object = None
-    apg: object = None
 
     def __post_init__(self):
         self.lambdas = np.asarray(self.lambdas, dtype=np.float64)
@@ -205,9 +204,7 @@ def solve_path(inst, pcfg=None):
     store = BuildStore(inst)  # candidate sets recur across lambdas
 
     for lam in pcfg.lambdas:
-        cfg = SolveConfig(
-            lam=float(lam), eps=pcfg.eps, eps_hat=pcfg.eps_hat, admm=pcfg.admm, apg=pcfg.apg,
-        )
+        cfg = SolveConfig(lam=float(lam), eps=pcfg.eps, eps_hat=pcfg.eps_hat, admm=pcfg.admm)
         t0 = time.perf_counter()
         triple = state = error = None
         carry = None

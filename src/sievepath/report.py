@@ -14,7 +14,6 @@ from .data_io import DataError
 from .labels import extract_labels
 from .model import KktTriple, ProblemInstance
 from .path import LambdaRecord, PathConfig, PathResult
-from .sieve import ApgConfig
 
 PATH_COLUMNS = (
     "lambda", "rounds", "newton_steps", "cg_steps", "factorizations", "reduced_n",
@@ -117,7 +116,6 @@ def save_path_state(result, path):
             "lambdas": cfg.lambdas.tolist(), "eps": cfg.eps, "eps_hat": cfg.eps_hat,
             "mode": cfg.mode,
             "admm": None if cfg.admm is None else asdict(cfg.admm),
-            "apg": None if cfg.apg is None else asdict(cfg.apg),
         },
         "records": [{k: getattr(rec, k) for k in _RECORD_SCALARS} for rec in result.records],
     }
@@ -132,9 +130,9 @@ def save_path_state(result, path):
 
 def load_path_state(path):
     """Load a state written by save_path_state as a PathResult. Each
-    certified record's triple carries y, the residual and the gap; x and z
-    are not stored. A file that is not such a state, or has another
-    version, raises DataError."""
+    certified record's triple carries y, which must be a finite d x m
+    array, the residual and the gap; x and z are not stored. A file that
+    is not such a state, or has another version, raises DataError."""
     with open(path, "rb") as fh:
         try:
             npz = np.load(fh, allow_pickle=False)
@@ -153,18 +151,22 @@ def load_path_state(path):
     try:
         inst = ProblemInstance(arrays["A"], arrays["edge_i"], arrays["edge_j"], arrays["weights"])
         cfg = dict(meta["config"])
-        cfg.pop("max_sieve_rounds", None)  # a removed setting older states carry
-        # removed too, now rules: the subsolver's cold-start sigma and first
-        # tolerance, and the APG's stopping distance eps/2
-        for key, cls, removed in (("admm", AdmmConfig, ("sigma", "tol")),
-                                  ("apg", ApgConfig, ("eps",))):
-            if cfg[key] is not None:
-                cfg[key] = cls(**{k: v for k, v in dict(cfg[key]).items() if k not in removed})
+        # settings older states carry that are gone: the sieve's round
+        # budget and, now rules, the APG's settings and the subsolver's
+        # cold-start sigma and first tolerance
+        cfg.pop("max_sieve_rounds", None)
+        cfg.pop("apg", None)
+        if cfg["admm"] is not None:
+            cfg["admm"] = AdmmConfig(**{k: v for k, v in dict(cfg["admm"]).items()
+                                        if k not in ("sigma", "tol")})
         result = PathResult(inst=inst, config=PathConfig(**cfg))
         for idx, scalars in enumerate(meta["records"]):
             triple = None
             if scalars["converged"]:
-                triple = KktTriple(x=None, y=arrays[f"y_{idx}"], z=None,
+                y = arrays[f"y_{idx}"]
+                if y.shape != (inst.d, inst.m_blocks) or not np.all(np.isfinite(y)):
+                    raise ValueError(f"y_{idx} is not a finite {inst.d} x {inst.m_blocks} array")
+                triple = KktTriple(x=None, y=y, z=None,
                                    residual_norm=scalars["residual"], gap=scalars["gap"])
             result.records.append(LambdaRecord(triple=triple, **scalars))
     except (KeyError, TypeError, ValueError) as exc:

@@ -15,7 +15,8 @@ B_{I gamma} and applies B_{I gamma} through an IncidenceMap of the I edges.
 Once the objective stalls, the enhanced variant first tries to certify the
 iterate on its own enlarged zero set. A round that finds no violation yet
 misses eps solves again with a subsolver tolerance 100x tighter, up to
-three times, starting from SUBSOLVE_SHARE * eps = eps/2. Each round
+three times, starting from SUBSOLVE_SHARE * eps = eps/2; its APG runs
+take at most APG_STEPS steps, 10x more at each retightening. Each round
 appends one record, with the work of all its subsolves and APG runs, to
 the run's SieveState. A run returns a triple whose recomputed KKT residual
 is <= eps or raises SieveLimitError, never an uncertified point. With I
@@ -47,12 +48,16 @@ from ._kernels import column_norms, frobenius_norm, project_columns
 from .admm import _factor, _NewtonSystem, solve_reduced_admm
 from .graph import IncidenceMap, build_partition, recover_primal, reduce_problem, unique_indices
 from .model import (KktTriple, SolveConfig, duality_gap, fused_blocks, kkt_residual,
-                    primal_objective, step_cap)
+                    primal_objective)
 
 log = logging.getLogger(__name__)
 
 VIOLATION_SLACK = 1e-8  # relative slack of the ball-membership test
 SUBSOLVE_SHARE = 0.5  # a round's first subsolve stops at this share of eps
+# steps per APG run of a round, 10x more at each retightening; a bigger
+# budget certified nothing more: no unconverged run of the seed-0 N = 1000
+# moons eas path converged within 3,000 steps
+APG_STEPS = 30
 
 
 class SieveLimitError(RuntimeError):
@@ -62,14 +67,6 @@ class SieveLimitError(RuntimeError):
     def __init__(self, message, state):
         super().__init__(message)
         self.state = state
-
-
-@dataclass
-class ApgConfig:
-    maxiter: int = 30  # steps per APG run; each retightening of a round multiplies it by 10
-
-    def __post_init__(self):
-        self.maxiter = step_cap("apg maxiter", self.maxiter, 0)
 
 
 @dataclass
@@ -92,7 +89,8 @@ class SieveState:
     (the last subsolve ended with), retightenings, the newton_steps,
     cg_steps and factorizations of all the round's subsolves,
     apg_iterations and apg_restarts (the steps and the discarded steps of
-    all its APG runs, eas_certify's included) and apg_converged (whether
+    all its APG runs, eas_certify's included, each run at most APG_STEPS
+    steps times 10 per retightening) and apg_converged (whether
     the last recover_dual APG converged; None when no recover_dual of the
     round ran one)."""
 
@@ -378,7 +376,6 @@ def _sieve_loop(inst, cfg, I0, enhanced, warm=None, store=None):
     I = np.arange(inst.m_blocks, dtype=np.int64) if I0 is None else unique_indices(I0)
     # a round that does not certify shrinks I, so this limit is never hit
     max_rounds = len(I) + 1
-    apg_maxiter = (cfg.apg or ApgConfig()).maxiter
 
     state = SieveState()
     carry = warm  # (x_full, z_full[, sigma]) from the caller or the last round
@@ -388,7 +385,7 @@ def _sieve_loop(inst, cfg, I0, enhanced, warm=None, store=None):
         fresh = store.get(I, lam)
         partition, red = store.partition, store.red
         warm_red = None if carry is None else _restricted_warm(carry, partition, red)
-        tol_cur, apg_iter = SUBSOLVE_SHARE * cfg.eps, apg_maxiter
+        tol_cur, apg_iter = SUBSOLVE_SHARE * cfg.eps, APG_STEPS
         work = dict.fromkeys(("newton_steps", "cg_steps", "factorizations"), 0)
         eas_apg, dual_apg = [], []  # the ApgResults of the round's APG runs
         triple, early = None, False

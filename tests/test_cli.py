@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from sievepath import ApgConfig, RunManifest, load_matrix, load_path_state
+from sievepath import RunManifest, load_matrix, load_path_state
 from sievepath.cli import _path_config, build_parser, main
 
 
@@ -84,25 +84,27 @@ def test_gen_with_non_finite_noise_is_bad_input(tmp_path, capsys, noise):
 
 @pytest.mark.parametrize("flags", [
     ["--admm-max-iter", "0"], ["--admm-max-iter", "0", "--mode", "direct"],
-    ["--apg-maxiter", "-1", "--mode", "direct"], ["--admm-max-iter", "-3"],
-    ["--apg-maxiter", "-1", "--mode", "eas"], ["--apg-maxiter", "-1"],
+    ["--admm-max-iter", "-1", "--mode", "direct"], ["--admm-max-iter", "-3"],
+    ["--admm-max-iter", "0", "--mode", "eas"], ["--admm-max-iter", "-1", "--mode", "eas"],
 ])
 @pytest.mark.parametrize("command", [["solve", "--lam", "1"], ["path", "--grid", "2,1"]])
 def test_bad_subsolver_setting_is_bad_input(small_csv, capsys, command, flags):
-    """A subsolver or APG setting no solve can run with is rejected before
-    any solve (exit 2), in every mode, direct included, which runs no APG:
-    no traceback, no failed solve."""
+    """A subsolver setting no solve can run with is rejected before any
+    solve (exit 2), in every mode: no traceback, no failed solve."""
     rc = main([*command, "--input", str(small_csv), "--k", "5", *flags])
     err = capsys.readouterr().err
     assert rc == 2
     assert err.startswith("error:") and "Traceback" not in err and "FAILED" not in err
 
 
-@pytest.mark.parametrize("flags", [["--sigma", "1"], ["--admm-tol", "1e-3"]])
+@pytest.mark.parametrize("flags", [
+    ["--sigma", "1"], ["--admm-tol", "1e-3"], ["--apg-maxiter", "30"], ["--apg-maxiter", "-1"],
+])
 @pytest.mark.parametrize("command", [["solve", "--lam", "1"], ["path", "--grid", "2,1"]])
 def test_retired_subsolver_flag_is_bad_input(small_csv, capsys, command, flags):
-    """The cold-start sigma and the first subsolver tolerance are rules,
-    not flags: naming either is a usage error (exit 2) before any solve."""
+    """The cold-start sigma, the first subsolver tolerance and the APG's
+    step budget are rules, not flags: naming one, with any value, is a
+    usage error (exit 2) before any solve."""
     with pytest.raises(SystemExit) as exc:
         main([*command, "--input", str(small_csv), "--k", "5", *flags])
     assert exc.value.code == 2
@@ -247,11 +249,11 @@ def test_solver_error_exit_one(small_csv, monkeypatch, capsys):
 def test_apg_budget_has_one_default(small_csv, monkeypatch):
     """Every common solver flag, of solve and of path, defaults to its
     manifest field, which defaults to the library's own setting: k to
-    build_knn_graph's, eps, eps_hat and mode to PathConfig's,
-    admm_max_iter to AdmmConfig's cap and apg_maxiter to ApgConfig's
-    budget. The grid defaults to None in both, and a path run
-    without one solves PathConfig's default grid. A saved manifest that
-    names another budget keeps it."""
+    build_knn_graph's, eps, eps_hat and mode to PathConfig's, and
+    admm_max_iter to AdmmConfig's cap. The APG's step budget is the rule
+    sieve.APG_STEPS, no flag or field. The grid defaults to None in both,
+    and a path run without one solves PathConfig's default grid. A saved
+    manifest that names an APG budget loads with it dropped."""
     import inspect
 
     from sievepath import AdmmConfig, PathConfig, build_knn_graph, cli
@@ -261,7 +263,6 @@ def test_apg_budget_has_one_default(small_csv, monkeypatch):
         "k": inspect.signature(build_knn_graph).parameters["k"].default,
         "eps": path.eps, "eps_hat": path.eps_hat, "mode": path.mode,
         "admm_max_iter": admm.max_iter,
-        "apg_maxiter": ApgConfig().maxiter,
     }
     manifest = RunManifest()
     parser = build_parser()
@@ -284,4 +285,4 @@ def test_apg_budget_has_one_default(small_csv, monkeypatch):
     assert np.array_equal(solved.value.args[0].lambdas, path.lambdas)
 
     old = RunManifest.from_json('{"apg_maxiter": 10}')
-    assert _path_config(old, [1.0]).apg.maxiter == 10
+    assert old == manifest and not hasattr(_path_config(old, [1.0]), "apg")

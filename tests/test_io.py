@@ -55,6 +55,26 @@ def test_load_matrix_non_numeric_after_header(tmp_path):
         load_matrix(p)
 
 
+def test_load_matrix_skips_a_byte_order_mark(tmp_path):
+    """A BOM is no cell: with it read as part of the first cell, the first
+    row failed to parse and was dropped as a header."""
+    p = tmp_path / "a.csv"
+    p.write_text("1.0,2.0,3.0\n4.0,5.0,6.0\n", encoding="utf-8-sig")
+    assert load_matrix(p).tolist() == [[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]]
+    p.write_text("x,y,z\n1,2,3\n", encoding="utf-8-sig")
+    assert load_matrix(p).tolist() == [[1.0, 2.0, 3.0]]
+
+
+def test_load_matrix_first_row_with_a_number_is_no_header(tmp_path):
+    """A first row with a mistyped cell among numbers is a feature row
+    gone wrong, not a header: it names its line and cell instead of being
+    dropped."""
+    p = tmp_path / "a.csv"
+    p.write_text("# features\n1.0,2.O,3.0\n4.0,5.0,6.0\n")
+    with pytest.raises(DataError, match=r"a\.csv:2: non-numeric cell '2\.O'"):
+        load_matrix(p)
+
+
 def test_load_matrix_empty_file(tmp_path):
     p = tmp_path / "a.csv"
     p.write_text("# nothing here\n")
@@ -154,13 +174,17 @@ def test_manifest_float_takes_int_and_null_only_where_default_is_none():
 
 
 def test_manifest_drops_the_subsolver_settings_of_older_manifests():
-    """Manifests saved while the cold-start sigma and the first subsolver
-    tolerance were settings carry them, admm_tol null when unset; they
-    load with both dropped, as the rules they became."""
-    old = RunManifest.from_json('{"sigma": 1.0, "admm_tol": null, "admm_max_iter": 40, "k": 4}')
+    """Manifests saved while the cold-start sigma, the first subsolver
+    tolerance and the APG's step budget were settings carry them, admm_tol
+    null when unset; they load with all three dropped, as the rules they
+    became, whatever values they hold."""
+    old = RunManifest.from_json('{"sigma": 1.0, "admm_tol": null, "apg_maxiter": 30, '
+                                '"admm_max_iter": 40, "k": 4}')
     assert old == RunManifest(admm_max_iter=40, k=4)
-    assert RunManifest.from_json('{"sigma": 3, "admm_tol": 1e-3}') == RunManifest()
-    assert set(json.loads(old.to_json())).isdisjoint({"sigma", "admm_tol"})
+    for text in ('{"sigma": 3, "admm_tol": 1e-3}', '{"apg_maxiter": -1}',
+                 '{"apg_maxiter": 2.5}', '{"apg_maxiter": true}', '{"apg_maxiter": null}'):
+        assert RunManifest.from_json(text) == RunManifest()
+    assert set(json.loads(old.to_json())).isdisjoint({"sigma", "admm_tol", "apg_maxiter"})
 
 
 # --------------------------------------------------------------------- labels

@@ -7,7 +7,6 @@ import pytest
 
 from sievepath import (
     AdmmConfig,
-    ApgConfig,
     DataError,
     PathConfig,
     emit_report,
@@ -117,6 +116,30 @@ def test_state_holds_no_pickle_and_checks_its_version(t1_result, tmp_path):
         load_path_state(tmp_path / "newer.npz")
 
 
+@pytest.mark.parametrize("y", [lambda y: np.full_like(y, np.nan), lambda y: y[:, :-1]],
+                         ids=["nan", "wrong_shape"])
+def test_state_with_a_malformed_y_is_bad_data(t1_result, tmp_path, capsys, y):
+    """A certified record's y must be a finite d x m array: a NaN y would
+    report every point as its own cluster, and a y of the wrong shape would
+    fail only inside extract_labels, without naming the file. Both are
+    malformed states, through the library and through `sievepath report`
+    (exit 2, no report written)."""
+    from sievepath.cli import main
+
+    p = tmp_path / "state.npz"
+    save_path_state(t1_result, p)
+    with np.load(p, allow_pickle=False) as npz:
+        arrays = {k: npz[k] for k in npz.files}
+    arrays["y_0"] = y(arrays["y_0"])
+    np.savez(tmp_path / "edited.npz", **arrays)
+    with pytest.raises(DataError, match="edited.npz: malformed path state.*y_0"):
+        load_path_state(tmp_path / "edited.npz")
+    rc = main(["report", "--state", str(tmp_path / "edited.npz"), "--out", str(tmp_path / "rep")])
+    err = capsys.readouterr().err
+    assert rc == 2 and err.startswith("error:") and "malformed path state" in err
+    assert not (tmp_path / "rep").exists()
+
+
 def test_state_with_a_removed_round_budget_still_loads(t1_result, tmp_path):
     """States saved while PathConfig had max_sieve_rounds carry it in their
     config; they load as before and the setting is dropped."""
@@ -169,12 +192,20 @@ def test_state_with_removed_subsolver_settings_still_loads(t1_result, tmp_path):
 
 
 def test_state_with_a_removed_apg_tolerance_still_loads(t1_result, tmp_path):
-    """States saved while ApgConfig had an eps field carry it in their
-    config's "apg", null when unset; they load with the field dropped and
-    re-emit the same path.csv and summary.json."""
-    back = load_path_state(_state_with(t1_result, tmp_path, apg={"eps": None, "maxiter": 30}))
-    assert back.config.apg == ApgConfig(maxiter=30)
-    assert back.summary() == t1_result.summary()
+    """States saved while the APG had settings carry them in their config's
+    "apg": an eps, null when unset, and a step budget, now both rules. New
+    states have no "apg", and older ones load with it dropped, whatever it
+    holds, a budget no APG could run with included, and re-emit the same
+    path.csv and summary.json."""
+    p = tmp_path / "state.npz"
+    save_path_state(t1_result, p)
+    with np.load(p, allow_pickle=False) as npz:
+        assert "apg" not in json.loads(str(npz["meta"]))["config"]
+    for apg in ({"eps": None, "maxiter": 30}, {"maxiter": 30}, {"maxiter": -1},
+                {"maxiter": 2.5}, {"maxiter": True}, ["maxiter", 10], None):
+        back = load_path_state(_state_with(t1_result, tmp_path, apg=apg))
+        assert not hasattr(back.config, "apg")
+        assert back.summary() == t1_result.summary()
     _assert_same_reports(t1_result, back, tmp_path)
 
 
@@ -182,7 +213,7 @@ def test_state_with_a_bad_subsolver_setting_is_bad_data(t1_result, tmp_path):
     """A saved state whose subsolver settings no solve could run with is
     malformed, like any other invalid field."""
     for config, field in (({"admm": {"max_iter": 0}}, "admm max_iter"),
-                          ({"apg": {"maxiter": -1}}, "apg maxiter"),
+                          ({"admm": {"max_iter": True}}, "admm max_iter"),
                           ({"admm": ["max_iter", 10]}, "")):
         with pytest.raises(DataError, match=f"malformed path state.*{field}"):
             load_path_state(_state_with(t1_result, tmp_path, **config))

@@ -3,7 +3,6 @@ import pytest
 import scipy.sparse as sp
 
 from sievepath import (
-    ApgConfig,
     ProblemInstance,
     SieveLimitError,
     SolveConfig,
@@ -33,11 +32,11 @@ def two_point():
 
 
 def _recover_dual(inst, lam, part, sub):
-    """recover_dual as a sieve round calls it, at the default eps and APG
-    step budget."""
+    """recover_dual as a sieve round's first subsolve calls it, at the
+    default eps and the APG step budget."""
     x_bar, _ = recover_primal(part, sub.x_red, sub.y_red)
     return recover_dual(inst, lam, part, sub, x_bar, sieve.GammaSystem(inst, part),
-                        SolveConfig.eps, ApgConfig.maxiter)
+                        SolveConfig.eps, sieve.APG_STEPS)
 
 
 # ---------------------------------------------------------------- recover_dual
@@ -578,16 +577,11 @@ def test_eas_early_certificate_fires():
     assert abs(F_as - F_eas) <= 1e-6 * (1.0 + abs(F_as))
 
 
-def test_every_apg_run_stops_at_half_the_solve_eps(monkeypatch):
-    """A round certifies at eps only if dual recovery leaves the dual within
-    eps/2 of the balls on I, so every APG run of an as or eas solve,
-    recover_dual's and eas_certify's alike, is given 0.5 * eps of its solve.
-    On the five points of the next test eas_certify gets past its fill
-    bound and runs an APG of its own; a short moons path goes through
-    solve_path."""
-    from sievepath import PathConfig, gen_two_half_moons, solve_path
-
-    callers, calls = [], []  # calls: (recover_dual | eas_certify, the APG's eps)
+def _record_apg_runs(monkeypatch):
+    """Record every APG run of the sieve, in a list returned, as (caller,
+    eps, maxiter, tol): recover_dual or eas_certify, the eps and step
+    budget the run was given, and the tolerance of the subsolve before it."""
+    callers, tols, runs = [], [], []
 
     def entering(name, run):
         def entered(*args, **kwargs):
@@ -598,25 +592,48 @@ def test_every_apg_run_stops_at_half_the_solve_eps(monkeypatch):
                 callers.pop()
         return entered
 
+    def subsolve(red, tol, *args, _run=sieve.solve_reduced_admm, **kwargs):
+        tols.append(tol)
+        return _run(red, tol, *args, **kwargs)
+
     def apg(u0, radii, null_project, eps, maxiter, _run=sieve.apg_minimize):
-        calls.append((callers[-1], eps))
+        runs.append((callers[-1], eps, maxiter, tols[-1]))
         return _run(u0, radii, null_project, eps, maxiter)
 
     for name in ("recover_dual", "eas_certify"):
         monkeypatch.setattr(sieve, name, entering(name, getattr(sieve, name)))
+    monkeypatch.setattr(sieve, "solve_reduced_admm", subsolve)
     monkeypatch.setattr(sieve, "apg_minimize", apg)
+    return runs
+
+
+def _five_points():
+    """Five points on which eas_certify, given I0 = [0, 4] at lam = 1e-6,
+    gets past its fill bound and runs an APG of its own."""
+    return ProblemInstance(
+        np.array([[0.0, 1e-5, 1.0, 2.0, 2.0]]), [0, 0, 1, 2, 3], [1, 2, 2, 3, 4], [1.0] * 5
+    )
+
+
+def test_every_apg_run_stops_at_half_the_solve_eps(monkeypatch):
+    """A round certifies at eps only if dual recovery leaves the dual within
+    eps/2 of the balls on I, so every APG run of an as or eas solve,
+    recover_dual's and eas_certify's alike, is given 0.5 * eps of its solve.
+    On _five_points eas_certify runs an APG of its own; a short moons path
+    goes through solve_path."""
+    from sievepath import PathConfig, gen_two_half_moons, solve_path
+
+    calls = _record_apg_runs(monkeypatch)
 
     def solved_at(eps):
         """The callers of the APG runs made since the last call, each of
         which was given eps / 2."""
-        assert calls and all(got == 0.5 * eps for _, got in calls)
-        names = {name for name, _ in calls}
+        assert calls and all(got == 0.5 * eps for _, got, _, _ in calls)
+        names = {name for name, *_ in calls}
         calls.clear()
         return names
 
-    inst = ProblemInstance(
-        np.array([[0.0, 1e-5, 1.0, 2.0, 2.0]]), [0, 0, 1, 2, 3], [1, 2, 2, 3, 4], [1.0] * 5
-    )
+    inst = _five_points()
     seen = set()
     for eps in (1e-6, 4e-6):
         for solve in (as_solve, eas_solve):
@@ -631,6 +648,29 @@ def test_every_apg_run_stops_at_half_the_solve_eps(monkeypatch):
     assert seen == {"recover_dual", "eas_certify"}
 
 
+def test_every_apg_run_gets_the_step_budget_of_its_retightening(monkeypatch):
+    """The APG's step budget is a rule: a round's APG runs, recover_dual's
+    and eas_certify's alike, take at most APG_STEPS steps after the round's
+    first subsolve and 10x more after each retightening, whose subsolve
+    tolerance is 100x tighter. A first tolerance far looser than eps makes
+    the rounds retighten up to three times."""
+    runs = _record_apg_runs(monkeypatch)
+    monkeypatch.setattr(sieve, "APG_STEPS", 7)
+    monkeypatch.setattr(sieve, "SUBSOLVE_SHARE", 1e5)
+    inst = _five_points()
+    seen = set()
+    for eps in (1e-6, 4e-6):
+        for solve in (as_solve, eas_solve):
+            triple, _ = solve(inst, SolveConfig(lam=1e-6, eps=eps), I0=[0, 4])
+            assert triple.residual_norm <= eps
+            for caller, _, maxiter, tol in runs:
+                k = round(np.log10(1e5 * eps / tol) / 2)
+                assert maxiter == 7 * 10**k and type(maxiter) is int
+                seen.add((caller, k))
+            runs.clear()
+    assert seen == {(caller, k) for caller in ("recover_dual", "eas_certify") for k in range(4)}
+
+
 def test_an_early_certified_round_builds_no_gram_factors_of_its_set(monkeypatch):
     """Round 2 starts on a new nonempty set, which eas certifies before any
     dual recovery: the store factors no Gram system for that set, so only
@@ -638,9 +678,7 @@ def test_an_early_certified_round_builds_no_gram_factors_of_its_set(monkeypatch)
     import gc
     import weakref
 
-    inst = ProblemInstance(
-        np.array([[0.0, 1e-5, 1.0, 2.0, 2.0]]), [0, 0, 1, 2, 3], [1, 2, 2, 3, 4], [1.0] * 5
-    )
+    inst = _five_points()
     builds = {"store": 0, "eas": 0}
     made, most, in_eas = [], [0], []
     real_gram, real_eas = sieve.GammaSystem, sieve.eas_certify
@@ -683,12 +721,13 @@ def test_warm_started_solve_certifies(t1_inst):
     {"maxiter": -1}, {"maxiter": 2.5}, {"maxiter": np.float64(30.0)}, {"maxiter": True},
 ])
 def test_apg_config_rejects_bad_settings(kwargs):
-    """The step cap is a count: a fractional one would only crash the APG's
-    loop, and a bool is no count."""
-    with pytest.raises(ValueError):
-        ApgConfig(**kwargs)
+    """The APG's step budget is the rule APG_STEPS, not a setting: there is
+    no ApgConfig, and the configs that carried one reject an APG setting,
+    whatever it holds."""
+    from sievepath import PathConfig
 
-
-def test_apg_config_takes_a_numpy_integer_as_a_plain_int():
-    cfg = ApgConfig(maxiter=np.int64(7))
-    assert cfg.maxiter == 7 and type(cfg.maxiter) is int
+    assert not hasattr(sieve, "ApgConfig")
+    with pytest.raises(TypeError, match="apg"):
+        SolveConfig(lam=1.0, apg=kwargs)
+    with pytest.raises(TypeError, match="apg"):
+        PathConfig(apg=kwargs)
