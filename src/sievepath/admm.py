@@ -20,7 +20,13 @@ supernodes, whose padding with explicit zeros cost these SPD block
 matrices more than it saved, and the CG loop is the module's own, with
 scipy's arithmetic (_cg). Factors are reused until the CG
 steps the reuse costs would pay for a new factorization (_reuse_weight;
-_NewtonSystem states how long each kind lives). The pattern depends on the
+_NewtonSystem states how long each kind lives). When few edges lie outside
+their balls (WOODBURY_RANK, WOODBURY_EDGES), an assembled system solves
+the Newton system exactly without forming H: H is a fixed matrix M (x) I_d,
+M = diag(h) + sigma Jr Jr^T, less one rank-d term per such edge, so
+Sherman-Morrison-Woodbury solves it with factors of M, kept while sigma
+holds, and one dense Cholesky factorization of order k d (Sun, Toh & Yuan,
+JMLR 2021, exploit the same second-order sparsity). The pattern depends on the
 candidate set alone, so one node order, the CSC pattern and the matrix
 that sums into it (_NewtonSystem) are computed once per set: the sieve builds the
 system with the set's other structures and passes it to every subsolve of
@@ -49,6 +55,7 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
+from scipy.linalg import cho_factor, cho_solve
 
 from ._kernels import column_norms, prox_columns
 from .graph import build_partition, recover_primal, reduce_problem
@@ -120,6 +127,24 @@ MAX_CG = 500  # conjugate-gradient steps per Newton direction
 # no such charge is made.
 REUSE_FILL = 4
 REUSE_MIN_FILL = 6000
+# _NewtonSystem._woodbury solves a direction of an assembled system whose k
+# edges outside their balls number kd <= WOODBURY_RANK and 4k <= n. That
+# most k, the system's cap, is 0 (no route) when fill * d^2 <
+# REUSE_MIN_FILL, where a factorization of H costs only 3 to 7 CG steps,
+# or when the system has more than WOODBURY_EDGES times the cap edges.
+# On the full N = 1000 moons problem (6,121 edges; 0 to 150 outside their
+# balls from lam = 10 down to 4.6) the route solved 212 of the 432
+# directions of the 46-lambda direct path, and its CPU time against
+# solving every direction on H read 0.87 with kd <= 300, 0.88 with 400 and
+# 0.96 with 600 (medians of 8 in-process interleaved pairs, one BLAS
+# thread); an earlier version of the route read 0.84 with kd <= 200. On
+# the full N = 2000 to 10^4 problems (12,050 to 61,000 edges) it solved 12
+# to 18 of 237 to 339 directions of their direct paths (grids 10:-1:2 and,
+# at 10^4, 10, 8, 6, 4), added 6 to 45 MB of peak RSS (M's factors and
+# the cached columns) and was not faster, so the edge share sends them to
+# H. No sieved subproblem of the N = 1000 moons paths reaches the fill.
+WOODBURY_RANK = 300
+WOODBURY_EDGES = 50
 
 
 class SingularSystemError(RuntimeError):
@@ -158,6 +183,7 @@ class SubSolution:
     sigma: float
     cg_steps: int = 0
     factorizations: int = 0
+    woodbury_directions: int = 0  # Newton directions _NewtonSystem._woodbury solved
 
     def warm_start(self):
         """(X, Y, Z, sigma) to restart the subsolver where this solve stopped."""
@@ -203,8 +229,24 @@ class _NewtonSystem:
     _refactor sets it to _reuse_weight, with c0 = 0 for H and, for L, the
     CG steps of the direction that made them, and _cg spends it. Factors of
     H thus outlive the Newton step, the inner solve and the reduced problem
-    that made them; begin drops factors of L at every inner solve. The
-    system counts its factorizations and CG steps; a solve reports the
+    that made them; begin drops factors of L at every inner solve.
+
+    An assembled system whose woodbury_cap is above 0 (WOODBURY_RANK,
+    WOODBURY_EDGES) first offers each direction to _woodbury, which solves
+    it exactly when at most woodbury_cap edges lie outside their balls:
+    H = M (x) I_d - sum over those edges of (a_l a_l^T) (x) C_l, with M =
+    diag(h) + sigma Jr Jr^T on L's pattern and C_l = sigma I - sigma Q_l.
+    Such a direction neither assembles H nor makes, uses or spends its
+    factors. The factors of M (mlu) are the third kind of kept factors:
+    made at the first such direction after sigma changes, they live while
+    sigma holds, across Newton steps, inner solves and lambdas. With them
+    the system caches M^-1 a_l of up to woodbury_cap edges (rows of Yt),
+    solved when an edge first leaves its ball at that sigma, and K, the
+    dense k d x k d matrix the route factors by Cholesky; both are
+    allocated once, at their full size, at the first such direction. When
+    more edges lie outside, or Cholesky rejects K, the direction is solved
+    on H as above. The system counts its factorizations (M's included), CG
+    steps and the directions _woodbury solved; a solve reports the
     difference.
 
     Both matrices are built once, in one fill-reducing order of the n nodes
@@ -234,7 +276,10 @@ class _NewtonSystem:
                            np.concatenate([np.arange(n), ri, rj, rj, ri]), n)
         self._S = _summation(slot, n, L.nnz)
         self.lu, self.budget, self.c0 = None, 0.0, 0
-        self.factorizations = self.cg_steps = 0  # made and run over its lifetime
+        # made, run and solved by _woodbury over its lifetime
+        self.factorizations = self.cg_steps = self.woodbury_directions = 0
+        # the most edges outside their balls that _woodbury serves; 0: never
+        self.woodbury_cap = 0
         if self.assembled:
             self.H, place = _block_pattern(L, d)
             # H.data[b] is entry gather[b] of the flat S @ Q (intp: numpy
@@ -243,7 +288,19 @@ class _NewtonSystem:
             self._gather[place.ravel()] = np.arange(self.H.nnz)
             self._Q = np.zeros((n + len(ri), d * d))
             self._Q[:n] = h[:, None] * np.eye(d).ravel()
-        else:
+            cap = min(WOODBURY_RANK // d, n // 4)
+            if fill * d * d >= REUSE_MIN_FILL and WOODBURY_EDGES * cap >= len(ri):
+                self.woodbury_cap = cap
+        if self.woodbury_cap:
+            # M on L's pattern, its factors at sigma mlu_sigma, and rows of
+            # M^-1 a_l, one per cached edge: edge[row] is its edge (-1: none),
+            # row_of[l] its row (-1: none); Yt and K are allocated at first use
+            self.M, self._h, self._ri, self._rj = L, h, ri, rj
+            self.mlu, self.mlu_sigma = None, None
+            self._Yt = self._K = None
+            self._edge = np.full(self.woodbury_cap, -1)
+            self._row_of = np.full(len(ri), -1)
+        if not self.assembled:
             self.L, self._h = L, h
             # column l of G^T holds u_l at rows ri*d + k and -u_l at rj*d + k;
             # G is a CSR view of the same arrays
@@ -277,7 +334,10 @@ class _NewtonSystem:
 
     def matrix(self, V, tau, sigma):
         """H at V, assembled in the node order (assembled mode only)."""
-        sc, U = self.curvature(V, tau, sigma)
+        return self._assemble(*self.curvature(V, tau, sigma))
+
+    def _assemble(self, sc, U):
+        """H from the curvature sc, U of its edges."""
         d = U.shape[0]
         # sigma Q_l laid out (k, k', l), row by row, as products of d x d x m
         # broadcasts are several times slower; Q's edge rows take it (l, k, k')
@@ -335,14 +395,18 @@ class _NewtonSystem:
         though 3 to 6% faster in the median at d = 3 and d = 10."""
         r = -grad.T[self.order]
         if self.assembled:
-            H = self.matrix(V, tau, sigma)
-            converged = False
-            if self.lu is not None:
-                # the factors solve the flat node-major vector
-                x, converged = self._cg(H.dot, r.size, r, rtol, int(self.budget))
-            if not converged:
-                self._refactor(H)
-                x = self.lu.solve(r.ravel())
+            sc, U = self.curvature(V, tau, sigma)
+            # the route neither makes, uses nor spends factors of H
+            x = self._woodbury(r, sc, U, sigma) if self.woodbury_cap else None
+            if x is None:
+                H = self._assemble(sc, U)
+                converged = False
+                if self.lu is not None:
+                    # the factors solve the flat node-major vector
+                    x, converged = self._cg(H.dot, r.size, r, rtol, int(self.budget))
+                if not converged:
+                    self._refactor(H)
+                    x = self.lu.solve(r.ravel())
         else:
             hess, L = self.operator(V, tau, sigma)
             if self.lu is None:
@@ -356,6 +420,86 @@ class _NewtonSystem:
         dX = np.empty_like(grad)
         dX[:, self.order] = x.reshape(r.shape).T
         return dX
+
+    def _woodbury(self, r, sc, U, sigma):
+        """H^-1 r for the n x d right-hand side r, by Sherman-Morrison-
+        Woodbury on the factors of M, or None when more than woodbury_cap
+        edges lie outside their balls or Cholesky rejects K.
+
+        With C_l = sigma I - sigma Q_l, zero inside the ball, H = M (x) I_d
+        - W W^T, where M = diag(h) + sigma Jr Jr^T and the d columns of W
+        per edge l outside its ball are a_l (x) C_l^(1/2). So H^-1 r = x0 +
+        (M^-1 (x) I_d) W K^-1 W^T x0 with x0 = (M^-1 (x) I_d) r and the
+        (k d) x (k d) matrix K = I - W^T (M^-1 (x) I_d) W, SPD as H is:
+        block (l, l') of it is I - (a_l^T y_l') C_l^(1/2) C_l'^(1/2), with
+        y_l = M^-1 a_l. K is C^(1/2) (C^-1 - W'^T (M^-1 (x) I_d) W')
+        C^(1/2) for W' = [a_l (x) I_d]: the same solve, without the
+        division by sigma - sigma c_l that C^-1 needs, which vanishes as v_l
+        nears its ball."""
+        out = np.flatnonzero(U.any(axis=0))
+        k, (n, d) = len(out), r.shape
+        if k > self.woodbury_cap:
+            return None
+        if sigma != self.mlu_sigma:
+            self.mlu = None  # the stale factors go before the new ones are made
+            self.M.data = self._S @ np.concatenate([self._h, np.full(len(self._ri), sigma)])
+            self.mlu, self.mlu_sigma = _factor(self.M), sigma
+            self.factorizations += 1
+            self._edge[:] = -1
+            self._row_of[:] = -1
+        x = self.mlu.solve(r)
+        if k:
+            rows, ri, rj = self._woodbury_rows(out), self._ri[out], self._rj[out]
+            # C_l^(1/2) = s_l I + (sqrt(sigma) - s_l) u_l u_l^T, s_l^2 = sigma - sigma c_l
+            s = np.sqrt(sigma - sc[out])
+            u = U[:, out].T
+            R = (np.sqrt(sigma) - s)[:, None, None] * u[:, :, None] * u[:, None, :]
+            R[:, np.arange(d), np.arange(d)] += s[:, None]
+            kd = k * d
+            K = self._K[:kd * kd].reshape(kd, kd)
+            Rf = R.reshape(kd, d)
+            np.matmul(Rf, Rf.T, out=K)
+            # a_l^T y_l', read off row l' of Yt
+            aY = self._Yt[rows[None, :], ri[:, None]] - self._Yt[rows[None, :], rj[:, None]]
+            K.reshape(k, d, k, d)[...] *= -aY[:, None, :, None]
+            K.ravel()[::kd + 1] += 1.0
+            b = np.einsum("lab,lb->la", R, x[ri] - x[rj]).ravel()
+            try:
+                # K.T is K in Fortran order, which LAPACK factors in place
+                z = cho_solve(cho_factor(K.T, overwrite_a=True, check_finite=False), b,
+                              check_finite=False)
+            except np.linalg.LinAlgError:
+                return None
+            x += self._Yt[rows].T @ np.einsum("lab,lb->la", R, z.reshape(k, d))
+        self.woodbury_directions += 1
+        return x
+
+    def _woodbury_rows(self, edges):
+        """The rows of Yt that hold M^-1 a_l for the given edges; M solves
+        for the ones not cached, into free rows first and then rows of
+        edges not among them."""
+        if self._Yt is None:
+            cap, d = self.woodbury_cap, len(self.red.C)
+            self._Yt = np.zeros((cap, len(self.order)))
+            self._K = np.empty((cap * d) ** 2)
+        rows = self._row_of[edges]
+        new = edges[rows < 0]
+        if len(new):
+            held = np.zeros(self.woodbury_cap, dtype=bool)
+            held[rows[rows >= 0]] = True
+            spare = np.flatnonzero(~held)
+            spare = spare[np.argsort(self._edge[spare] >= 0, kind="stable")][:len(new)]
+            evicted = self._edge[spare]
+            self._row_of[evicted[evicted >= 0]] = -1
+            rhs = np.zeros((len(self.order), len(new)))
+            cols = np.arange(len(new))
+            rhs[self._ri[new], cols] = 1.0
+            rhs[self._rj[new], cols] = -1.0
+            self._Yt[spare] = self.mlu.solve(rhs).T
+            self._edge[spare] = new
+            self._row_of[new] = spare
+            rows = self._row_of[edges]
+        return rows
 
     def _refactor(self, A):
         """Factor A, H or L at the current point, in place of lu; for L,
@@ -565,7 +709,8 @@ def solve_reduced_admm(red, tol, config=None, warm=None, system=None):
         Z = np.zeros_like(Y)
 
     ns = _NewtonSystem(red) if system is None else system
-    made, cg_steps = ns.factorizations, ns.cg_steps  # the system counts its own work
+    # the system counts its own work
+    made, cg_steps, woodbury = ns.factorizations, ns.cg_steps, ns.woodbury_directions
     lw = red.lam * red.weights
     kkt = reduced_kkt_residual(red, X, Y, Z)
     steps = 0
@@ -600,8 +745,8 @@ def solve_reduced_admm(red, tol, config=None, warm=None, system=None):
     if not converged:
         log.warning("SSNAL stopped after %d Newton steps with residual %.3e > tol %.3e, "
                     "at %s", steps, kkt, tol, cause)
-    return SubSolution(X, Y, Z, steps, converged, kkt, sigma,
-                       ns.cg_steps - cg_steps, ns.factorizations - made)
+    return SubSolution(X, Y, Z, steps, converged, kkt, sigma, ns.cg_steps - cg_steps,
+                       ns.factorizations - made, ns.woodbury_directions - woodbury)
 
 
 def solve_full(inst, lam, tol, config=None, warm=None):

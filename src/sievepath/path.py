@@ -24,7 +24,7 @@ import numpy as np
 # solve_full is not called here; perfbench/spans.py wraps it under this name
 from .admm import SingularSystemError, solve_full
 from .model import SolveConfig, check_tolerances, fused_blocks
-from .sieve import BuildStore, SieveLimitError, as_solve, eas_solve
+from .sieve import WORK, BuildStore, SieveLimitError, as_solve, eas_solve
 
 log = logging.getLogger(__name__)
 
@@ -109,6 +109,7 @@ class LambdaRecord:
     newton_steps: int = 0  # of every subsolve of this lambda
     cg_steps: int = 0  # likewise
     factorizations: int = 0  # likewise; SuperLU, made here, order probes not counted
+    woodbury_directions: int = 0  # likewise; Newton directions solved by Woodbury
 
 
 @dataclass
@@ -141,6 +142,10 @@ class PathResult:
     def total_factorizations(self):
         return sum(r.factorizations for r in self.records)
 
+    @property
+    def total_woodbury_directions(self):
+        return sum(r.woodbury_directions for r in self.records)
+
     def summary(self):
         n = len(self.records)
         return {
@@ -155,6 +160,7 @@ class PathResult:
             "total_newton_steps": self.total_newton_steps,
             "total_cg_steps": self.total_cg_steps,
             "total_factorizations": self.total_factorizations,
+            "total_woodbury_directions": self.total_woodbury_directions,
             "average_rounds": self.total_rounds / n if n else 0.0,
             "average_reduced_n": (
                 float(np.mean([r.avg_reduced_n for r in self.records])) if n else 0.0
@@ -222,8 +228,7 @@ def solve_path(inst, pcfg=None):
         rounds, work, avg_n, avg_m = 0, {}, float(inst.N), float(m)
         if state is not None:
             rounds, recs = state.round, state.records
-            work = {key: sum(r[key] for r in recs)
-                    for key in ("newton_steps", "cg_steps", "factorizations")}
+            work = {key: sum(r[key] for r in recs) for key in WORK}
             avg_n = float(np.mean([r["n_reduced"] for r in recs]))
             avg_m = float(np.mean([r["m_reduced"] for r in recs]))
 

@@ -16,7 +16,8 @@ from .model import KktTriple, ProblemInstance
 from .path import LambdaRecord, PathConfig, PathResult
 
 PATH_COLUMNS = (
-    "lambda", "rounds", "newton_steps", "cg_steps", "factorizations", "reduced_n",
+    "lambda", "rounds", "newton_steps", "cg_steps", "factorizations",
+    "woodbury_directions", "reduced_n",
     "reduced_m", "residual", "gap", "seconds", "num_clusters",
 )
 STATE_FORMAT = "sievepath-path-state"
@@ -63,7 +64,7 @@ def _emit(result, outdir):
         for rec, n_clusters in zip(result.records, cluster_counts):
             writer.writerow([
                 f"{rec.lam:.10g}", rec.rounds, rec.newton_steps, rec.cg_steps,
-                rec.factorizations,
+                rec.factorizations, rec.woodbury_directions,
                 f"{rec.avg_reduced_n:.6g}", f"{rec.avg_reduced_m:.6g}",
                 f"{rec.residual:.6e}", f"{rec.gap:.6e}", f"{rec.seconds:.6f}",
                 n_clusters,

@@ -58,6 +58,8 @@ SUBSOLVE_SHARE = 0.5  # a round's first subsolve stops at this share of eps
 # budget certified nothing more: no unconverged run of the seed-0 N = 1000
 # moons eas path converged within 3,000 steps
 APG_STEPS = 30
+# the subsolver work each round record sums over its subsolves
+WORK = ("newton_steps", "cg_steps", "factorizations", "woodbury_directions")
 
 
 class SieveLimitError(RuntimeError):
@@ -86,8 +88,9 @@ class SieveState:
     round, n_reduced, m_reduced, built (the round built its set's
     structures), kkt_residual, objective, certified_early, violations (the
     blocks removed from I), subsolver_tol (of the last subsolve), sigma
-    (the last subsolve ended with), retightenings, the newton_steps,
-    cg_steps and factorizations of all the round's subsolves,
+    (the last subsolve ended with), retightenings, the WORK of all the
+    round's subsolves (newton_steps, cg_steps, factorizations and
+    woodbury_directions, as SubSolution counts them),
     apg_iterations and apg_restarts (the steps and the discarded steps of
     all its APG runs, eas_certify's included, each run at most APG_STEPS
     steps times 10 per retightening) and apg_converged (whether
@@ -386,7 +389,7 @@ def _sieve_loop(inst, cfg, I0, enhanced, warm=None, store=None):
         partition, red = store.partition, store.red
         warm_red = None if carry is None else _restricted_warm(carry, partition, red)
         tol_cur, apg_iter = SUBSOLVE_SHARE * cfg.eps, APG_STEPS
-        work = dict.fromkeys(("newton_steps", "cg_steps", "factorizations"), 0)
+        work = dict.fromkeys(WORK, 0)
         eas_apg, dual_apg = [], []  # the ApgResults of the round's APG runs
         triple, early = None, False
         for retightenings in range(4):
@@ -400,6 +403,7 @@ def _sieve_loop(inst, cfg, I0, enhanced, warm=None, store=None):
             work["newton_steps"] += sub.iterations
             work["cg_steps"] += sub.cg_steps
             work["factorizations"] += sub.factorizations
+            work["woodbury_directions"] += sub.woodbury_directions
             x_bar, y_bar = recover_primal(partition, sub.x_red, sub.y_red)
             F_val = primal_objective(inst, lam, x_bar)
 

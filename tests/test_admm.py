@@ -392,10 +392,17 @@ def test_preconditioner_is_refactored_once_extra_cg_steps_outweigh_it(monkeypatc
     every step, and refactor in the same direction when CG stops short;
     fresh ones solve without CG. Factors of L are dropped when an inner
     solve begins and made when none are kept, and a direction spends its
-    CG steps beyond c0, the count of the direction that made them."""
+    CG steps beyond c0, the count of the direction that made them. A
+    direction the Woodbury route solves runs no CG and leaves the factors
+    of H and their budget as they were; it factors M exactly when sigma
+    differs from the sigma of the kept factors of M, which thus outlive
+    Newton steps, inner solves and lambdas. The route serves the larger
+    system only, and only when H is assembled."""
     from sievepath import PathConfig, solve_path
 
-    calls, made = [], []  # calls: a direction's record, or None as an inner solve begins
+    # calls: a direction's record, or None as an inner solve begins; made
+    # and made_m: factors of H or L, and of M, in the order they were made
+    calls, made, made_m = [], [], []
     begin, direction, factor = (admm._NewtonSystem.begin, admm._NewtonSystem.direction,
                                 admm._factor)
 
@@ -403,17 +410,20 @@ def test_preconditioner_is_refactored_once_extra_cg_steps_outweigh_it(monkeypatc
         calls.append(None)
         begin(self)
 
-    def recording(self, *args):
+    def recording(self, V, tau, sigma, *args):
         kept, cg, factorizations = self.lu, self.cg_steps, self.factorizations
-        out = direction(self, *args)
+        served = self.woodbury_directions
+        out = direction(self, V, tau, sigma, *args)
         calls.append((kept, self.cg_steps - cg, self.factorizations - factorizations,
-                      self.lu, self.budget))
+                      self.lu, self.budget, self.woodbury_directions - served, sigma,
+                      getattr(self, "mlu", None)))
         return out
 
     def factoring(A, permc_spec="NATURAL"):
         lu = factor(A, permc_spec)
         if permc_spec == "NATURAL":  # a Newton matrix, not the order probe
-            made.append(lu)
+            # M is n x n, H n d x n d; L, n x n too, has no route
+            (made_m if assembled and A.shape[0] == inst.N else made).append(lu)
         return lu
 
     monkeypatch.setattr(admm._NewtonSystem, "begin", beginning)
@@ -421,22 +431,40 @@ def test_preconditioner_is_refactored_once_extra_cg_steps_outweigh_it(monkeypatc
     monkeypatch.setattr(admm, "_factor", factoring)
     small = random_instance(np.random.default_rng(3), N=30, d=2, k=4)
     large = build_knn_graph(gen_two_half_moons(100, 0.1, 0), k=10)
-    reused = refreshed = dropped = 0
+    reused = refreshed = dropped = routed = kept_m = 0
     for inst in (small, large):
         for assembled in (True, False):
             force_newton_branch(monkeypatch, assembled)
             calls.clear()
             made.clear()
+            made_m.clear()
             lams = [2.0, 1.0, 0.5]
             assert solve_path(inst, PathConfig(mode="direct", lambdas=lams)).all_converged
             lu, budget, c0 = None, 0.0, 0
-            fresh = iter(made)
+            mlu, msigma = None, None
+            fresh, fresh_m = iter(made), iter(made_m)
+            first = False  # the direction opens an inner solve
+            served_here = 0
             for call in calls:
                 if call is None:
                     lu = lu if assembled else None
+                    first = True
                     continue
-                kept, cg, factored, after, left = call
+                kept, cg, factored, after, left, served, sigma, after_m = call
                 assert kept is lu and factored in (0, 1)
+                if served:
+                    assert cg == 0 and factored == (sigma != msigma)
+                    if factored:
+                        mlu, msigma = next(fresh_m), sigma
+                    else:
+                        kept_m += first
+                    assert after_m is mlu
+                    assert after is lu and left == budget
+                    assert (after is not None) == (left >= 1)
+                    served_here += 1
+                    first = False
+                    continue
+                first = False
                 if assembled and lu is not None:
                     cap = int(budget)
                     assert cg <= cap and (cg == cap or not factored)
@@ -462,8 +490,11 @@ def test_preconditioner_is_refactored_once_extra_cg_steps_outweigh_it(monkeypatc
                     dropped += 1
                 assert after is lu and left == budget
                 assert (after is not None) == (left >= 1)
-            assert next(fresh, None) is None
+            assert next(fresh, None) is None and next(fresh_m, None) is None
+            assert (served_here > 0) == (assembled and inst is large)
+            routed += served_here
     assert reused > 0 and refreshed > 0 and dropped > 0
+    assert routed > 0 and kept_m > 0
 
 
 def test_reused_factors_still_give_a_descent_direction(monkeypatch):
@@ -732,6 +763,141 @@ def test_assembly_by_one_product_sums_as_bincount(monkeypatch):
         assert exact.matrix(V, tau, sigma).data.tobytes() == H.tobytes()
         assert operator.operator(V, tau, sigma)[1].data.tobytes() == summed(h, sc).tobytes()
     assert edgeless == [False, True, False]
+
+
+@pytest.fixture(scope="module")
+def moons1000_warm():
+    """The full problem of 1000 moons points (k = 10) at lam = 8.8, and the
+    certified x and z of lam = 9, where few edges leave their balls."""
+    from sievepath import PathConfig, solve_path
+
+    inst = build_knn_graph(gen_two_half_moons(1000, 0.1, 0), k=10)
+    triple = solve_path(inst, PathConfig(mode="direct", lambdas=[9.0])).records[0].triple
+    return reduce_problem(inst, build_partition(inst.incidence, []), 8.8), triple.x, triple.z
+
+
+def _factored_direction(ns, sc, U, grad):
+    """The Newton direction from SuperLU factors of H assembled at sc, U."""
+    x = admm._factor(ns._assemble(sc, U)).solve((-grad.T[ns.order]).ravel())
+    dX = np.empty_like(grad)
+    dX[:, ns.order] = x.reshape(-1, grad.shape[0]).T
+    return dX
+
+
+def test_woodbury_direction_matches_the_factored_newton_matrix(moons1000_warm):
+    """On the full N = 1000 moons problem at a warm point, where 1 to 150
+    edges lie outside their balls, the Woodbury route solves the Newton
+    system to 1e-9 relative of SuperLU's solve on the assembled H, making
+    only the factors of M, which later directions at the same sigma keep;
+    a new sigma factors M again. An edge outside its ball whose sigma -
+    sigma c_l rounds to 0 needs no division: the route still matches."""
+    red, X, Z = moons1000_warm
+    ns = admm._NewtonSystem(red)
+    assert ns.assembled and ns.woodbury_cap == admm.WOODBURY_RANK // 2
+    rng = np.random.default_rng(4)
+    for sigma, made in ((1.0, 1), (1.0, 1), (3.0, 2)):
+        tau = red.lam * red.weights / sigma
+        V = red.inc.apply(X) + Z / sigma
+        sc, U = ns.curvature(V, tau, sigma)
+        assert 0 < np.count_nonzero(U.any(axis=0)) <= ns.woodbury_cap
+        grad = rng.standard_normal(X.shape)
+        served = ns.woodbury_directions
+        dX = ns.direction(V, tau, sigma, grad, 0.1)
+        assert ns.woodbury_directions == served + 1
+        assert ns.factorizations == made and ns.lu is None and ns.cg_steps == 0
+        ref = _factored_direction(ns, sc, U, grad)
+        assert np.linalg.norm(dX - ref) <= 1e-9 * np.linalg.norm(ref)
+    out = np.flatnonzero(U.any(axis=0))
+    sc[out[:3]] = sigma  # as v_l on its ball's boundary to the last bit
+    x = ns._woodbury(-grad.T[ns.order], sc, U, sigma)
+    dX = np.empty_like(grad)
+    dX[:, ns.order] = x.T
+    ref = _factored_direction(ns, sc, U, grad)
+    assert np.linalg.norm(dX - ref) <= 1e-9 * np.linalg.norm(ref)
+
+
+def test_woodbury_route_serves_only_large_systems_with_few_edges_out(monkeypatch,
+                                                                    moons1000_warm):
+    """The route serves an assembled system exactly when fill * d^2 is at
+    least REUSE_MIN_FILL and WOODBURY_EDGES times its cap, the most edges
+    outside their balls it takes (kd <= WOODBURY_RANK, 4k <= n), covers
+    its edges. A direction with more edges out than the cap, or on the
+    operator, is solved as before."""
+    red, X, Z = moons1000_warm
+    d, n = red.C.shape
+    ri, rj = red.inc.edge_i, red.inc.edge_j
+    fill = admm._node_order(n, ri, rj)[2]
+    cap = min(admm.WOODBURY_RANK // d, n // 4)
+    for floor, share, served in ((fill * d * d, admm.WOODBURY_EDGES, True),
+                                 (fill * d * d + 1, admm.WOODBURY_EDGES, False),
+                                 (0, -(-red.m_red // cap), True),
+                                 (0, red.m_red // cap - 1, False)):
+        monkeypatch.setattr(admm, "REUSE_MIN_FILL", floor)
+        monkeypatch.setattr(admm, "WOODBURY_EDGES", share)
+        assert admm._NewtonSystem(red).woodbury_cap == (cap if served else 0)
+    force_newton_branch(monkeypatch, False)
+    assert admm._NewtonSystem(red).woodbury_cap == 0
+    monkeypatch.undo()
+    small = random_instance(np.random.default_rng(3), N=30, d=2, k=4)
+    force_newton_branch(monkeypatch, True)
+    sub_red = reduce_problem(small, build_partition(small.incidence, []), 0.4)
+    ns = admm._NewtonSystem(sub_red)
+    assert ns.assembled and ns.woodbury_cap == 0
+    assert solve_reduced_admm(sub_red, 1e-8, system=ns).woodbury_directions == 0
+    monkeypatch.undo()
+    # more edges out than the cap: H is factored, and M is not
+    ns = admm._NewtonSystem(red)
+    ns.woodbury_cap = 1
+    sigma = 1.0
+    tau = red.lam * red.weights / sigma
+    V = red.inc.apply(X) + Z / sigma
+    ns.direction(V, tau, sigma, np.ones_like(X), 0.1)
+    assert ns.woodbury_directions == 0 and ns.factorizations == 1 and ns.lu is not None
+    assert ns.mlu is None
+
+
+def test_rejected_woodbury_factorization_falls_back_to_h(monkeypatch, moons1000_warm):
+    """When Cholesky rejects K, the direction is solved on H as before, and
+    no LinAlgError, a ValueError the CLI would report as bad input, leaves
+    the solve; a direct path through such directions certifies every
+    lambda. (Cholesky is all that can reject the route: K is scaled so that
+    sigma - sigma c_l = 0 divides nothing.)"""
+    from sievepath import PathConfig, solve_path
+
+    tried = []
+
+    def rejecting(*args, **kwargs):
+        tried.append(1)
+        raise np.linalg.LinAlgError("leading minor not positive definite")
+
+    monkeypatch.setattr(admm, "cho_factor", rejecting)
+    red, X, Z = moons1000_warm
+    ns = admm._NewtonSystem(red)
+    sigma = 1.0
+    tau = red.lam * red.weights / sigma
+    V = red.inc.apply(X) + Z / sigma
+    grad = np.random.default_rng(5).standard_normal(X.shape)
+    dX = ns.direction(V, tau, sigma, grad, 0.1)
+    assert tried and ns.woodbury_directions == 0 and ns.lu is not None
+    # M made, then H: fresh factors of H solve without CG
+    assert ns.factorizations == 2 and ns.cg_steps == 0
+    ref = _factored_direction(ns, *ns.curvature(V, tau, sigma), grad)
+    assert dX.tobytes() == ref.tobytes()
+    # on a path the route serves only directions with no edge out, no K
+    calls, woodbury = [], admm._NewtonSystem._woodbury
+
+    def recording(self, r, sc, U, sigma):
+        x = woodbury(self, r, sc, U, sigma)
+        calls.append((bool(U.any()), x is not None))
+        return x
+
+    monkeypatch.setattr(admm._NewtonSystem, "_woodbury", recording)
+    inst = build_knn_graph(gen_two_half_moons(200, 0.1, 0), k=10)
+    pcfg = PathConfig(mode="direct", lambdas=[4.0, 2.0, 1.0])
+    res = solve_path(inst, pcfg)
+    assert (True, False) in calls and (True, True) not in calls
+    assert res.total_woodbury_directions == calls.count((False, True))
+    assert all(rec.converged and rec.residual <= pcfg.eps for rec in res.records)
 
 
 def _cg_fixture():

@@ -386,22 +386,57 @@ def test_reused_structures_change_no_result(moons200, monkeypatch, mode):
     that build everything afresh return, with the same rounds and work.
     Direct mode's one Newton system is large enough to also keep its
     factors of H from lambda to lambda, which by design changes its
-    iterates; with that reuse off (REUSE_FILL infinite) it matches too."""
-    from sievepath import admm
+    iterates; with that reuse off (REUSE_FILL infinite) it matches too.
+    It also keeps its factors of M for the Woodbury route while sigma
+    holds, across lambdas, which changes no iterate, since the route
+    solves exactly with the same bits of M, but saves factorizations that
+    the fresh solves make again: the work matches once the factorizations
+    of M are set apart, and the path makes no more of them. The sieved
+    subproblems never take the route."""
+    from sievepath import admm, path, sieve
 
     if mode == "direct":
         monkeypatch.setattr(admm, "REUSE_FILL", np.inf)
+    made_m, per_solve = [0], []  # factorizations of M so far, and per lambda
+    factor = admm._factor
+
+    def factoring(A, permc_spec="NATURAL"):
+        # M is the one N x N Newton matrix; H is 2N x 2N, the probe MMD
+        made_m[0] += A.shape[0] == moons200.N and permc_spec == "NATURAL"
+        return factor(A, permc_spec)
+
+    def counted(solver):
+        def run(*args, **kwargs):
+            before = made_m[0]
+            out = solver(*args, **kwargs)
+            per_solve.append(made_m[0] - before)
+            return out
+        return run
+
+    monkeypatch.setattr(admm, "_factor", factoring)
+    for name in ("as_solve", "eas_solve"):  # path's own and _path_without_store's
+        wrapped = counted(getattr(sieve, name))
+        monkeypatch.setattr(path, name, wrapped)
+        monkeypatch.setattr(sieve, name, wrapped)
     pcfg = PathConfig(mode=mode)
     res = solve_path(moons200, pcfg)
     assert res.all_converged
-    for rec, (triple, state) in zip(res.records, _path_without_store(moons200, pcfg),
-                                    strict=True):
+    kept_m = per_solve[:]
+    per_solve.clear()
+    fresh = _path_without_store(moons200, pcfg)
+    fresh_m = per_solve[:]
+    for rec, (triple, state), m_kept, m_fresh in zip(res.records, fresh, kept_m, fresh_m,
+                                                    strict=True):
         for name in ("x", "y", "z"):
             assert getattr(rec.triple, name).tobytes() == getattr(triple, name).tobytes()
         assert rec.rounds == state.round
-        assert (rec.newton_steps, rec.cg_steps, rec.factorizations) == tuple(
-            sum(r[key] for r in state.records)
-            for key in ("newton_steps", "cg_steps", "factorizations"))
+        assert m_kept <= m_fresh
+        work = [sum(r[key] for r in state.records) for key in sieve.WORK]
+        work[2] -= m_fresh
+        assert [rec.newton_steps, rec.cg_steps, rec.factorizations - m_kept,
+                rec.woodbury_directions] == work
+    assert (sum(kept_m) < sum(fresh_m)) == (mode == "direct")
+    assert (res.total_woodbury_directions > 0) == (mode == "direct")
 
 
 def test_direct_path_with_kept_factors_agrees_with_fresh_solves(moons200):

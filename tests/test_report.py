@@ -209,6 +209,31 @@ def test_state_with_a_removed_apg_tolerance_still_loads(t1_result, tmp_path):
     _assert_same_reports(t1_result, back, tmp_path)
 
 
+def test_state_without_woodbury_counts_still_loads(t1_result, tmp_path):
+    """States saved before the Woodbury route counted its directions have
+    no woodbury_directions in their records; they load with the count at
+    0. A new state stores the count."""
+    import dataclasses
+
+    result = dataclasses.replace(t1_result, records=[
+        dataclasses.replace(rec, woodbury_directions=k + 1)
+        for k, rec in enumerate(t1_result.records)])
+    p = tmp_path / "state.npz"
+    save_path_state(result, p)
+    assert [rec.woodbury_directions for rec in load_path_state(p).records] == [1, 2, 3]
+    with np.load(p, allow_pickle=False) as npz:
+        arrays = {k: npz[k] for k in npz.files}
+    meta = json.loads(str(arrays["meta"]))
+    for rec in meta["records"]:
+        del rec["woodbury_directions"]
+    arrays["meta"] = np.array(json.dumps(meta))
+    np.savez(tmp_path / "older.npz", **arrays)
+    back = load_path_state(tmp_path / "older.npz")
+    assert [rec.woodbury_directions for rec in back.records] == [0, 0, 0]
+    assert back.summary() == t1_result.summary()
+    _assert_same_reports(t1_result, back, tmp_path)
+
+
 def test_state_with_a_bad_subsolver_setting_is_bad_data(t1_result, tmp_path):
     """A saved state whose subsolver settings no solve could run with is
     malformed, like any other invalid field."""
