@@ -131,7 +131,16 @@ REUSE_MIN_FILL = 6000
 # edges outside their balls number kd <= WOODBURY_RANK and 4k <= n. That
 # most k, the system's cap, is 0 (no route) when fill * d^2 <
 # REUSE_MIN_FILL, where a factorization of H costs only 3 to 7 CG steps,
-# or when the system has more than WOODBURY_EDGES times the cap edges.
+# or when the system has more than WOODBURY_EDGES kept edges. The cap also
+# bounds y_of, the system's map from edge l to M^-1 a_l: one solve of M
+# fills in the edges a direction lacks, a new sigma empties it with M's
+# factors, and a direction whose new edges would take it past the cap
+# first drops the oldest held edges that are inside their balls. The gate
+# reads the system's own edge count, so each constant is tuned alone;
+# 7,500, between the 6,121 edges of the full N = 1000 moons problem and
+# the 12,050 of N = 2000, is the 50 times a cap of 150 that the gate
+# allowed when it read the cap, and keeps every decision it made then on
+# the full N = 1000 to 10^4 moons problems and the tests' systems.
 # On the full N = 1000 moons problem (6,121 edges; 0 to 150 outside their
 # balls from lam = 10 down to 4.6) the route solved 212 of the 432
 # directions of the 46-lambda direct path, and its CPU time against
@@ -141,10 +150,10 @@ REUSE_MIN_FILL = 6000
 # the full N = 2000 to 10^4 problems (12,050 to 61,000 edges) it solved 12
 # to 18 of 237 to 339 directions of their direct paths (grids 10:-1:2 and,
 # at 10^4, 10, 8, 6, 4), added 6 to 45 MB of peak RSS (M's factors and
-# the cached columns) and was not faster, so the edge share sends them to
+# the held columns) and was not faster, so the edge count sends them to
 # H. No sieved subproblem of the N = 1000 moons paths reaches the fill.
 WOODBURY_RANK = 300
-WOODBURY_EDGES = 50
+WOODBURY_EDGES = 7500
 
 
 class SingularSystemError(RuntimeError):
@@ -240,14 +249,15 @@ class _NewtonSystem:
     factors. The factors of M (mlu) are the third kind of kept factors:
     made at the first such direction after sigma changes, they live while
     sigma holds, across Newton steps, inner solves and lambdas. With them
-    the system caches M^-1 a_l of up to woodbury_cap edges (rows of Yt),
-    solved when an edge first leaves its ball at that sigma, and K, the
-    dense k d x k d matrix the route factors by Cholesky; both are
-    allocated once, at their full size, at the first such direction. When
-    more edges lie outside, or Cholesky rejects K, the direction is solved
-    on H as above. The system counts its factorizations (M's included), CG
-    steps and the directions _woodbury solved; a solve reports the
-    difference.
+    the system holds y_of, which maps an edge l to M^-1 a_l: one solve of M
+    fills in the edges of a direction that it lacks, it is emptied when M
+    is factored again, and it is trimmed only when a direction's new edges
+    would take it past woodbury_cap, held edges not outside their balls
+    going oldest first. K, the dense k d x k d matrix the route factors by
+    Cholesky, is made for each direction. When more edges lie outside, or
+    Cholesky rejects K, the direction is solved on H as above. The system
+    counts its factorizations (M's included), CG steps and the directions
+    _woodbury solved; a solve reports the difference.
 
     Both matrices are built once, in one fill-reducing order of the n nodes
     (_node_order), node order[p] in place p, so SuperLU factors them as
@@ -288,18 +298,13 @@ class _NewtonSystem:
             self._gather[place.ravel()] = np.arange(self.H.nnz)
             self._Q = np.zeros((n + len(ri), d * d))
             self._Q[:n] = h[:, None] * np.eye(d).ravel()
-            cap = min(WOODBURY_RANK // d, n // 4)
-            if fill * d * d >= REUSE_MIN_FILL and WOODBURY_EDGES * cap >= len(ri):
-                self.woodbury_cap = cap
+            if fill * d * d >= REUSE_MIN_FILL and len(ri) <= WOODBURY_EDGES:
+                self.woodbury_cap = min(WOODBURY_RANK // d, n // 4)
         if self.woodbury_cap:
-            # M on L's pattern, its factors at sigma mlu_sigma, and rows of
-            # M^-1 a_l, one per cached edge: edge[row] is its edge (-1: none),
-            # row_of[l] its row (-1: none); Yt and K are allocated at first use
+            # M on L's pattern, its factors at sigma mlu_sigma, and M^-1 a_l
+            # of the edges l held at that sigma, oldest first
             self.M, self._h, self._ri, self._rj = L, h, ri, rj
-            self.mlu, self.mlu_sigma = None, None
-            self._Yt = self._K = None
-            self._edge = np.full(self.woodbury_cap, -1)
-            self._row_of = np.full(len(ri), -1)
+            self.mlu, self.mlu_sigma, self.y_of = None, None, {}
         if not self.assembled:
             self.L, self._h = L, h
             # column l of G^T holds u_l at rows ri*d + k and -u_l at rj*d + k;
@@ -442,27 +447,44 @@ class _NewtonSystem:
             return None
         if sigma != self.mlu_sigma:
             self.mlu = None  # the stale factors go before the new ones are made
+            self.y_of.clear()
             self.M.data = self._S @ np.concatenate([self._h, np.full(len(self._ri), sigma)])
             self.mlu, self.mlu_sigma = _factor(self.M), sigma
             self.factorizations += 1
-            self._edge[:] = -1
-            self._row_of[:] = -1
         x = self.mlu.solve(r)
         if k:
-            rows, ri, rj = self._woodbury_rows(out), self._ri[out], self._rj[out]
+            out = out.tolist()  # dict keys
+            new = [l for l in out if l not in self.y_of]
+            if new:
+                # past woodbury_cap, held edges not in out go, oldest first
+                excess = len(self.y_of) + len(new) - self.woodbury_cap
+                if excess > 0:
+                    keep = set(out)
+                    for l in [l for l in self.y_of if l not in keep][:excess]:
+                        del self.y_of[l]
+                rhs = np.zeros((n, len(new)))
+                cols = np.arange(len(new))
+                rhs[self._ri[new], cols] = 1.0
+                rhs[self._rj[new], cols] = -1.0
+                # a copy each, so that a dropped column frees its memory
+                self.y_of.update((l, y.copy()) for l, y in zip(new, self.mlu.solve(rhs).T))
+            ys, ri, rj = [self.y_of[l] for l in out], self._ri[out], self._rj[out]
+            Y = np.array(ys)
+            aY = (Y[:, ri] - Y[:, rj]).T  # a_l^T y_l' at (l, l')
+            # K and the k x n stack Y are never held together, so Y is
+            # stacked again for the last product: held together, they raised
+            # the peak RSS of the N = 1000 moons direct path from 94.4 to
+            # 96.6 MB (medians of 10 processes)
+            del Y
             # C_l^(1/2) = s_l I + (sqrt(sigma) - s_l) u_l u_l^T, s_l^2 = sigma - sigma c_l
             s = np.sqrt(sigma - sc[out])
             u = U[:, out].T
             R = (np.sqrt(sigma) - s)[:, None, None] * u[:, :, None] * u[:, None, :]
             R[:, np.arange(d), np.arange(d)] += s[:, None]
-            kd = k * d
-            K = self._K[:kd * kd].reshape(kd, kd)
-            Rf = R.reshape(kd, d)
-            np.matmul(Rf, Rf.T, out=K)
-            # a_l^T y_l', read off row l' of Yt
-            aY = self._Yt[rows[None, :], ri[:, None]] - self._Yt[rows[None, :], rj[:, None]]
+            Rf = R.reshape(k * d, d)
+            K = Rf @ Rf.T
             K.reshape(k, d, k, d)[...] *= -aY[:, None, :, None]
-            K.ravel()[::kd + 1] += 1.0
+            K.ravel()[::k * d + 1] += 1.0
             b = np.einsum("lab,lb->la", R, x[ri] - x[rj]).ravel()
             try:
                 # K.T is K in Fortran order, which LAPACK factors in place
@@ -470,36 +492,10 @@ class _NewtonSystem:
                               check_finite=False)
             except np.linalg.LinAlgError:
                 return None
-            x += self._Yt[rows].T @ np.einsum("lab,lb->la", R, z.reshape(k, d))
+            del K
+            x += np.array(ys).T @ np.einsum("lab,lb->la", R, z.reshape(k, d))
         self.woodbury_directions += 1
         return x
-
-    def _woodbury_rows(self, edges):
-        """The rows of Yt that hold M^-1 a_l for the given edges; M solves
-        for the ones not cached, into free rows first and then rows of
-        edges not among them."""
-        if self._Yt is None:
-            cap, d = self.woodbury_cap, len(self.red.C)
-            self._Yt = np.zeros((cap, len(self.order)))
-            self._K = np.empty((cap * d) ** 2)
-        rows = self._row_of[edges]
-        new = edges[rows < 0]
-        if len(new):
-            held = np.zeros(self.woodbury_cap, dtype=bool)
-            held[rows[rows >= 0]] = True
-            spare = np.flatnonzero(~held)
-            spare = spare[np.argsort(self._edge[spare] >= 0, kind="stable")][:len(new)]
-            evicted = self._edge[spare]
-            self._row_of[evicted[evicted >= 0]] = -1
-            rhs = np.zeros((len(self.order), len(new)))
-            cols = np.arange(len(new))
-            rhs[self._ri[new], cols] = 1.0
-            rhs[self._rj[new], cols] = -1.0
-            self._Yt[spare] = self.mlu.solve(rhs).T
-            self._edge[spare] = new
-            self._row_of[new] = spare
-            rows = self._row_of[edges]
-        return rows
 
     def _refactor(self, A):
         """Factor A, H or L at the current point, in place of lu; for L,

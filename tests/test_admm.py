@@ -819,21 +819,22 @@ def test_woodbury_direction_matches_the_factored_newton_matrix(moons1000_warm):
 def test_woodbury_route_serves_only_large_systems_with_few_edges_out(monkeypatch,
                                                                     moons1000_warm):
     """The route serves an assembled system exactly when fill * d^2 is at
-    least REUSE_MIN_FILL and WOODBURY_EDGES times its cap, the most edges
-    outside their balls it takes (kd <= WOODBURY_RANK, 4k <= n), covers
-    its edges. A direction with more edges out than the cap, or on the
-    operator, is solved as before."""
+    least REUSE_MIN_FILL and the system has at most WOODBURY_EDGES edges;
+    its cap, the most edges outside their balls it takes, is then the
+    largest k with kd <= WOODBURY_RANK and 4k <= n. A direction with more
+    edges out than the cap, or on the operator, is solved as before."""
     red, X, Z = moons1000_warm
     d, n = red.C.shape
     ri, rj = red.inc.edge_i, red.inc.edge_j
+    assert np.all(ri != rj)  # every edge of the full problem is kept
     fill = admm._node_order(n, ri, rj)[2]
     cap = min(admm.WOODBURY_RANK // d, n // 4)
-    for floor, share, served in ((fill * d * d, admm.WOODBURY_EDGES, True),
+    for floor, edges, served in ((fill * d * d, admm.WOODBURY_EDGES, True),
                                  (fill * d * d + 1, admm.WOODBURY_EDGES, False),
-                                 (0, -(-red.m_red // cap), True),
-                                 (0, red.m_red // cap - 1, False)):
+                                 (0, red.m_red, True),
+                                 (0, red.m_red - 1, False)):
         monkeypatch.setattr(admm, "REUSE_MIN_FILL", floor)
-        monkeypatch.setattr(admm, "WOODBURY_EDGES", share)
+        monkeypatch.setattr(admm, "WOODBURY_EDGES", edges)
         assert admm._NewtonSystem(red).woodbury_cap == (cap if served else 0)
     force_newton_branch(monkeypatch, False)
     assert admm._NewtonSystem(red).woodbury_cap == 0
@@ -854,6 +855,95 @@ def test_woodbury_route_serves_only_large_systems_with_few_edges_out(monkeypatch
     ns.direction(V, tau, sigma, np.ones_like(X), 0.1)
     assert ns.woodbury_directions == 0 and ns.factorizations == 1 and ns.lu is not None
     assert ns.mlu is None
+
+
+def test_woodbury_gate_does_not_read_the_rank(monkeypatch, moons1000_warm):
+    """WOODBURY_RANK sets the cap alone: at 200 the full N = 1000 moons
+    problem still takes the route, with a cap of 100 edges out, and a
+    solve from the certified point of lam = 9 routes directions."""
+    monkeypatch.setattr(admm, "WOODBURY_RANK", 200)
+    red, X, Z = moons1000_warm
+    ns = admm._NewtonSystem(red)
+    assert ns.assembled and ns.woodbury_cap == 100
+    sol = solve_reduced_admm(red, 1e-6, warm=(X, red.inc.apply(X), Z), system=ns)
+    assert sol.converged and sol.woodbury_directions > 0
+
+
+def test_woodbury_store_solves_a_held_edge_once_per_sigma(monkeypatch):
+    """y_of, the system's map from edge l to M^-1 a_l, on a direct path of
+    200 moons points. A routed direction solves M for exactly the edges
+    outside their balls that y_of lacks, so an edge held at one sigma is
+    not solved again in later Newton steps, inner solves or lambdas; a new
+    sigma empties it; it never holds more than woodbury_cap edges; and when
+    a direction's new edges would take it past the cap, the oldest held
+    edges inside their balls go, and every edge outside stays. The path
+    (cap 50) does each of these."""
+    solves = []  # the edge columns of every solve of M, as (ri, rj) pairs
+    factor, woodbury, begin = admm._factor, admm._NewtonSystem._woodbury, admm._NewtonSystem.begin
+
+    class Recording:
+        def __init__(self, lu):
+            self.lu = lu
+
+        def solve(self, b):
+            for col in b.T:
+                nz = np.flatnonzero(col)
+                if len(nz) == 2 and sorted(col[nz]) == [-1.0, 1.0]:
+                    solves.append((int(nz[col[nz] > 0][0]), int(nz[col[nz] < 0][0])))
+            return self.lu.solve(b)
+
+    def factoring(A, permc_spec="NATURAL"):
+        lu = factor(A, permc_spec)
+        # M is n x n; H, the only other Newton matrix of direct mode, n d x n d
+        return Recording(lu) if permc_spec == "NATURAL" and A.shape[0] == inst.N else lu
+
+    # the current inner solve, and the inner solve and lam of each held edge's solve
+    where = {"inner": 0, "solved": {}}
+    counts = dict.fromkeys(("routed", "kept_inner", "kept_lambda", "emptied", "trims"), 0)
+
+    def beginning(self):
+        where["inner"] += 1
+        begin(self)
+
+    def recording(self, r, sc, U, sigma):
+        fresh = sigma != self.mlu_sigma
+        before = [] if fresh else list(self.y_of)
+        where_before = {} if fresh else where["solved"]
+        solves.clear()
+        x = woodbury(self, r, sc, U, sigma)
+        out = np.flatnonzero(U.any(axis=0)).tolist()
+        if x is None:
+            assert len(out) > self.woodbury_cap and not solves
+            return x
+        counts["routed"] += 1
+        edge = {(int(i), int(j)): l for l, (i, j) in enumerate(zip(self._ri, self._rj))}
+        solved = [edge[p] for p in solves]
+        new = [l for l in out if l not in before]
+        assert sorted(solved) == sorted(new)  # nothing held is solved again
+        after = list(self.y_of)
+        assert len(after) <= self.woodbury_cap and set(out) <= set(after)
+        excess = max(0, len(before) + len(new) - self.woodbury_cap)
+        dropped = [l for l in before if l not in out][:excess]
+        kept = [l for l in before if l not in dropped]
+        assert after[:len(kept)] == kept and sorted(after[len(kept):]) == sorted(new)
+        counts["trims"] += bool(dropped)
+        counts["emptied"] += fresh and any(l in where["solved"] for l in out)
+        for l in out:
+            if l in before:
+                inner, lam = where_before[l]
+                counts["kept_inner"] += inner < where["inner"]
+                counts["kept_lambda"] += lam != self.red.lam
+        where["solved"] = {l: where_before.get(l, (where["inner"], self.red.lam))
+                           for l in after}
+        return x
+
+    monkeypatch.setattr(admm, "_factor", factoring)
+    monkeypatch.setattr(admm._NewtonSystem, "_woodbury", recording)
+    monkeypatch.setattr(admm._NewtonSystem, "begin", beginning)
+    inst = build_knn_graph(gen_two_half_moons(200, 0.1, 0), k=10)
+    res = solve_path(inst, PathConfig(mode="direct", lambdas=[6.0, 5.0, 4.0]))
+    assert res.all_converged and res.total_woodbury_directions == counts["routed"] > 0
+    assert all(counts.values()), counts
 
 
 def test_rejected_woodbury_factorization_falls_back_to_h(monkeypatch, moons1000_warm):
