@@ -133,7 +133,7 @@ REUSE_MIN_FILL = 6000
 # REUSE_MIN_FILL, where a factorization of H costs only 3 to 7 CG steps,
 # or when the system has more than WOODBURY_EDGES kept edges. The cap also
 # bounds y_of, the system's map from edge l to M^-1 a_l: one solve of M
-# fills in the edges a direction lacks, a new sigma empties it with M's
+# per edge fills in those a direction lacks, a new sigma empties it with M's
 # factors, and a direction whose new edges would take it past the cap
 # first drops the oldest held edges that are inside their balls. The gate
 # reads the system's own edge count, so each constant is tuned alone;
@@ -174,6 +174,12 @@ class AdmmConfig:
         self.max_iter = int(cap)
 
 
+# the subsolver's work counters, in the order of the round records, the
+# LambdaRecord fields and the path.csv columns that sum them; past the
+# first, each is a field of SubSolution and a running count of _NewtonSystem
+WORK = ("newton_steps", "cg_steps", "factorizations", "woodbury_directions")
+
+
 @dataclass
 class SubSolution:
     """Reduced-space solution triple plus solver diagnostics; iterations
@@ -197,6 +203,11 @@ class SubSolution:
     def warm_start(self):
         """(X, Y, Z, sigma) to restart the subsolver where this solve stopped."""
         return self.x_red, self.y_red, self.xi, self.sigma
+
+    @property
+    def work(self):
+        """The solve's WORK counters by name; iterations is newton_steps."""
+        return {WORK[0]: self.iterations, **{key: getattr(self, key) for key in WORK[1:]}}
 
 
 def reduced_kkt_residual(red, X, Y, Z):
@@ -249,8 +260,9 @@ class _NewtonSystem:
     factors. The factors of M (mlu) are the third kind of kept factors:
     made at the first such direction after sigma changes, they live while
     sigma holds, across Newton steps, inner solves and lambdas. With them
-    the system holds y_of, which maps an edge l to M^-1 a_l: one solve of M
-    fills in the edges of a direction that it lacks, it is emptied when M
+    the system holds y_of, which maps an edge l to M^-1 a_l: a one-column
+    solve of M fills in each edge of a direction that it lacks, so that no
+    y_l depends on which edges were solved with it; it is emptied when M
     is factored again, and it is trimmed only when a direction's new edges
     would take it past woodbury_cap, held edges not outside their balls
     going oldest first. K, the dense k d x k d matrix the route factors by
@@ -337,12 +349,9 @@ class _NewtonSystem:
         U = np.divide(Vk, norms, out=np.zeros_like(Vk), where=outside)
         return sc, U
 
-    def matrix(self, V, tau, sigma):
-        """H at V, assembled in the node order (assembled mode only)."""
-        return self._assemble(*self.curvature(V, tau, sigma))
-
     def _assemble(self, sc, U):
-        """H from the curvature sc, U of its edges."""
+        """H from the curvature sc, U of its edges, assembled in the node
+        order (assembled mode only)."""
         d = U.shape[0]
         # sigma Q_l laid out (k, k', l), row by row, as products of d x d x m
         # broadcasts are several times slower; Q's edge rows take it (l, k, k')
@@ -462,12 +471,12 @@ class _NewtonSystem:
                     keep = set(out)
                     for l in [l for l in self.y_of if l not in keep][:excess]:
                         del self.y_of[l]
-                rhs = np.zeros((n, len(new)))
-                cols = np.arange(len(new))
-                rhs[self._ri[new], cols] = 1.0
-                rhs[self._rj[new], cols] = -1.0
-                # a copy each, so that a dropped column frees its memory
-                self.y_of.update((l, y.copy()) for l, y in zip(new, self.mlu.solve(rhs).T))
+                # one solve per column: a multi-column solve gives a column
+                # other last bits depending on the other columns of its batch
+                for l in new:
+                    a = np.zeros(n)
+                    a[self._ri[l]], a[self._rj[l]] = 1.0, -1.0
+                    self.y_of[l] = self.mlu.solve(a)
             ys, ri, rj = [self.y_of[l] for l in out], self._ri[out], self._rj[out]
             Y = np.array(ys)
             aY = (Y[:, ri] - Y[:, rj]).T  # a_l^T y_l' at (l, l')
@@ -705,8 +714,8 @@ def solve_reduced_admm(red, tol, config=None, warm=None, system=None):
         Z = np.zeros_like(Y)
 
     ns = _NewtonSystem(red) if system is None else system
-    # the system counts its own work
-    made, cg_steps, woodbury = ns.factorizations, ns.cg_steps, ns.woodbury_directions
+    # the system counts its own work; the solve reports the difference
+    counted = {key: getattr(ns, key) for key in WORK[1:]}
     lw = red.lam * red.weights
     kkt = reduced_kkt_residual(red, X, Y, Z)
     steps = 0
@@ -741,8 +750,8 @@ def solve_reduced_admm(red, tol, config=None, warm=None, system=None):
     if not converged:
         log.warning("SSNAL stopped after %d Newton steps with residual %.3e > tol %.3e, "
                     "at %s", steps, kkt, tol, cause)
-    return SubSolution(X, Y, Z, steps, converged, kkt, sigma, ns.cg_steps - cg_steps,
-                       ns.factorizations - made, ns.woodbury_directions - woodbury)
+    return SubSolution(X, Y, Z, steps, converged, kkt, sigma,
+                       **{key: getattr(ns, key) - start for key, start in counted.items()})
 
 
 def solve_full(inst, lam, tol, config=None, warm=None):

@@ -22,9 +22,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 # solve_full is not called here; perfbench/spans.py wraps it under this name
-from .admm import SingularSystemError, solve_full
+from .admm import WORK, SingularSystemError, solve_full
 from .model import SolveConfig, check_tolerances, fused_blocks
-from .sieve import WORK, BuildStore, SieveLimitError, as_solve, eas_solve
+from .sieve import BuildStore, SieveLimitError, as_solve, eas_solve
 
 log = logging.getLogger(__name__)
 
@@ -106,10 +106,12 @@ class LambdaRecord:
     # cluster count: in direct mode few blocks of Bx are exactly zero
     num_fused: int
     error: str = None
-    newton_steps: int = 0  # of every subsolve of this lambda
-    cg_steps: int = 0  # likewise
-    factorizations: int = 0  # likewise; SuperLU, made here, order probes not counted
-    woodbury_directions: int = 0  # likewise; Newton directions solved by Woodbury
+    # admm.WORK, summed over every subsolve of this lambda; fields of their
+    # own, as saved path states store them
+    newton_steps: int = 0
+    cg_steps: int = 0
+    factorizations: int = 0  # SuperLU, made here, order probes not counted
+    woodbury_directions: int = 0  # Newton directions solved by Woodbury
 
 
 @dataclass
@@ -122,32 +124,14 @@ class PathResult:
     def all_converged(self):
         return all(r.converged for r in self.records)
 
-    @property
-    def total_seconds(self):
-        return sum(r.seconds for r in self.records)
-
-    @property
-    def total_rounds(self):
-        return sum(r.rounds for r in self.records)
-
-    @property
-    def total_newton_steps(self):
-        return sum(r.newton_steps for r in self.records)
-
-    @property
-    def total_cg_steps(self):
-        return sum(r.cg_steps for r in self.records)
-
-    @property
-    def total_factorizations(self):
-        return sum(r.factorizations for r in self.records)
-
-    @property
-    def total_woodbury_directions(self):
-        return sum(r.woodbury_directions for r in self.records)
+    def total(self, name):
+        """The sum over the records of the LambdaRecord field name, such as
+        seconds, rounds or a WORK counter."""
+        return sum(getattr(r, name) for r in self.records)
 
     def summary(self):
         n = len(self.records)
+        rounds = self.total("rounds")
         return {
             "n_lambdas": n,
             "mode": self.config.mode,
@@ -156,19 +140,16 @@ class PathResult:
             "m_edges": self.inst.m_blocks,
             "eps": self.config.eps,
             "eps_hat": self.config.eps_hat,
-            "total_rounds": self.total_rounds,
-            "total_newton_steps": self.total_newton_steps,
-            "total_cg_steps": self.total_cg_steps,
-            "total_factorizations": self.total_factorizations,
-            "total_woodbury_directions": self.total_woodbury_directions,
-            "average_rounds": self.total_rounds / n if n else 0.0,
+            "total_rounds": rounds,
+            **{f"total_{key}": self.total(key) for key in WORK},
+            "average_rounds": rounds / n if n else 0.0,
             "average_reduced_n": (
                 float(np.mean([r.avg_reduced_n for r in self.records])) if n else 0.0
             ),
             "average_reduced_m": (
                 float(np.mean([r.avg_reduced_m for r in self.records])) if n else 0.0
             ),
-            "total_seconds": self.total_seconds,
+            "total_seconds": self.total("seconds"),
             # over certified lambdas: a failed one's inf is not JSON
             "max_residual": max((r.residual for r in self.records if r.converged),
                                 default=None),

@@ -9,17 +9,14 @@ from pathlib import Path
 
 import numpy as np
 
-from .admm import AdmmConfig
+from .admm import WORK, AdmmConfig
 from .data_io import DataError
 from .labels import extract_labels
 from .model import KktTriple, ProblemInstance
 from .path import LambdaRecord, PathConfig, PathResult
 
-PATH_COLUMNS = (
-    "lambda", "rounds", "newton_steps", "cg_steps", "factorizations",
-    "woodbury_directions", "reduced_n",
-    "reduced_m", "residual", "gap", "seconds", "num_clusters",
-)
+PATH_COLUMNS = ("lambda", "rounds", *WORK, "reduced_n", "reduced_m", "residual", "gap",
+                "seconds", "num_clusters")
 STATE_FORMAT = "sievepath-path-state"
 STATE_VERSION = 1
 # every LambdaRecord field but the triple is a scalar stored in the metadata
@@ -63,8 +60,7 @@ def _emit(result, outdir):
         writer.writerow(PATH_COLUMNS)
         for rec, n_clusters in zip(result.records, cluster_counts):
             writer.writerow([
-                f"{rec.lam:.10g}", rec.rounds, rec.newton_steps, rec.cg_steps,
-                rec.factorizations, rec.woodbury_directions,
+                f"{rec.lam:.10g}", rec.rounds, *(getattr(rec, key) for key in WORK),
                 f"{rec.avg_reduced_n:.6g}", f"{rec.avg_reduced_m:.6g}",
                 f"{rec.residual:.6e}", f"{rec.gap:.6e}", f"{rec.seconds:.6f}",
                 n_clusters,

@@ -45,7 +45,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ._kernels import column_norms, frobenius_norm, project_columns
-from .admm import _factor, _NewtonSystem, solve_reduced_admm
+from .admm import WORK, _factor, _NewtonSystem, solve_reduced_admm
 from .graph import IncidenceMap, build_partition, recover_primal, reduce_problem, unique_indices
 from .model import (KktTriple, SolveConfig, duality_gap, fused_blocks, kkt_residual,
                     primal_objective)
@@ -58,8 +58,6 @@ SUBSOLVE_SHARE = 0.5  # a round's first subsolve stops at this share of eps
 # budget certified nothing more: no unconverged run of the seed-0 N = 1000
 # moons eas path converged within 3,000 steps
 APG_STEPS = 30
-# the subsolver work each round record sums over its subsolves
-WORK = ("newton_steps", "cg_steps", "factorizations", "woodbury_directions")
 
 
 class SieveLimitError(RuntimeError):
@@ -88,14 +86,12 @@ class SieveState:
     round, n_reduced, m_reduced, built (the round built its set's
     structures), kkt_residual, objective, certified_early, violations (the
     blocks removed from I), subsolver_tol (of the last subsolve), sigma
-    (the last subsolve ended with), retightenings, the WORK of all the
-    round's subsolves (newton_steps, cg_steps, factorizations and
-    woodbury_directions, as SubSolution counts them),
-    apg_iterations and apg_restarts (the steps and the discarded steps of
-    all its APG runs, eas_certify's included, each run at most APG_STEPS
-    steps times 10 per retightening) and apg_converged (whether
-    the last recover_dual APG converged; None when no recover_dual of the
-    round ran one)."""
+    (the last subsolve ended with), retightenings, each WORK counter summed
+    over the round's subsolves (SubSolution.work), apg_iterations and
+    apg_restarts (the steps and the discarded steps of all its APG runs,
+    eas_certify's included, each run at most APG_STEPS steps times 10 per
+    retightening) and apg_converged (whether the last recover_dual APG
+    converged; None when no recover_dual of the round ran one)."""
 
     records: list = field(default_factory=list)
 
@@ -306,8 +302,6 @@ def violation_set(partition, lam, inst, u):
     blocks from thrashing in and out.
     """
     I = partition.I
-    if len(I) == 0:
-        return np.empty(0, dtype=np.int64)
     norms = column_norms(np.ascontiguousarray(u[:, I]))
     return I[norms > lam * inst.weights[I] * (1.0 + VIOLATION_SLACK)]
 
@@ -400,10 +394,7 @@ def _sieve_loop(inst, cfg, I0, enhanced, warm=None, store=None):
                 log.info("round %d: no violations at residual %.3e, retightening to %.1e",
                          rnd, res, tol_cur)
             sub = solve_reduced_admm(red, tol_cur, cfg.admm, warm=warm_red, system=store.newton)
-            work["newton_steps"] += sub.iterations
-            work["cg_steps"] += sub.cg_steps
-            work["factorizations"] += sub.factorizations
-            work["woodbury_directions"] += sub.woodbury_directions
+            work = {key: work[key] + n for key, n in sub.work.items()}
             x_bar, y_bar = recover_primal(partition, sub.x_red, sub.y_red)
             F_val = primal_objective(inst, lam, x_bar)
 

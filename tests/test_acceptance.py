@@ -254,21 +254,22 @@ def test_criterion_6_sieving_speedup(
     path500_as, path500_direct, path1000_as, path1000_direct, moons500, moons1000, capsys
 ):
     with criterion(capsys, 6, "sieving speedup") as info:
-        r500 = path500_as.total_seconds / path500_direct.total_seconds
-        r1000 = path1000_as.total_seconds / path1000_direct.total_seconds
+        r500 = path500_as.total("seconds") / path500_direct.total("seconds")
+        r1000 = path1000_as.total("seconds") / path1000_direct.total("seconds")
         assert path500_as.all_converged and path500_direct.all_converged
         assert path1000_as.all_converged and path1000_direct.all_converged
         assert r500 <= 0.7
         assert r1000 <= 0.7
         steps = ", ".join(
-            f"n={n} {as_.total_newton_steps}/{direct.total_newton_steps}"
+            f"n={n} {as_.total('newton_steps')}/{direct.total('newton_steps')}"
             for n, as_, direct in ((500, path500_as, path500_direct),
                                    (1000, path1000_as, path1000_direct))
         )
-        rounds = ", ".join(f"n={n} {as_.total_rounds}"
+        rounds = ", ".join(f"n={n} {as_.total('rounds')}"
                            for n, as_ in ((500, path500_as), (1000, path1000_as)))
         work = ", ".join(
-            f"n={n} {direct.total_cg_steps}/{direct.total_factorizations} {_newton_branch(inst)}"
+            f"n={n} {direct.total('cg_steps')}/{direct.total('factorizations')} "
+            f"{_newton_branch(inst)}"
             for n, direct, inst in ((500, path500_direct, moons500),
                                     (1000, path1000_direct, moons1000))
         )

@@ -196,7 +196,7 @@ def test_newton_hessian_matches_gradient_differences(monkeypatch):
         operator = admm._NewtonSystem(red)
         assert exact.assembled and not operator.assembled
 
-        H = _unpermute(exact.matrix(V, tau, sigma).toarray(), exact.order, d)
+        H = _unpermute(exact._assemble(*exact.curvature(V, tau, sigma)).toarray(), exact.order, d)
         assert np.allclose(H, H.T, rtol=0, atol=1e-12)
         D = rng.standard_normal(X.shape)
         eps = 1e-7
@@ -260,7 +260,7 @@ def test_node_order_is_a_permutation_with_minimum_degree_fill(monkeypatch, assem
         tau = red.lam * red.weights / sigma
         V = red.inc.apply(red.C / red.h) + 0.5 * rng.standard_normal((d, red.m_red))
         if ns.assembled:
-            A, per, slack = ns.matrix(V, tau, sigma), d, 1.05
+            A, per, slack = ns._assemble(*ns.curvature(V, tau, sigma)), d, 1.05
         else:
             A, per, slack = ns.operator(V, tau, sigma)[1], 1, 1.0
             keep = ns.keep
@@ -512,7 +512,8 @@ def test_reused_factors_still_give_a_descent_direction(monkeypatch):
         X1 = X + 0.5 * rng.standard_normal(X.shape)
         V1 = red.inc.apply(X1) + Z / sigma
         G1 = _grad_psi(red, X1, Z, sigma, tau)
-        H1 = _unpermute(exact.matrix(V1, tau, sigma).toarray(), exact.order, X.shape[0])
+        H1 = _unpermute(exact._assemble(*exact.curvature(V1, tau, sigma)).toarray(), exact.order,
+                        X.shape[0])
         for assembled in (True, False):
             force_newton_branch(monkeypatch, assembled)
             ns = admm._NewtonSystem(red)
@@ -629,7 +630,7 @@ def test_direct_path_reuses_factors_across_lambdas(monkeypatch):
     res = _direct_path(inst, [2.0, 1.5, 1.0, 0.5])
     assert res.all_converged
     assert all(r.residual <= res.config.eps for r in res.records)
-    assert res.total_factorizations < res.total_newton_steps
+    assert res.total("factorizations") < res.total("newton_steps")
     assert first[2.0] and not all(first[lam] for lam in (1.5, 1.0, 0.5))
 
 
@@ -760,7 +761,7 @@ def test_assembly_by_one_product_sums_as_bincount(monkeypatch):
         for k in range(d):
             for k2 in range(d):
                 H[place[:, k, k2]] = summed(h * (k == k2), sQ[k, k2])
-        assert exact.matrix(V, tau, sigma).data.tobytes() == H.tobytes()
+        assert exact._assemble(*exact.curvature(V, tau, sigma)).data.tobytes() == H.tobytes()
         assert operator.operator(V, tau, sigma)[1].data.tobytes() == summed(h, sc).tobytes()
     assert edgeless == [False, True, False]
 
@@ -886,7 +887,7 @@ def test_woodbury_store_solves_a_held_edge_once_per_sigma(monkeypatch):
             self.lu = lu
 
         def solve(self, b):
-            for col in b.T:
+            for col in np.atleast_2d(b.T):  # one column, or several
                 nz = np.flatnonzero(col)
                 if len(nz) == 2 and sorted(col[nz]) == [-1.0, 1.0]:
                     solves.append((int(nz[col[nz] > 0][0]), int(nz[col[nz] < 0][0])))
@@ -942,8 +943,30 @@ def test_woodbury_store_solves_a_held_edge_once_per_sigma(monkeypatch):
     monkeypatch.setattr(admm._NewtonSystem, "begin", beginning)
     inst = build_knn_graph(gen_two_half_moons(200, 0.1, 0), k=10)
     res = solve_path(inst, PathConfig(mode="direct", lambdas=[6.0, 5.0, 4.0]))
-    assert res.all_converged and res.total_woodbury_directions == counts["routed"] > 0
+    assert res.all_converged and res.total("woodbury_directions") == counts["routed"] > 0
     assert all(counts.values()), counts
+
+
+def test_woodbury_columns_are_one_column_solves(monkeypatch):
+    """Every y_l that y_of holds after a routed direction of a short direct
+    path on 1000 moons points is, byte for byte, the solve of M for a_l
+    alone, so no column depends on which other edges were solved with it;
+    directions there lack up to 33 edges at once."""
+    woodbury, held = admm._NewtonSystem._woodbury, []
+
+    def checking(self, r, sc, U, sigma):
+        x = woodbury(self, r, sc, U, sigma)
+        for l, y in self.y_of.items():
+            a = np.zeros(len(y))
+            a[self._ri[l]], a[self._rj[l]] = 1.0, -1.0
+            assert y.tobytes() == self.mlu.solve(a).tobytes(), (sigma, l)
+        held.append(len(self.y_of))
+        return x
+
+    monkeypatch.setattr(admm._NewtonSystem, "_woodbury", checking)
+    inst = build_knn_graph(gen_two_half_moons(1000, 0.1, 0), k=10)
+    res = solve_path(inst, PathConfig(mode="direct", lambdas=[10.0, 9.0, 8.0]))
+    assert res.all_converged and max(held) > 0
 
 
 def test_rejected_woodbury_factorization_falls_back_to_h(monkeypatch, moons1000_warm):
@@ -986,7 +1009,7 @@ def test_rejected_woodbury_factorization_falls_back_to_h(monkeypatch, moons1000_
     pcfg = PathConfig(mode="direct", lambdas=[4.0, 2.0, 1.0])
     res = solve_path(inst, pcfg)
     assert (True, False) in calls and (True, True) not in calls
-    assert res.total_woodbury_directions == calls.count((False, True))
+    assert res.total("woodbury_directions") == calls.count((False, True))
     assert all(rec.converged and rec.residual <= pcfg.eps for rec in res.records)
 
 
@@ -1002,8 +1025,8 @@ def _cg_fixture():
               for s in (0.2, 0.6))
     ns = admm._NewtonSystem(red)
     assert ns.assembled
-    ns.lu = admm._factor(ns.matrix(V0, tau, sigma))
-    H = ns.matrix(V1, tau, sigma).copy()
+    ns.lu = admm._factor(ns._assemble(*ns.curvature(V0, tau, sigma)))
+    H = ns._assemble(*ns.curvature(V1, tau, sigma)).copy()
     return ns, H, rng.standard_normal(H.shape[0])
 
 

@@ -57,10 +57,10 @@ def test_layer_wrappers_count_a_solved_path(monkeypatch, mode):
         res = solve_path(inst, PathConfig(lambdas=[1.0, 0.3], eps=1e-7, mode=mode))
     assert res.all_converged
     counts = tracer.counts
-    assert counts["sieve.rounds"] == res.total_rounds >= 2
+    assert counts["sieve.rounds"] == res.total("rounds") >= 2
     assert counts["sieve.round_records"] >= 2
-    assert counts["admm.iters"] == res.total_newton_steps > 0
-    assert len(records) == res.total_rounds
+    assert counts["admm.iters"] == res.total("newton_steps") > 0
+    assert len(records) == res.total("rounds")
     # a candidate set is partitioned only by the round that first solves it,
     # and every eas_certify call partitions its own set
     assert counts["graph.partition.calls"] == (sum(r["built"] for r in records)

@@ -108,7 +108,7 @@ def test_path_records_are_complete(t1_inst):
         assert rec.avg_reduced_n <= t1_inst.N
         assert rec.seconds >= 0.0
         assert rec.error is None
-    assert res.total_rounds == sum(r.rounds for r in res.records)
+    assert res.total("rounds") == sum(r.rounds for r in res.records)
     s = res.summary()
     assert s["n_lambdas"] == 2 and s["all_converged"] and s["failed_lambdas"] == []
 
@@ -352,7 +352,7 @@ def test_secant_start_saves_newton_steps(request, monkeypatch, mode, points):
     monkeypatch.setattr(path, "secant_start", lambda lam, last, prev=None: last[1:])
     plain = solve_path(inst, PathConfig(mode=mode))
     assert secant.all_converged and plain.all_converged
-    assert secant.total_newton_steps < plain.total_newton_steps
+    assert secant.total("newton_steps") < plain.total("newton_steps")
 
 
 def _path_without_store(inst, pcfg):
@@ -436,7 +436,7 @@ def test_reused_structures_change_no_result(moons200, monkeypatch, mode):
         assert [rec.newton_steps, rec.cg_steps, rec.factorizations - m_kept,
                 rec.woodbury_directions] == work
     assert (sum(kept_m) < sum(fresh_m)) == (mode == "direct")
-    assert (res.total_woodbury_directions > 0) == (mode == "direct")
+    assert (res.total("woodbury_directions") > 0) == (mode == "direct")
 
 
 def test_direct_path_with_kept_factors_agrees_with_fresh_solves(moons200):
@@ -579,7 +579,7 @@ def test_each_stored_candidate_set_is_built_once(moons200, monkeypatch, mode):
         monkeypatch.setattr(path, name, recording)
 
     res = solve_path(moons200, PathConfig(mode=mode))
-    assert res.all_converged and len(records) == res.total_rounds
+    assert res.all_converged and len(records) == res.total("rounds")
     assert not any(r["certified_early"] for r in records)
     built = [r for r in records if r["built"]]
     assert builds["build_partition"] == len(built)

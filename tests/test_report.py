@@ -9,11 +9,15 @@ from sievepath import (
     AdmmConfig,
     DataError,
     PathConfig,
+    build_knn_graph,
     emit_report,
+    gen_two_half_moons,
     load_path_state,
     save_path_state,
     solve_path,
 )
+from sievepath import path
+from sievepath.admm import WORK
 from sievepath.report import PATH_COLUMNS, STATE_VERSION
 
 
@@ -47,6 +51,40 @@ def test_path_csv_layout(t1_result, tmp_path):
     for name in ("newton_steps", "cg_steps", "factorizations"):
         col = PATH_COLUMNS.index(name)
         assert [int(r[col]) for r in rows[1:]] == [getattr(rec, name) for rec in t1_result.records]
+
+
+@pytest.mark.parametrize("mode", ["as", "eas", "direct"])
+def test_work_counters_read_the_same_from_round_records_to_path_csv(monkeypatch, tmp_path,
+                                                                    mode):
+    """Each admm.WORK counter of a 3-lambda path reads the same four ways:
+    summed over a lambda's round records, as its LambdaRecord field and as
+    its path.csv column, and, summed over the lambdas, as summary()'s
+    total_<key>. path.csv lists the counters, in WORK's order, after the
+    lambda and its rounds."""
+    states = []  # each lambda's SieveState
+    for name in ("as_solve", "eas_solve"):
+        def recording(*args, _solve=getattr(path, name), **kwargs):
+            triple, state = _solve(*args, **kwargs)
+            states.append(state)
+            return triple, state
+        monkeypatch.setattr(path, name, recording)
+    inst = build_knn_graph(gen_two_half_moons(200, 0.1, 0), k=10)
+    res = solve_path(inst, PathConfig(mode=mode, lambdas=[6.0, 5.0, 4.0]))
+    assert res.all_converged and len(states) == 3
+    emit_report(res, tmp_path)
+    with open(tmp_path / "path.csv", newline="") as fh:
+        header, *rows = list(csv.reader(fh))
+    assert tuple(header[:2 + len(WORK)]) == ("lambda", "rounds", *WORK)
+    summary = res.summary()
+    for key in WORK:
+        fields = [getattr(rec, key) for rec in res.records]
+        assert [sum(r[key] for r in state.records) for state in states] == fields
+        assert [int(row[header.index(key)]) for row in rows] == fields
+        assert summary[f"total_{key}"] == res.total(key) == sum(fields)
+    # every counter is exercised: sieved paths take no CG step and no
+    # Woodbury direction, the direct path takes both
+    counted = {key for key in WORK if summary[f"total_{key}"]}
+    assert counted == (set(WORK) if mode == "direct" else {"newton_steps", "factorizations"})
 
 
 def test_summary_json_cluster_counts(t1_result, tmp_path):

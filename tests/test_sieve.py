@@ -254,7 +254,8 @@ def test_violation_set_respects_boundary_slack(t1_inst):
 
 def test_violation_set_empty_candidate(t1_inst):
     part = build_partition(t1_inst.incidence, [])
-    assert violation_set(part, 1.0, t1_inst, np.ones((1, 3))).size == 0
+    J = violation_set(part, 1.0, t1_inst, np.ones((1, 3)))
+    assert J.size == 0 and J.dtype == np.int64
 
 
 # -------------------------------------------------------------------- as_solve
